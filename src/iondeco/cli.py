@@ -72,6 +72,10 @@ CONFIG_SPEC = {
     "out": (str, None),
 }
 
+# Largest sweep grid (T points x R values).  The batched engines peak at about
+# 770 B per T point of one R column; a sweep at the cap peaks near 220 MB RSS.
+MAX_GRID_POINTS = 250_000
+
 DEFAULT_OUT = {
     "sweep": "sweep.csv",
     "table1": "table1.csv",
@@ -175,15 +179,13 @@ def _metadata_line(command: str, config: dict) -> str:
     return "# " + " ".join(parts)
 
 
-def emit_csv(metadata: str, header: list[str], rows: list[list], dest: Path) -> int:
-    """Write a deterministic CSV: metadata line, header, then rows with
-    9-significant-digit numbers and LF terminators.  Returns bytes written."""
-    lines = [metadata, ",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    dest = Path(dest)
-    dest.write_bytes(data)
-    return len(data)
+def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int:
+    """Write a deterministic CSV: metadata line, header, then one line per row
+    of the given columns, with 9-significant-digit numbers and LF terminators.
+    A float array column is formatted whole.  Returns bytes written."""
+    cells = [[f"{x:.9g}" for x in col.tolist()] if isinstance(col, np.ndarray) else [_fmt(v) for v in col]
+             for col in columns]
+    return _emit_text(metadata, [",".join(header)] + [",".join(row) for row in zip(*cells)], dest)
 
 
 def _emit_text(metadata: str, body: list[str], dest: Path) -> int:
@@ -195,12 +197,15 @@ def _emit_text(metadata: str, body: list[str], dest: Path) -> int:
 def _t_grid_rad(config: dict) -> np.ndarray:
     step = config["t_step_deg"]
     t_max = config["t_max_deg"]
-    if step <= 0:
-        raise ValidationError(f"t_step_deg must be positive, got {step}")
-    if t_max < 0:
-        raise ValidationError(f"t_max_deg must be nonnegative, got {t_max}")
-    degrees = np.arange(int(round(t_max / step)) + 1, dtype=float) * step
-    return np.radians(degrees)
+    if not 0.0 < step < math.inf:
+        raise ValidationError(f"t_step_deg must be finite and positive, got {step}")
+    if not 0.0 <= t_max < math.inf:
+        raise ValidationError(f"t_max_deg must be finite and nonnegative, got {t_max}")
+    n_t = t_max / step + 1.0  # counted before allocating; may be inf
+    if n_t * max(len(config["r"]), 1) > MAX_GRID_POINTS:
+        raise ValidationError(f"{n_t:.6g} T points x {len(config['r'])} R values exceed the grid budget of "
+                              f"{MAX_GRID_POINTS} points; raise t_step_deg or lower t_max_deg")
+    return np.radians(np.arange(round(t_max / step) + 1, dtype=float) * step)
 
 
 def _targets(config: dict) -> tuple[str, ...]:
@@ -221,17 +226,13 @@ def _cmd_sweep(config: dict, out: Path) -> str:
     )
     series = experiments.sweep(spec)
     header = ["t_rad", "t_deg"]
+    columns = [series.t_rad, series.t_deg]
     for r in spec.r_values:
         header += [f"p_{sign}_r{_fmt(r)}" for sign in spec.targets]
         header.append(f"purity_r{_fmt(r)}")
-    rows = []
-    for j in range(series.t_rad.size):
-        row = [series.t_rad[j], series.t_deg[j]]
-        for r in spec.r_values:
-            row += [observables.clamp_probability(series.probabilities[(r, sign)][j]) for sign in spec.targets]
-            row.append(series.purities[r][j])
-        rows.append(row)
-    n = emit_csv(_metadata_line("sweep", config), header, rows, out)
+        columns += [observables.clamp_probability(series.probabilities[(r, sign)]) for sign in spec.targets]
+        columns.append(series.purities[r])
+    n = emit_csv(_metadata_line("sweep", config), header, columns, out)
     return f"sweep: {series.t_rad.size} grid points x {len(spec.r_values)} R values -> {out} ({n} bytes)"
 
 
@@ -244,7 +245,7 @@ def _cmd_table1(config: dict, out: Path) -> str:
               observables.clamp_probability(row.p_quarter), row.published_quarter, row.dev_quarter,
               observables.clamp_probability(row.p_three_quarter), row.published_three_quarter,
               row.dev_three_quarter] for row in rows]
-    n = emit_csv(_metadata_line("table1", config), header, table, out)
+    n = emit_csv(_metadata_line("table1", config), header, list(zip(*table)), out)
     worst = max(row.dev_quarter for row in rows)
     return f"table1: {len(rows)} rows, worst pi/4 deviation {worst:.4f} -> {out} ({n} bytes)"
 
@@ -252,10 +253,10 @@ def _cmd_table1(config: dict, out: Path) -> str:
 def _cmd_units(config: dict, out: Path) -> str:
     report = experiments.physical_units(config["omega_rad_s"], config["alpha"], config["r"])
     header = ["r", "inv_gamma_ns"]
-    rows = [[r, report.inv_gamma_ns[r]] for r in config["r"]]
+    columns = [config["r"], [report.inv_gamma_ns[r] for r in config["r"]]]
     metadata = (_metadata_line("units", config)
                 + f" a_rad_s={_fmt(report.a_rad_s)} t_quarter_us={_fmt(report.t_quarter_us)}")
-    n = emit_csv(metadata, header, rows, out)
+    n = emit_csv(metadata, header, columns, out)
     return (f"units: a = {report.a_rad_s:.6g} rad/s, t(pi/4) = {report.t_quarter_us:.6g} us"
             f" -> {out} ({n} bytes)")
 
@@ -286,29 +287,17 @@ def _cmd_audit(config: dict, out: Path) -> str:
 def _cmd_evolve(config: dict, out: Path) -> str:
     if config["m"] < 1 or config["n"] < 1:
         raise ValidationError("evolve requires m >= 1 and n >= 1 (coupled four-state block)")
-    alpha = config["alpha"]
-    if alpha <= 1.0:
-        raise ValidationError(f"alpha must exceed 1, got {alpha}")
     modes = model.ModeIndices(config["m"], config["n"])
     # scaled units: sideband coupling 1, so t = T and gamma = 1/R
-    eta_c = 0.1
-    params = model.SystemParams(
-        omega=math.sqrt(alpha * alpha - 1.0),
-        g=2.0 / (eta_c * math.sqrt(modes.m * modes.n)),
-        eta_c=eta_c, eta_l=eta_c,
-    )
-    block = model.build_hamiltonian(params, modes)
-    spectrum = model.spectrum_analytic(block, model.derived_couplings(params, modes))
+    block, spectrum, _ = experiments.scaled_system(config["alpha"], modes)
     r = config["r"][0] if config["r"] else 0.0
-    gamma = math.inf if r == 0.0 else 1.0 / r
     t_scaled = math.radians(config["t_max_deg"])
-    rho0 = engines.DensityMatrix.basis_state(2, modes.basis_order())
-    spec = experiments.SweepSpec(
-        alpha=alpha, r_values=(r,), t_grid=np.array([0.0, 1.0]), targets=(),
-        engine=config["engine"], dt=config["dt"], tail_tol=config["tail_tol"],
+    req = engines.EvolutionRequest(
+        initial=engines.DensityMatrix.basis_state(2, modes.basis_order()), t=t_scaled,
+        gamma=experiments.kick_rate(r), dt=config["dt"], tail_tol=config["tail_tol"],
         n_traj=config["n_traj"], seed=config["seed"],
     )
-    rho = experiments._evolve_one(spec, block, spectrum, rho0, t_scaled, gamma)
+    rho = engines.ENGINES[config["engine"]](block, spectrum, req)
 
     rows = [["t_scaled_rad", t_scaled], ["r", r], ["purity", observables.purity(rho)]]
     for label, value in zip(modes.basis_order(), observables.populations(rho)):
@@ -321,7 +310,7 @@ def _cmd_evolve(config: dict, out: Path) -> str:
         for j in range(4):
             rows.append([f"rho[{i}][{j}].re", rho.entries[i, j].real])
             rows.append([f"rho[{i}][{j}].im", rho.entries[i, j].imag])
-    n = emit_csv(_metadata_line("evolve", config), ["quantity", "value"], rows, out)
+    n = emit_csv(_metadata_line("evolve", config), ["quantity", "value"], list(zip(*rows)), out)
     return f"evolve: engine={config['engine']} T={config['t_max_deg']:g} deg R={_fmt(r)} -> {out} ({n} bytes)"
 
 

@@ -20,12 +20,16 @@ Four mutually checking engines are provided:
 evolve_unitary is the gamma -> inf limit (same code path as the reference
 engine), and closed_form_rho transcribes the published closed-form solution
 for the |g,m-1,n-1> initial state so it can be audited against the engines.
+
+All engines but the Runge-Kutta one apply one transform, dephase, with their
+own kick-count factor, to a whole grid of times at once.  ENGINES maps each
+engine name to a function of (block, spectrum, request).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +39,8 @@ from .model import DerivedCouplings, HamiltonianBlock, Spectrum
 
 @dataclass
 class DensityMatrix:
-    """4x4 complex density matrix tagged with its basis order."""
+    """4x4 complex density matrix tagged with its basis order; the engines
+    return a stack of them, shape (N, 4, 4), for a 1-D array of times."""
 
     entries: np.ndarray
     basis_order: tuple[str, str, str, str]
@@ -55,26 +60,23 @@ class DensityMatrix:
         v[index] = 1.0
         return cls.pure(v, basis_order)
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
     def violations(
         self,
         hermitian_tol: float = 1e-12,
         trace_tol: float = 1e-12,
         psd_floor: float = -1e-10,
     ) -> list[str]:
-        """Invariant violations, empty when the state is valid."""
+        """Invariant violations, empty when the state (every state of a stack) is valid."""
         out = []
         rho = self.entries
-        herm = np.abs(rho - rho.conj().T).max()
+        rho_h = np.swapaxes(rho, -1, -2).conj()
+        herm = np.abs(rho - rho_h).max()
         if herm > hermitian_tol:
             out.append(f"hermiticity violated by {herm:.3e}")
-        tr_err = abs(np.trace(rho) - 1.0)
+        tr_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
         if tr_err > trace_tol:
             out.append(f"trace deviates from 1 by {tr_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h)).min())
         if min_eig < psd_floor:
             out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
         return out
@@ -90,7 +92,7 @@ class DensityMatrix:
 class EvolutionRequest:
     """Inputs common to all engines plus engine-specific controls.
 
-    t         evolution duration (s)
+    t         evolution duration (s), or a 1-D array of them (not poisson_kick_sum, evolve_ode)
     gamma     kick frequency (1/s); math.inf = decoherence-free
     tail_tol  Poisson tail mass allowed to be truncated in the kick sum
     dt        fixed step for the Runge-Kutta engine (None: 1e-3 / mu)
@@ -99,7 +101,7 @@ class EvolutionRequest:
     """
 
     initial: DensityMatrix
-    t: float
+    t: float | np.ndarray
     gamma: float = math.inf
     tail_tol: float = 1e-12
     dt: float | None = None
@@ -107,8 +109,9 @@ class EvolutionRequest:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValidationError(f"t must be nonnegative, got {self.t}")
+        t = np.asarray(self.t, dtype=float)
+        if t.ndim > 1 or not np.all(np.isfinite(t) & (t >= 0)):
+            raise ValidationError(f"t must be finite and nonnegative (a scalar or a 1-D array), got {self.t}")
         if not self.gamma > 0:
             raise ValidationError(f"gamma must be positive (or inf), got {self.gamma}")
         if not 0.0 < self.tail_tol < 1.0:
@@ -130,6 +133,25 @@ def _finite_gamma(gamma: float) -> float:
     return gamma
 
 
+def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.ndarray:
+    """The kick average V (rho_eig * phi[k]) V^T for each of the N factors in
+    phi (N, 4, 4); phi[k][p, q] is the characteristic function of the kick
+    count at (Ep - Eq)/gamma (Milburn, Phys. Rev. A 44, 5401 (1991)), the one
+    thing in which the engines below differ.  Returns an (N, 4, 4) stack."""
+    _check_basis(spectrum.basis_order, initial.basis_order)
+    v = spectrum.eigenvectors
+    rho_eig = v.T @ initial.entries @ v
+    return v @ (rho_eig * phi) @ v.T
+
+
+def _dephased(spectrum: Spectrum, req: EvolutionRequest, phi) -> DensityMatrix:
+    """dephase with phi(delta, t) at every time of req.t; entries have shape np.shape(req.t) + (4, 4)."""
+    t = np.asarray(req.t, dtype=float)
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    stack = dephase(spectrum, req.initial, phi(delta, t.reshape(-1, 1, 1)))
+    return DensityMatrix(stack.reshape(t.shape + (4, 4)), req.initial.basis_order)
+
+
 def evolve_eigenbasis(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Reference engine: dephasing factors applied in the eigenbasis.
 
@@ -137,19 +159,12 @@ def evolve_eigenbasis(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatri
     eigenbasis populations are exactly preserved.  gamma = inf reduces to
     unitary evolution.
     """
-    _check_basis(spectrum.basis_order, req.initial.basis_order)
-    v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    rho_eig = v.T @ req.initial.entries @ v
     if math.isinf(req.gamma):
-        factor = np.exp(-1j * delta * req.t)
-    else:
-        factor = np.exp(-1j * delta * req.t - delta * delta * req.t / (2.0 * req.gamma))
-    out = v @ (rho_eig * factor) @ v.T
-    return DensityMatrix(out, req.initial.basis_order)
+        return _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t))
+    return _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t - delta * delta * t / (2.0 * req.gamma)))
 
 
-def evolve_unitary(spectrum: Spectrum, initial: DensityMatrix, t: float) -> DensityMatrix:
+def evolve_unitary(spectrum: Spectrum, initial: DensityMatrix, t: float | np.ndarray) -> DensityMatrix:
     """Kick-free limit: rho(t) = exp(-iHt) rho(0) exp(iHt) via the spectrum."""
     return evolve_eigenbasis(spectrum, EvolutionRequest(initial=initial, t=t, gamma=math.inf))
 
@@ -165,14 +180,8 @@ def evolve_poisson(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRe
     gamma t multiplies into the result (gap to the exact value 4.7e-10 at
     alpha = 4, gamma = 1e7, t = pi).
     """
-    _check_basis(spectrum.basis_order, req.initial.basis_order)
     gamma = _finite_gamma(req.gamma)
-    v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    rho_eig = v.T @ req.initial.entries @ v
-    factor = np.exp(gamma * req.t * np.expm1(-1j * delta / gamma))
-    out = v @ (rho_eig * factor) @ v.T
-    return DensityMatrix(out, req.initial.basis_order)
+    return _dephased(spectrum, req, lambda delta, t: np.exp(gamma * t * np.expm1(-1j * delta / gamma)))
 
 
 def poisson_kick_sum(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
@@ -322,44 +331,60 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
 
     Reproducibility contract: trajectory i consumes a single uniform derived
     by the splitmix64 mix of (seed, i) and maps it through the inverse
-    Poisson CDF, so every draw is a pure function of (seed, i); the mean and
-    the per-entry standard error are accumulated by reductions in fixed
-    trajectory order.  Results are therefore bit-identical for a given seed
-    regardless of execution parallelism.
+    Poisson CDF, so every draw is a pure function of (seed, i), and results
+    are bit-identical for a given seed.  Trajectories that drew the same N
+    share one state, so the mean and the per-entry standard error are taken
+    over the distinct N (a few hundred for 1e5 trajectories), each weighted
+    by how many trajectories drew it.  Every time of a 1-D req.t reuses the
+    same uniforms.
     """
-    _check_basis(spectrum.basis_order, req.initial.basis_order)
     gamma = _finite_gamma(req.gamma)
-    if req.seed is None:
-        raise ValidationError("Monte Carlo engine requires a seed")
-    if req.n_traj is None or req.n_traj < 1:
-        raise ValidationError("Monte Carlo engine requires n_traj >= 1")
+    if req.seed is None or req.n_traj is None:
+        raise ValidationError(f"Monte Carlo engine requires a seed and n_traj, got {req.seed} and {req.n_traj}")
     n = req.n_traj
     uniforms = _trajectory_uniforms(req.seed, n)
-    cdf = _poisson_cdf(gamma * req.t, req.tail_tol)
-    kicks = np.searchsorted(cdf, uniforms, side="right").astype(np.float64)
-
-    v = spectrum.eigenvectors
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    rho_eig = v.T @ req.initial.entries @ v
-    phases = np.exp(-1j * delta[None, :, :] * (kicks[:, None, None] / gamma))
-    states = v @ (rho_eig[None, :, :] * phases) @ v.T
-    mean = states.mean(axis=0)
-    if n > 1:
-        var = np.square(np.abs(states - mean[None, :, :])).sum(axis=0) / (n - 1)
-        stderr = np.sqrt(var / n)
-    else:
-        stderr = np.zeros((4, 4))
+    t = np.asarray(req.t, dtype=float)
+    mean = np.empty(t.shape + (4, 4), dtype=complex)
+    stderr = np.zeros(t.shape + (4, 4))
+    for i, t_i in np.ndenumerate(t):
+        cdf = _poisson_cdf(gamma * float(t_i), req.tail_tol)
+        kicks, counts = np.unique(np.searchsorted(cdf, uniforms, side="right"), return_counts=True)
+        states = dephase(spectrum, req.initial, np.exp(-1j * delta * (kicks[:, None, None] / gamma)))
+        weights = counts[:, None, None]
+        mean[i] = (weights * states).sum(axis=0) / n
+        if n > 1:
+            var = (weights * np.square(np.abs(states - mean[i]))).sum(axis=0) / (n - 1)
+            stderr[i] = np.sqrt(var / n)
     return MonteCarloResult(DensityMatrix(mean, req.initial.basis_order), stderr)
+
+
+def _evolve_ode_grid(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
+    """evolve_ode at each time of req.t, every run starting again from t = 0."""
+    t = np.asarray(req.t, dtype=float)
+    states = [evolve_ode(block, replace(req, t=t_i)).entries for t_i in t.ravel().tolist()]
+    return DensityMatrix(np.array(states).reshape(t.shape + (4, 4)), req.initial.basis_order)
+
+
+# Engine name -> engine(block, spectrum, req), the state at each time of req.t.
+ENGINES = {
+    "eigen": lambda block, spectrum, req: evolve_eigenbasis(spectrum, req),
+    "poisson": lambda block, spectrum, req: evolve_poisson(block, spectrum, req),
+    "ode": lambda block, spectrum, req: _evolve_ode_grid(block, req),
+    "mc": lambda block, spectrum, req: evolve_monte_carlo(block, spectrum, req).rho,
+    "unitary": lambda block, spectrum, req: evolve_unitary(spectrum, req.initial, req.t),
+}
 
 
 def closed_form_rho(
     couplings: DerivedCouplings,
     spectrum: Spectrum,
-    t: float,
+    t: float | np.ndarray,
     gamma: float,
 ) -> DensityMatrix:
     """Literal transcription of the published closed-form rho(t) for the
-    initial state |g, m-1, n-1><g, m-1, n-1|.
+    initial state |g, m-1, n-1><g, m-1, n-1|; t is a scalar or an array of
+    times, and the entries have shape np.shape(t) + (4, 4).
 
     Exists to audit that published expression against the engines, not to
     serve as a reference.  Coefficients use A^2 = (mu + omega)/(4 mu),
@@ -380,11 +405,12 @@ def closed_form_rho(
 
     v = spectrum.eigenvectors.astype(complex)
     v[:, 0] = -v[:, 0]
+    t = np.asarray(t, dtype=float)[..., None, None]
 
     def ket_bra(p: int, q: int) -> np.ndarray:
         return np.outer(v[:, p], v[:, q].conj())
 
-    def damp(freq: float) -> float:
+    def damp(freq: float):
         # decay exponent 2 freq^2 t / gamma of the published expression
         return 0.0 if math.isinf(gamma) else 2.0 * freq * freq * t / gamma
 
@@ -392,8 +418,7 @@ def closed_form_rho(
     amb = 0.5 * (cap_a - cap_b) ** 2
     cross = 0.5 * (cap_a**2 - cap_b**2)
 
-    rho = apb * (ket_bra(0, 0) + ket_bra(3, 3))
-    rho += -apb * (
+    rho = apb * (ket_bra(0, 0) + ket_bra(3, 3)) - apb * (
         np.exp(-damp(mu - a) - 2j * (mu - a) * t) * ket_bra(0, 3)
         + np.exp(-damp(mu - a) + 2j * (mu - a) * t) * ket_bra(3, 0)
     )

@@ -15,25 +15,35 @@ import numpy as np
 from . import engines, model, observables
 from .errors import ValidationError
 
-ENGINE_NAMES = ("eigen", "poisson", "ode", "mc", "unitary")
+ENGINE_NAMES = tuple(engines.ENGINES)
 
-# Published peak probabilities and kick periods used for side-by-side
-# comparison.  Keys are R = a/gamma; the decoherence-free row is R = 0.
+# Published peak probabilities used for side-by-side comparison.  Keys are
+# R = a/gamma; the decoherence-free row is R = 0.
 PUBLISHED_R_VALUES = (0.001, 0.005, 0.01, 0.1)
 PUBLISHED_P_QUARTER = {0.0: 1.0, 0.001: 0.99, 0.005: 0.94, 0.01: 0.89, 0.1: 0.53}
 PUBLISHED_P_THREE_QUARTER = {0.0: 1.0, 0.001: 0.94, 0.005: 0.78, 0.01: 0.65, 0.1: 0.37}
-PUBLISHED_INV_GAMMA_NS = {0.001: 0.43, 0.005: 2.15, 0.01: 4.32, 0.1: 43.20}
 PUBLISHED_OMEGA_RAD_S = 8.95e6
-PUBLISHED_T_QUARTER_US = 0.34
 
 
-def scaled_system(alpha: float) -> tuple[model.HamiltonianBlock, model.Spectrum, model.DerivedCouplings]:
-    """Block, spectrum, and couplings for sideband coupling a = 1 and mu = alpha."""
-    if alpha <= 1.0:
-        raise ValidationError(f"alpha must exceed 1, got {alpha}")
-    # a = g*eta_c/2 = 1 with eta_c inside the soft Lamb-Dicke bound
-    params = model.SystemParams(omega=math.sqrt(alpha * alpha - 1.0), g=20.0, eta_c=0.1, eta_l=0.1)
-    modes = model.ModeIndices(1, 1)
+def check_alpha(alpha: float) -> None:
+    """alpha = mu / a, which must be finite and exceed 1 (omega > 0)."""
+    if not 1.0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and exceed 1, got {alpha}")
+
+
+def kick_rate(r: float) -> float:
+    """gamma = 1/R in scaled units; R = 0 is the decoherence-free gamma = inf."""
+    return math.inf if r == 0.0 else 1.0 / r
+
+
+def scaled_system(
+    alpha: float, modes: model.ModeIndices = model.ModeIndices(1, 1),
+) -> tuple[model.HamiltonianBlock, model.Spectrum, model.DerivedCouplings]:
+    """Block, spectrum, and couplings of the (m, n) block for sideband coupling a = 1, mu = alpha."""
+    check_alpha(alpha)
+    # a = g*eta_c*sqrt(mn)/2 = 1 with eta_c inside the soft Lamb-Dicke bound
+    g = 2.0 / (0.1 * math.sqrt(modes.m * modes.n))
+    params = model.SystemParams(omega=math.sqrt(alpha * alpha - 1.0), g=g, eta_c=0.1, eta_l=0.1)
     block = model.build_hamiltonian(params, modes)
     couplings = model.derived_couplings(params, modes)
     return block, model.spectrum_analytic(block, couplings), couplings
@@ -65,10 +75,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.engine not in ENGINE_NAMES:
             raise ValidationError(f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}")
+        check_alpha(self.alpha)
         for target in self.targets:
             observables._check_sign(target)
-        if any(r < 0 for r in self.r_values):
-            raise ValidationError("r values must be nonnegative")
+        if not all(0.0 <= r < math.inf for r in self.r_values):
+            raise ValidationError(f"r values must be finite and nonnegative, got {self.r_values}")
         grid = np.asarray(self.t_grid, dtype=float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValidationError("t_grid must be strictly increasing")
@@ -86,40 +97,26 @@ class TimeSeries:
     spec: SweepSpec
 
 
-def _evolve_one(spec: SweepSpec, block, spectrum, rho0, t: float, gamma: float) -> engines.DensityMatrix:
-    req = engines.EvolutionRequest(
-        initial=rho0, t=t, gamma=gamma, dt=spec.dt, tail_tol=spec.tail_tol,
-        n_traj=spec.n_traj, seed=spec.seed,
-    )
-    if spec.engine == "eigen":
-        return engines.evolve_eigenbasis(spectrum, req)
-    if spec.engine == "unitary":
-        return engines.evolve_unitary(spectrum, rho0, t)
-    if spec.engine == "poisson":
-        return engines.evolve_poisson(block, spectrum, req)
-    if spec.engine == "ode":
-        return engines.evolve_ode(block, req)
-    return engines.evolve_monte_carlo(block, spectrum, req).rho
-
-
 def sweep(spec: SweepSpec) -> TimeSeries:
     """Evaluate the target probabilities over the (R, T) grid.
 
-    Grid points are independent; iteration runs in the given r order and
-    ascending T, so the output layout is deterministic.
+    Each R value is one engine call over the whole T grid; columns follow
+    the given r order and ascending T, so the output layout is deterministic.
     """
     block, spectrum, _ = scaled_system(spec.alpha)
-    rho0 = initial_state()
+    evolve = engines.ENGINES[spec.engine]
     targets = {sign: observables.ghz_state(sign) for sign in spec.targets}
-    probabilities = {(r, sign): np.empty(spec.t_grid.size) for r in spec.r_values for sign in spec.targets}
-    purities = {r: np.empty(spec.t_grid.size) for r in spec.r_values}
+    probabilities = {}
+    purities = {}
     for r in spec.r_values:
-        gamma = math.inf if r == 0.0 else 1.0 / r
-        for j, t_scaled in enumerate(spec.t_grid):
-            rho = _evolve_one(spec, block, spectrum, rho0, float(t_scaled), gamma)
-            for sign, target in targets.items():
-                probabilities[(r, sign)][j] = observables.p_ghz(rho, target)
-            purities[r][j] = observables.purity(rho)
+        req = engines.EvolutionRequest(
+            initial=initial_state(), t=spec.t_grid, gamma=kick_rate(r), dt=spec.dt,
+            tail_tol=spec.tail_tol, n_traj=spec.n_traj, seed=spec.seed,
+        )
+        states = evolve(block, spectrum, req)
+        for sign, target in targets.items():
+            probabilities[(r, sign)] = observables.p_ghz(states, target)
+        purities[r] = observables.purity(states)
     return TimeSeries(
         t_rad=spec.t_grid.copy(),
         t_deg=np.degrees(spec.t_grid),
@@ -194,10 +191,9 @@ class UnitReport:
 def physical_units(omega_rad_s: float, alpha: float, r_values) -> UnitReport:
     """Convert (alpha, R) into the sideband coupling, kick periods, and the
     quarter-cycle interaction time for a given laser coupling."""
-    if alpha <= 1.0:
-        raise ValidationError(f"alpha must exceed 1, got {alpha}")
-    if omega_rad_s <= 0:
-        raise ValidationError(f"omega must be positive, got {omega_rad_s}")
+    check_alpha(alpha)
+    if not 0.0 < omega_rad_s < math.inf:
+        raise ValidationError(f"omega must be finite and positive, got {omega_rad_s}")
     a = omega_rad_s / math.sqrt(alpha * alpha - 1.0)
     inv_gamma = {float(r): float(r) / a * 1e9 for r in r_values}
     return UnitReport(
@@ -230,17 +226,13 @@ def table1(omega_rad_s: float = PUBLISHED_OMEGA_RAD_S, alpha: float = 4.0) -> li
     T = 3 pi/4 without decoherence).
     """
     units = physical_units(omega_rad_s, alpha, PUBLISHED_R_VALUES)
-    block, spectrum, _ = scaled_system(alpha)
-    rho0 = initial_state()
-    minus = observables.ghz_state("minus")
-    plus = observables.ghz_state("plus")
+    _, spectrum, _ = scaled_system(alpha)
+    t_grid = np.array([math.pi / 4.0, 3.0 * math.pi / 4.0])
     rows = []
     for r in (0.0,) + PUBLISHED_R_VALUES:
-        gamma = math.inf if r == 0.0 else 1.0 / r
-        p_q = observables.p_ghz(
-            engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, math.pi / 4.0, gamma)), minus)
-        p_tq = observables.p_ghz(
-            engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, 3.0 * math.pi / 4.0, gamma)), plus)
+        states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t_grid, kick_rate(r)))
+        p_q = observables.p_ghz(states, observables.ghz_state("minus"))[0]
+        p_tq = observables.p_ghz(states, observables.ghz_state("plus"))[1]
         rows.append(Table1Row(
             r=r,
             inv_gamma_ns=0.0 if r == 0.0 else units.inv_gamma_ns[r],
@@ -284,24 +276,16 @@ def audit(alpha: float = 4.0) -> AuditReport:
     pub_tq = observables.published_pghz(3.0 * math.pi / 4.0, alpha, 0.0)
     gap = pub_q - observables.closed_form_pghz(math.pi / 4.0, alpha, 0.0, "minus")
 
-    block, spectrum, couplings = scaled_system(alpha)
-    rho0 = initial_state()
+    _, spectrum, couplings = scaled_system(alpha)
     r_grid = (0.0,) + PUBLISHED_R_VALUES
     t_grid = np.linspace(0.0, 2.0 * math.pi, 64)
     worst = 0.0
     for r in r_grid:
-        gamma = math.inf if r == 0.0 else 1.0 / r
-        for t_scaled in t_grid:
-            ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, float(t_scaled), gamma))
-            lit = engines.closed_form_rho(couplings, spectrum, float(t_scaled), gamma)
-            worst = max(worst, float(np.abs(ref.entries - lit.entries).max()))
-
-    plus = observables.ghz_state("plus")
-    rows = []
-    for r in PUBLISHED_R_VALUES:
-        rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, 3.0 * math.pi / 4.0, 1.0 / r))
-        value = observables.p_ghz(rho, plus)
-        rows.append((r, value, PUBLISHED_P_THREE_QUARTER[r], abs(value - PUBLISHED_P_THREE_QUARTER[r])))
+        ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t_grid, kick_rate(r)))
+        lit = engines.closed_form_rho(couplings, spectrum, t_grid, kick_rate(r))
+        worst = max(worst, float(np.abs(ref.entries - lit.entries).max()))
+    rows = [(row.r, row.p_three_quarter, row.published_three_quarter, row.dev_three_quarter)
+            for row in table1(alpha=alpha)[1:]]
 
     return AuditReport(
         published_formula_quarter=pub_q,

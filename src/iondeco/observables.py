@@ -60,16 +60,18 @@ def ghz_state(sign: str, p: int = 0) -> GHZTarget:
     )
 
 
-def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float:
-    """Raw overlap tr(rho * projector); clamp with clamp_probability for reporting."""
+def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:
+    """Raw overlap tr(rho * projector), one value per state when rho holds a
+    stack of states; clamp with clamp_probability for reporting."""
     if rho.basis_order != target.basis_order:
         raise ValidationError(f"basis mismatch: {rho.basis_order} vs {target.basis_order}")
-    return float(np.trace(rho.entries @ target.projector).real)
+    return np.trace(rho.entries @ target.projector, axis1=-2, axis2=-1).real
 
 
-def clamp_probability(value: float) -> float:
-    """Reporting-layer clamp to [0, 1]; raw values stay available upstream."""
-    return min(max(value, 0.0), 1.0)
+def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
+    """Reporting-layer clamp to [0, 1], elementwise on arrays; raw values stay
+    available upstream.  Like min(max(value, 0), 1) it keeps -0.0 and NaN."""
+    return np.clip(value, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class ClosedFormCoefficients:
     alpha: float
     c0: float
     c_mu: float
-    c_a: float
     c_plus: float
     c_minus: float
     a_coeff: float
@@ -99,7 +100,6 @@ def closed_form_coefficients(alpha: float) -> ClosedFormCoefficients:
         alpha=alpha,
         c0=(a2 + 1.0) / (4.0 * a2),
         c_mu=(a2 - 1.0) / (4.0 * a2),
-        c_a=(a2 - 1.0) / (4.0 * a2),
         c_plus=(alpha - 1.0) ** 2 / (8.0 * a2),
         c_minus=(alpha + 1.0) ** 2 / (8.0 * a2),
         a_coeff=math.sqrt((alpha + omega_over_a) / (4.0 * alpha)),
@@ -113,7 +113,7 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     Identity with p_ghz(evolve_eigenbasis(...)); accepts a scalar or an array
     of scaled times T = a*t.  Upper signs (sign="minus"):
 
-        P(T) = c0 + c_mu e^{-2 a^2 T R} cos(2 a T) + c_a e^{-2 T R} sin(2 T)
+        P(T) = c0 + c_mu e^{-2 a^2 T R} cos(2 a T) + c_mu e^{-2 T R} sin(2 T)
                + c_plus e^{-2 (a+1)^2 T R} sin(2 (a+1) T)
                - c_minus e^{-2 (a-1)^2 T R} sin(2 (a-1) T)      (a = alpha)
     """
@@ -125,7 +125,7 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     value = (
         c.c0
         + c.c_mu * np.exp(-2.0 * alpha * alpha * t_scaled * r) * np.cos(2.0 * alpha * t_scaled)
-        + upper * c.c_a * np.exp(-2.0 * t_scaled * r) * np.sin(2.0 * t_scaled)
+        + upper * c.c_mu * np.exp(-2.0 * t_scaled * r) * np.sin(2.0 * t_scaled)
         + upper * c.c_plus * np.exp(-2.0 * (alpha + 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
         - upper * c.c_minus * np.exp(-2.0 * (alpha - 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
     )
@@ -155,8 +155,9 @@ def published_pghz(t_scaled, alpha: float, r: float):
     return value if value.ndim else float(value)
 
 
-def purity(rho: DensityMatrix) -> float:
-    return float(np.trace(rho.entries @ rho.entries).real)
+def purity(rho: DensityMatrix) -> float | np.ndarray:
+    """tr(rho^2), one value per state when rho holds a stack of states."""
+    return np.trace(rho.entries @ rho.entries, axis1=-2, axis2=-1).real
 
 
 def populations(rho: DensityMatrix) -> np.ndarray:

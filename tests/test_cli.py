@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -219,3 +220,53 @@ def test_metadata_reproduces_run(tmp_path, monkeypatch):
     orig = (tmp_path / "orig.csv").read_text().splitlines()
     replay = (tmp_path / "replay.csv").read_text().splitlines()
     assert orig[1:] == replay[1:]
+
+
+# ------------------------------------------------------- input domain, budget
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--r", "nan", "--t-max-deg", "10"],
+    ["sweep", "--r", "0.01,inf", "--t-max-deg", "10"],
+    ["sweep", "--alpha", "nan", "--t-max-deg", "10"],
+    ["sweep", "--t-step-deg", "nan"],
+    ["sweep", "--t-max-deg", "inf"],
+    ["evolve", "--t-max-deg", "inf"],
+    ["evolve", "--t-max-deg", "nan"],
+    ["evolve", "--alpha", "inf"],
+    ["units", "--omega-rad-s", "inf"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
+    assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "Traceback" not in err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_grid_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys):
+    # 1e12 T points would be a 7.3 TiB grid; the budget refuses it before numpy allocates
+    assert cli.MAX_GRID_POINTS >= 40 * 1441 * 4  # the default grid stays far inside
+    argv = ["sweep", "--t-max-deg", "1e9", "--t-step-deg", "1e-3", "--out", "big.csv"]
+    assert run_cli(tmp_path, monkeypatch, argv) == 2
+    assert "grid budget" in capsys.readouterr().err
+    assert not (tmp_path / "big.csv").exists()
+
+
+# ---------------------------------------------------------------- golden bytes
+
+
+# sha256 of everything below the metadata line of each default-config output,
+# taken before sweep, table1 and audit were batched; the batched engines and
+# the column-wise CSV writer must reproduce these bytes exactly.
+GOLDEN_SHA256 = {
+    "sweep": "bff671516b4a4924786e277ae7dac7b2bc18cdd6bde6af2bb593e472cfe5919b",
+    "table1": "0165b069159396b21c4d45c81646dffac6f0abeab83a792fe489717d2b229004",
+    "audit": "eb5836dee73f1fd645325d9d5cf2d9421f99e5da826f1b4ee570caf96eca0eae",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_default_output_golden_bytes(tmp_path, monkeypatch, command):
+    assert run_cli(tmp_path, monkeypatch, [command, "--out", "g.out"]) == 0
+    body = (tmp_path / "g.out").read_bytes().split(b"\n", 1)[1]
+    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256[command]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iondeco import engines, model, observables
+from iondeco import engines, experiments, model, observables
 from iondeco.errors import NumericalError, ValidationError
 from iondeco.experiments import scaled_system
 
@@ -346,3 +346,112 @@ def test_all_engines_agree_at_reference_point(system4, rho0):
     assert np.abs(eig.entries - poi.entries).max() <= 5e-3
     for state in (eig, ode, poi):
         assert state.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7) == []
+
+
+# ------------------------------------------------------ batched dephasing kernel
+
+
+def per_point_transform(engine, spectrum, rho, t, gamma):
+    """The 2-D per-point transform the engines computed before batching."""
+    v = spectrum.eigenvectors
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    if engine == "poisson":
+        factor = np.exp(gamma * t * np.expm1(-1j * delta / gamma))
+    elif engine == "unitary" or math.isinf(gamma):
+        factor = np.exp(-1j * delta * t)
+    else:
+        factor = np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
+    return v @ ((v.T @ rho.entries @ v) * factor) @ v.T
+
+
+PER_POINT_ENGINES = {
+    "eigen": lambda block, spectrum, req: engines.evolve_eigenbasis(spectrum, req),
+    "unitary": lambda block, spectrum, req: engines.evolve_unitary(spectrum, req.initial, req.t),
+    "poisson": engines.evolve_poisson,
+}
+
+
+@pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
+@pytest.mark.parametrize("alpha", [1.5, 4.0, 12.0])
+def test_batched_engines_equal_per_point(engine, alpha):
+    grid = np.linspace(0.0, 2.0 * math.pi, 37)
+    r_values = (0.0, 1e-3, 0.1, 0.5) if engine != "poisson" else (1e-3, 0.1, 0.5)
+    if engine == "poisson":  # the exact kick average needs finite gamma, R > 0
+        with pytest.raises(ValidationError):
+            experiments.sweep(experiments.SweepSpec(alpha, (0.0,), grid, engine=engine))
+    series = experiments.sweep(experiments.SweepSpec(alpha, r_values, grid, engine=engine))
+    block, spectrum, _ = scaled_system(alpha)
+    mixed = random_state(np.random.default_rng(17), spectrum.basis_order)
+    targets = {sign: observables.ghz_state(sign) for sign in observables.SIGNS}
+    for r in r_values:
+        gamma = experiments.kick_rate(r)
+        for rho0 in (experiments.initial_state(), mixed):
+            batched = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+            assert batched.entries.shape == (grid.size, 4, 4)
+            for j, t in enumerate(grid):
+                one = PER_POINT_ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, float(t), gamma))
+                assert np.array_equal(batched.entries[j], one.entries)
+                assert np.array_equal(one.entries, per_point_transform(engine, spectrum, rho0, float(t), gamma))
+                if rho0 is mixed:
+                    continue
+                for sign, target in targets.items():
+                    assert series.probabilities[(r, sign)][j] == observables.p_ghz(one, target)
+                assert series.purities[r][j] == observables.purity(one)
+
+
+def test_closed_form_rho_vectorised_equals_scalar(system4):
+    _, spectrum, couplings = system4
+    grid = np.linspace(0.0, 2.0 * math.pi, 64)
+    for gamma in (math.inf, 1000.0, 10.0):
+        stacked = engines.closed_form_rho(couplings, spectrum, grid, gamma)
+        assert stacked.entries.shape == (grid.size, 4, 4)
+        for j, t in enumerate(grid):
+            scalar = engines.closed_form_rho(couplings, spectrum, float(t), gamma)
+            assert np.array_equal(stacked.entries[j], scalar.entries)
+
+
+def per_trajectory_monte_carlo(spectrum, rho, t, gamma, n, seed, tail_tol=1e-12):
+    """Mean and standard error over every trajectory, one state per draw."""
+    kicks = np.searchsorted(engines._poisson_cdf(gamma * t, tail_tol),
+                            engines._trajectory_uniforms(seed, n), side="right")
+    v = spectrum.eigenvectors
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    states = v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * (kicks[:, None, None] / gamma))) @ v.T
+    mean = states.mean(axis=0)
+    return mean, np.sqrt(np.square(np.abs(states - mean)).sum(axis=0) / (n - 1) / n)
+
+
+def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
+    block, spectrum, _ = system4
+    mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
+    n = 5000
+    for r, t, rho, seed in ((0.001, math.pi, rho0, 0), (0.01, math.pi / 4, rho0, 7), (0.1, 2.0, mixed, 99)):
+        req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
+        result = engines.evolve_monte_carlo(block, spectrum, req)
+        mean, stderr = per_trajectory_monte_carlo(spectrum, rho, t, 1.0 / r, n, seed)
+        assert np.abs(result.rho.entries - mean).max() <= 1e-13
+        assert np.abs(result.stderr - stderr).max() <= 1e-15
+    single = engines.evolve_monte_carlo(
+        block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
+    assert np.array_equal(single.stderr, np.zeros((4, 4)))
+
+
+def test_monte_carlo_grid_equals_per_point(system4, rho0):
+    block, spectrum, _ = system4
+    grid = np.linspace(0.0, math.pi, 9)
+    batched = engines.evolve_monte_carlo(
+        block, spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
+    for j, t in enumerate(grid):
+        one = engines.evolve_monte_carlo(
+            block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
+        assert np.array_equal(batched.rho.entries[j], one.rho.entries)
+        assert np.array_equal(batched.stderr[j], one.stderr)
+
+
+def test_violations_cover_every_state_of_a_stack(system4, rho0):
+    _, spectrum, _ = system4
+    grid = np.linspace(0.0, math.pi, 16)
+    stack = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=30.0))
+    assert stack.violations() == []
+    stack.entries[5] *= 1.01  # one state of the stack loses unit trace
+    assert [v for v in stack.violations() if "trace" in v]

@@ -175,3 +175,12 @@ def test_audit_report_contents():
         assert computed == pytest.approx(COMPUTED_THREE_QUARTER[r], abs=1e-6)
         assert published == experiments.PUBLISHED_P_THREE_QUARTER[r]
         assert 0.02 <= dev <= 0.11  # unresolved column, reported side by side
+
+
+@pytest.mark.parametrize("bad", [dict(alpha=math.nan), dict(alpha=math.inf),
+                                 dict(r_values=(math.nan,)), dict(r_values=(0.01, math.inf))])
+def test_sweep_spec_rejects_non_finite(bad):
+    # the batched sweep evaluates a whole R column at once, so R and alpha are
+    # checked where the spec is built, not per grid point
+    with pytest.raises(ValidationError):
+        small_spec(**bad)
