@@ -27,7 +27,6 @@ from .engines import (
     evolve_monte_carlo,
     evolve_ode,
     evolve_poisson,
-    evolve_unitary,
     poisson_kick_sum,
 )
 from .observables import (

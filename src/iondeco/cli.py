@@ -19,31 +19,30 @@ from . import __version__, engines, experiments, model, observables
 from .errors import ConfigError, NumericalError, ValidationError
 
 
+# Each parser reads one key from a flag or from the config file; it is an
+# argparse type, so a bad flag value is reported with the flag's name.
 def _parse_float(text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
 
 
 def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
 
 
 def _parse_r_list(text: str) -> tuple[float, ...]:
-    items = [part.strip() for part in str(text).split(",") if part.strip()]
-    if not items:
-        return ()
-    return tuple(_parse_float(part) for part in items)
+    return tuple(_parse_float(part.strip()) for part in text.split(",") if part.strip())
 
 
 def _parse_choice(options):
     def parse(text: str) -> str:
         if text not in options:
-            raise ConfigError(f"expected one of {options}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected one of {options}, got {text!r}")
         return text
     return parse
 
@@ -104,7 +103,7 @@ def parse_config_file(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = CONFIG_SPEC[key][0](value)
-        except ConfigError as exc:
+        except argparse.ArgumentTypeError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return values
 
@@ -126,20 +125,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, metavar="PATH")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--r", type=str, help="comma-separated list of R = a/gamma values")
-    common.add_argument("--t-max-deg", dest="t_max_deg", type=float)
-    common.add_argument("--t-step-deg", dest="t_step_deg", type=float)
-    common.add_argument("--target", choices=("minus", "plus", "both"))
-    common.add_argument("--engine", choices=experiments.ENGINE_NAMES)
-    common.add_argument("--omega-rad-s", dest="omega_rad_s", type=float)
-    common.add_argument("--m", type=int)
-    common.add_argument("--n", type=int)
-    common.add_argument("--dt", type=float)
-    common.add_argument("--tail-tol", dest="tail_tol", type=float)
-    common.add_argument("--n-traj", dest="n_traj", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", type=str)
+    for key, (parse, _) in CONFIG_SPEC.items():
+        common.add_argument("--" + key.replace("_", "-"), type=parse)
     parser = _Parser(prog="iondeco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (
@@ -341,11 +328,7 @@ def main(argv: list[str] | None = None) -> int:
                 file_text = Path(args.config).read_text(encoding="utf-8")
             except OSError as exc:
                 raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
-        flag_values = {key: getattr(args, key, None) for key in CONFIG_SPEC if key != "out"}
-        flag_values["out"] = args.out
-        if flag_values.get("r") is not None:
-            flag_values["r"] = _parse_r_list(flag_values["r"])
-        config = parse_config(file_text, flag_values)
+        config = parse_config(file_text, {key: getattr(args, key) for key in CONFIG_SPEC})
         print(run(args.command, config))
         return 0
     except ConfigError as exc:

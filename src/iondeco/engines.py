@@ -17,8 +17,8 @@ Four mutually checking engines are provided:
 * evolve_monte_carlo -- seed-deterministic sample average over Poisson
   numbers of kicks.
 
-evolve_unitary is the gamma -> inf limit (same code path as the reference
-engine), and closed_form_rho transcribes the published closed-form solution
+The reference engine at gamma = inf is the unitary limit, and
+closed_form_rho transcribes the published closed-form solution
 for the |g,m-1,n-1> initial state so it can be audited against the engines.
 
 All engines but the Runge-Kutta one apply one transform, dephase, with their
@@ -35,6 +35,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import DerivedCouplings, HamiltonianBlock, Spectrum
+
+# Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
+MAX_TRAJECTORIES = 10_000_000
 
 
 @dataclass
@@ -96,7 +99,7 @@ class EvolutionRequest:
     gamma     kick frequency (1/s); math.inf = decoherence-free
     tail_tol  Poisson tail mass allowed to be truncated in the kick sum
     dt        fixed step for the Runge-Kutta engine (None: 1e-3 / mu)
-    n_traj    Monte Carlo trajectory count
+    n_traj    Monte Carlo trajectory count, at most MAX_TRAJECTORIES
     seed      Monte Carlo seed (required there, ignored elsewhere)
     """
 
@@ -116,10 +119,10 @@ class EvolutionRequest:
             raise ValidationError(f"gamma must be positive (or inf), got {self.gamma}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValidationError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
-        if self.n_traj is not None and self.n_traj < 1:
-            raise ValidationError(f"n_traj must be at least 1, got {self.n_traj}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        if self.n_traj is not None and not 1 <= self.n_traj <= MAX_TRAJECTORIES:
+            raise ValidationError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {self.n_traj}")
 
 
 def _check_basis(a: tuple[str, ...], b: tuple[str, ...]) -> None:
@@ -156,20 +159,14 @@ def evolve_eigenbasis(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatri
     """Reference engine: dephasing factors applied in the eigenbasis.
 
     Coherence (p,q) picks up exp(-i(Ep-Eq)t - (Ep-Eq)^2 t / (2 gamma));
-    eigenbasis populations are exactly preserved.  gamma = inf reduces to
-    unitary evolution.
+    eigenbasis populations are exactly preserved.  gamma = inf is unitary
+    evolution: the damping term is then +0.0, and subtracting it leaves the
+    phase bit for bit.
     """
-    if math.isinf(req.gamma):
-        return _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t))
     return _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t - delta * delta * t / (2.0 * req.gamma)))
 
 
-def evolve_unitary(spectrum: Spectrum, initial: DensityMatrix, t: float | np.ndarray) -> DensityMatrix:
-    """Kick-free limit: rho(t) = exp(-iHt) rho(0) exp(iHt) via the spectrum."""
-    return evolve_eigenbasis(spectrum, EvolutionRequest(initial=initial, t=t, gamma=math.inf))
-
-
-def evolve_poisson(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
+def evolve_poisson(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Exact kick-average: coherence (p,q) scaled by exp(gamma t (e^{-i(Ep-Eq)/gamma} - 1)).
 
     This is the closed form of the Poisson mixture
@@ -326,7 +323,7 @@ class MonteCarloResult:
     stderr: np.ndarray  # per-entry standard error of the sample mean
 
 
-def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloResult:
+def evolve_monte_carlo(spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloResult:
     """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory.
 
     Reproducibility contract: trajectory i consumes a single uniform derived
@@ -369,10 +366,10 @@ def _evolve_ode_grid(block: HamiltonianBlock, req: EvolutionRequest) -> DensityM
 # Engine name -> engine(block, spectrum, req), the state at each time of req.t.
 ENGINES = {
     "eigen": lambda block, spectrum, req: evolve_eigenbasis(spectrum, req),
-    "poisson": lambda block, spectrum, req: evolve_poisson(block, spectrum, req),
+    "poisson": lambda block, spectrum, req: evolve_poisson(spectrum, req),
     "ode": lambda block, spectrum, req: _evolve_ode_grid(block, req),
-    "mc": lambda block, spectrum, req: evolve_monte_carlo(block, spectrum, req).rho,
-    "unitary": lambda block, spectrum, req: evolve_unitary(spectrum, req.initial, req.t),
+    "mc": lambda block, spectrum, req: evolve_monte_carlo(spectrum, req).rho,
+    "unitary": lambda block, spectrum, req: evolve_eigenbasis(spectrum, replace(req, gamma=math.inf)),
 }
 
 
@@ -412,7 +409,7 @@ def closed_form_rho(
 
     def damp(freq: float):
         # decay exponent 2 freq^2 t / gamma of the published expression
-        return 0.0 if math.isinf(gamma) else 2.0 * freq * freq * t / gamma
+        return 2.0 * freq * freq * t / gamma
 
     apb = 0.5 * (cap_a + cap_b) ** 2
     amb = 0.5 * (cap_a - cap_b) ** 2

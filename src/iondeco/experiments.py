@@ -25,12 +25,6 @@ PUBLISHED_P_THREE_QUARTER = {0.0: 1.0, 0.001: 0.94, 0.005: 0.78, 0.01: 0.65, 0.1
 PUBLISHED_OMEGA_RAD_S = 8.95e6
 
 
-def check_alpha(alpha: float) -> None:
-    """alpha = mu / a, which must be finite and exceed 1 (omega > 0)."""
-    if not 1.0 < alpha < math.inf:
-        raise ValidationError(f"alpha must be finite and exceed 1, got {alpha}")
-
-
 def kick_rate(r: float) -> float:
     """gamma = 1/R in scaled units; R = 0 is the decoherence-free gamma = inf."""
     return math.inf if r == 0.0 else 1.0 / r
@@ -40,7 +34,7 @@ def scaled_system(
     alpha: float, modes: model.ModeIndices = model.ModeIndices(1, 1),
 ) -> tuple[model.HamiltonianBlock, model.Spectrum, model.DerivedCouplings]:
     """Block, spectrum, and couplings of the (m, n) block for sideband coupling a = 1, mu = alpha."""
-    check_alpha(alpha)
+    observables.check_alpha(alpha)
     # a = g*eta_c*sqrt(mn)/2 = 1 with eta_c inside the soft Lamb-Dicke bound
     g = 2.0 / (0.1 * math.sqrt(modes.m * modes.n))
     params = model.SystemParams(omega=math.sqrt(alpha * alpha - 1.0), g=g, eta_c=0.1, eta_l=0.1)
@@ -75,7 +69,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.engine not in ENGINE_NAMES:
             raise ValidationError(f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}")
-        check_alpha(self.alpha)
+        observables.check_alpha(self.alpha)
         for target in self.targets:
             observables._check_sign(target)
         if not all(0.0 <= r < math.inf for r in self.r_values):
@@ -191,9 +185,11 @@ class UnitReport:
 def physical_units(omega_rad_s: float, alpha: float, r_values) -> UnitReport:
     """Convert (alpha, R) into the sideband coupling, kick periods, and the
     quarter-cycle interaction time for a given laser coupling."""
-    check_alpha(alpha)
+    observables.check_alpha(alpha)
     if not 0.0 < omega_rad_s < math.inf:
         raise ValidationError(f"omega must be finite and positive, got {omega_rad_s}")
+    if not all(0.0 <= r < math.inf for r in r_values):
+        raise ValidationError(f"r values must be finite and nonnegative, got {tuple(r_values)}")
     a = omega_rad_s / math.sqrt(alpha * alpha - 1.0)
     inv_gamma = {float(r): float(r) / a * 1e9 for r in r_values}
     return UnitReport(

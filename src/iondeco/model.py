@@ -37,22 +37,17 @@ class SystemParams:
     g       cavity-ion coupling (rad/s)
     eta_c   cavity Lamb-Dicke parameter (dimensionless)
     eta_l   laser Lamb-Dicke parameter (dimensionless, validation only)
-    gamma   mean frequency of the minimum unitary time step (1/s);
-            math.inf is the decoherence-free sentinel
     """
 
     omega: float
     g: float
     eta_c: float
     eta_l: float
-    gamma: float = math.inf
 
     def __post_init__(self):
         for name in ("omega", "g", "eta_c", "eta_l"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if not self.gamma > 0:
-            raise ValidationError(f"gamma must be positive (or inf), got {self.gamma}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
         for msg in validate_lamb_dicke(self):
             warnings.warn(msg, stacklevel=3)
 
@@ -85,13 +80,11 @@ class DerivedCouplings:
     a       sideband coupling (1/2) g eta_c sqrt(m n), rad/s
     mu      dressed frequency sqrt(a^2 + omega^2), rad/s
     alpha   mu / a, dimensionless; None when a == 0
-    r       intrinsic decoherence parameter a / gamma, dimensionless
     """
 
     a: float
     mu: float
     alpha: float | None
-    r: float
 
 
 def validate_lamb_dicke(params: SystemParams) -> list[str]:
@@ -108,12 +101,11 @@ def validate_lamb_dicke(params: SystemParams) -> list[str]:
 
 
 def derived_couplings(params: SystemParams, modes: ModeIndices) -> DerivedCouplings:
-    """Compute the sideband coupling, dressed frequency, and dimensionless ratios."""
+    """Compute the sideband coupling, dressed frequency, and their ratio."""
     a = 0.5 * params.g * params.eta_c * math.sqrt(modes.m * modes.n)
     mu = math.hypot(a, params.omega)
     alpha = mu / a if a > 0 else None
-    r = 0.0 if math.isinf(params.gamma) else a / params.gamma
-    return DerivedCouplings(a=a, mu=mu, alpha=alpha, r=r)
+    return DerivedCouplings(a=a, mu=mu, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -206,8 +198,8 @@ def spectrum_analytic(block: HamiltonianBlock, couplings: DerivedCouplings) -> S
     (omega = 0 or a = 0).
     """
     a, mu = couplings.a, couplings.mu
-    omega = math.sqrt(max(mu * mu - a * a, 0.0))
-    if abs(block.sideband - 2.0 * a) > 1e-9 * max(mu, 1.0) or abs(block.omega - omega) > 1e-9 * max(mu, 1.0):
+    omega = block.omega  # sqrt(mu^2 - a^2) loses all its digits when omega << a
+    if abs(block.sideband - 2.0 * a) > 1e-9 * max(mu, 1.0) or abs(math.hypot(a, omega) - mu) > 1e-9 * max(mu, 1.0):
         raise ValidationError("couplings do not match the Hamiltonian block")
 
     eigenvalues = np.array([mu - a, -(mu + a), mu + a, -(mu - a)])

@@ -27,6 +27,12 @@ GHZ_BASIS = ModeIndices(1, 1).basis_order()
 SIGNS = ("minus", "plus")
 
 
+def check_alpha(alpha: float) -> None:
+    """alpha = mu / a, which must be finite and exceed 1 (omega > 0)."""
+    if not 1.0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be finite and exceed 1, got {alpha}")
+
+
 def _check_sign(sign: str) -> float:
     if sign not in SIGNS:
         raise ValidationError(f"sign must be one of {SIGNS}, got {sign!r}")
@@ -92,8 +98,7 @@ class ClosedFormCoefficients:
 
 
 def closed_form_coefficients(alpha: float) -> ClosedFormCoefficients:
-    if alpha <= 1.0:
-        raise ValidationError(f"alpha must exceed 1, got {alpha}")
+    check_alpha(alpha)
     a2 = alpha * alpha
     omega_over_a = math.sqrt(a2 - 1.0)  # omega in units of the sideband coupling
     return ClosedFormCoefficients(
@@ -140,6 +145,7 @@ def published_pghz(t_scaled, alpha: float, r: float):
     deliberately not clamped -- it is not a probability (it reaches 1.2344 at
     T = pi/4 in the decoherence-free limit).
     """
+    check_alpha(alpha)
     a2 = alpha * alpha
     lead = (a2 - 1.0) / (2.0 * a2)
     c_plus = (alpha - 1.0) ** 2 / (8.0 * a2)

@@ -69,11 +69,11 @@ def ode_grid(system4, rho0):
 @pytest.fixture(scope="session")
 def mc_grid(system4, rho0):
     """Monte Carlo outputs (n_traj = 1e5, seed 0) over the standard grid."""
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     out = {}
     for r in R_VALUES:
         for j, t in enumerate(T_GRID_PI):
             req = engines.EvolutionRequest(
                 initial=rho0, t=float(t), gamma=1.0 / r, n_traj=100_000, seed=0)
-            out[(r, j)] = engines.evolve_monte_carlo(block, spectrum, req)
+            out[(r, j)] = engines.evolve_monte_carlo(spectrum, req)
     return out

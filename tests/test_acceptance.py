@@ -126,7 +126,7 @@ def test_criterion_5b_poisson_vs_reference_as_stated(system4, rho0):
         for t in T_GRID_PI:
             req = engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r)
             ref = engines.evolve_eigenbasis(spectrum, req)
-            exact = engines.evolve_poisson(block, spectrum, req)
+            exact = engines.evolve_poisson(spectrum, req)
             gap = float(np.abs(ref.entries - exact.entries).max())
             worst = max(worst, gap)
             worst_ratio = max(worst_ratio, gap / first_order_gap_bound(block, float(t), r, 1e-12))
@@ -140,14 +140,14 @@ def test_criterion_5b_poisson_vs_reference_as_stated(system4, rho0):
 
 
 def test_criterion_5c_monte_carlo_vs_poisson(system4, rho0, mc_grid):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     worst_ratio = 0.0
     ok = True
     for r in R_VALUES:
         for j, t in enumerate(T_GRID_PI):
             result = mc_grid[(r, j)]
             exact = engines.evolve_poisson(
-                block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r))
+                spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r))
             dev = np.abs(result.rho.entries - exact.entries)
             allowed = 3.0 * result.stderr + 1e-12
             ok = ok and bool(np.all(dev <= allowed))
@@ -168,8 +168,8 @@ def test_criterion_6_state_invariant_suite(system4, rho0, ode_grid, mc_grid):
             req = engines.EvolutionRequest(rho0, t=float(t), gamma=gamma)
             outputs = {
                 "eigen": engines.evolve_eigenbasis(spectrum, req),
-                "poisson": engines.evolve_poisson(block, spectrum, req),
-                "unitary": engines.evolve_unitary(spectrum, rho0, float(t)),
+                "poisson": engines.evolve_poisson(spectrum, req),
+                "unitary": engines.ENGINES["unitary"](block, spectrum, req),
                 "ode": ode_grid[(r, j)],
                 "mc": mc_grid[(r, j)].rho,
             }

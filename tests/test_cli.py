@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from iondeco import cli, experiments
+from iondeco import cli, engines, experiments
 from iondeco.errors import ConfigError
 
 
@@ -65,6 +65,22 @@ def test_unknown_command_exits_one(tmp_path, monkeypatch, capsys):
 
 def test_unknown_flag_exits_one(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch, ["sweep", "--alhpa", "4"]) == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "abc"), ("--engine", "foo"), ("--m", "1.5"), ("--dt", "x")])
+def test_bad_flag_value_names_the_flag(tmp_path, monkeypatch, capsys, flag, value):
+    assert run_cli(tmp_path, monkeypatch, ["sweep", flag, value]) == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_flags_parse_like_the_config_file(tmp_path, monkeypatch):
+    (tmp_path / "run.cfg").write_text("dt = none\nr = 0.01\n")
+    args = ["evolve", "--engine", "ode", "--t-max-deg", "10"]
+    assert run_cli(tmp_path, monkeypatch, args + ["--config", "run.cfg", "--out", "c.csv"]) == 0
+    assert run_cli(tmp_path, monkeypatch, args + ["--dt", "none", "--r", "0.01", "--out", "f.csv"]) == 0
+    c = (tmp_path / "c.csv").read_text().splitlines()
+    f = (tmp_path / "f.csv").read_text().splitlines()
+    assert c[0].replace("c.csv", "f.csv") == f[0] and c[1:] == f[1:]
 
 
 def test_missing_config_file_exits_one(tmp_path, monkeypatch):
@@ -234,7 +250,9 @@ def test_metadata_reproduces_run(tmp_path, monkeypatch):
     ["evolve", "--t-max-deg", "inf"],
     ["evolve", "--t-max-deg", "nan"],
     ["evolve", "--alpha", "inf"],
+    ["evolve", "--engine", "ode", "--dt", "inf"],
     ["units", "--omega-rad-s", "inf"],
+    ["units", "--r", "nan,inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
@@ -252,21 +270,37 @@ def test_grid_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys)
     assert not (tmp_path / "big.csv").exists()
 
 
+def test_trajectory_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys):
+    # 1e9 trajectories would need about 32 GB; the request refuses them before any is drawn
+    assert engines.MAX_TRAJECTORIES >= 100 * 100_000  # the test suite and benchmark draw 1e5
+    monkeypatch.setattr(engines, "_trajectory_uniforms", lambda seed, n: pytest.fail("trajectories drawn"))
+    argv = ["evolve", "--engine", "mc", "--n-traj", "1000000000", "--out", "big.csv"]
+    assert run_cli(tmp_path, monkeypatch, argv) == 2
+    assert "n_traj" in capsys.readouterr().err
+    assert not (tmp_path / "big.csv").exists()
+
+
 # ---------------------------------------------------------------- golden bytes
 
 
-# sha256 of everything below the metadata line of each default-config output,
-# taken before sweep, table1 and audit were batched; the batched engines and
-# the column-wise CSV writer must reproduce these bytes exactly.
+# sha256 of everything below the metadata line of the output of each argv.
+# The default sweep, table1 and audit were hashed before they were batched,
+# the rest before the unitary engine became the reference engine at
+# gamma = inf; the current engines and CSV writer must reproduce these bytes.
 GOLDEN_SHA256 = {
     "sweep": "bff671516b4a4924786e277ae7dac7b2bc18cdd6bde6af2bb593e472cfe5919b",
     "table1": "0165b069159396b21c4d45c81646dffac6f0abeab83a792fe489717d2b229004",
     "audit": "eb5836dee73f1fd645325d9d5cf2d9421f99e5da826f1b4ee570caf96eca0eae",
+    "units": "332a36c681400d9758a45b6134245ed17c83a798be0d800d73406aceb658877b",
+    "sweep --engine unitary": "889f5d8938024157e7891548cd444cc2acfc1068b72465abaf2274428560c557",
+    "evolve --engine unitary": "6ddddc62807c04e2b256b0ed7136163d51dbb5b949b745027f66afd6dd8b36f6",
+    "evolve --engine poisson": "f884985dd64f32bb11a61e6d1e49be08b455d68ef1c7dd9dfcc4c237a1720096",
+    "evolve --engine mc --n-traj 2000 --seed 7": "b2a625cfc6addc7be6cc7821d8f42ed4dd120adcbda35770a551b3eff7b143e0",
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_default_output_golden_bytes(tmp_path, monkeypatch, command):
-    assert run_cli(tmp_path, monkeypatch, [command, "--out", "g.out"]) == 0
+@pytest.mark.parametrize("argv", sorted(GOLDEN_SHA256))
+def test_default_output_golden_bytes(tmp_path, monkeypatch, argv):
+    assert run_cli(tmp_path, monkeypatch, argv.split() + ["--out", "g.out"]) == 0
     body = (tmp_path / "g.out").read_bytes().split(b"\n", 1)[1]
-    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256[command]
+    assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256[argv]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iondeco import engines, experiments, model, observables
 from iondeco.errors import NumericalError, ValidationError
@@ -104,9 +106,9 @@ def test_eigenbasis_dephasing_properties(system4, rho0):
 
 
 def test_gamma_inf_matches_unitary(system4, rho0):
-    _, spectrum, _ = system4
+    block, spectrum, _ = system4
     a = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=math.inf))
-    b = engines.evolve_unitary(spectrum, rho0, 1.3)
+    b = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=5.0))
     np.testing.assert_array_equal(a.entries, b.entries)  # identical code path
 
 
@@ -114,29 +116,48 @@ def test_gamma_inf_matches_unitary(system4, rho0):
 
 
 def test_unitary_preserves_purity(system4):
-    _, spectrum, _ = system4
+    block, spectrum, _ = system4
     rng = np.random.default_rng(9)
     rho = random_state(rng, spectrum.basis_order)
     p0 = observables.purity(rho)
-    out = engines.evolve_unitary(spectrum, rho, 3.7)
+    out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho, t=3.7))
     assert observables.purity(out) == pytest.approx(p0, abs=1e-12)
 
 
 def test_unitary_reaches_ghz(system4, rho0, ghz_minus):
-    _, spectrum, _ = system4
-    out = engines.evolve_unitary(spectrum, rho0, math.pi / 4)
+    block, spectrum, _ = system4
+    out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
     assert observables.p_ghz(out, ghz_minus) == pytest.approx(1.0, abs=1e-9)
-    out0 = engines.evolve_unitary(spectrum, rho0, 0.0)
+    out0 = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=0.0))
     np.testing.assert_allclose(out0.entries, rho0.entries, atol=1e-15)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), m=st.integers(1, 5), n=st.integers(1, 5),
+       t=st.floats(0.0, 2.0 * math.pi), seed=st.integers(0, 2**32 - 1))
+@example(alpha=1.0000000000000002, m=1, n=3, t=1.0, seed=0)  # a rounds to 1 - 1 ulp, omega ~ 2e-8
+def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
+    """The unitary engine, now the reference engine at gamma = inf, applies the
+    bare phases exp(-i Delta T) exactly and agrees with U rho U^dag from a
+    dense eigensolve of the block."""
+    block, spectrum, _ = scaled_system(alpha, model.ModeIndices(m, n))
+    rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
+    out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho, t=t, gamma=10.0)).entries
+    v = spectrum.eigenvectors
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    assert np.array_equal(out, v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * t)) @ v.T)
+    w, q = np.linalg.eigh(block.entries)
+    u = (q * np.exp(-1j * w * t)) @ q.conj().T
+    assert np.abs(out - u @ rho.entries @ u.conj().T).max() <= 1e-12
 
 
 # --------------------------------------------------------------------- poisson
 
 
 def test_poisson_requires_finite_gamma(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     with pytest.raises(ValidationError):
-        engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf))
+        engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf))
 
 
 def test_poisson_zero_block_is_stationary():
@@ -145,13 +166,13 @@ def test_poisson_zero_block_is_stationary():
     block = model.build_hamiltonian(params, modes)
     spectrum = model.spectrum_numeric(block)
     rho = engines.DensityMatrix.basis_state(1, modes.basis_order())
-    out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho, t=5.0, gamma=2.0))
+    out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho, t=5.0, gamma=2.0))
     np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
 
 
 def test_poisson_t_zero(system4, rho0):
-    block, spectrum, _ = system4
-    out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=2.0))
+    _, spectrum, _ = system4
+    out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=2.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
 
@@ -162,7 +183,7 @@ def test_poisson_matches_literal_kick_sum(system4, rho0, r, t):
     # reachable there; the agreement tolerance still dominates the truncation
     block, spectrum, _ = system4
     req = engines.EvolutionRequest(rho0, t=t, gamma=1.0 / r, tail_tol=1e-11)
-    closed = engines.evolve_poisson(block, spectrum, req)
+    closed = engines.evolve_poisson(spectrum, req)
     summed = engines.poisson_kick_sum(block, req)
     assert np.abs(closed.entries - summed.entries).max() <= 1e-10
 
@@ -177,20 +198,20 @@ def test_poisson_kick_sum_tail_cap(system4, rho0):
 
 
 def test_poisson_populations_conserved(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     pops0 = eig_populations(spectrum, rho0)
     for t in (0.5, 2.0):
-        out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho0, t=t, gamma=20.0))
+        out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=t, gamma=20.0))
         np.testing.assert_allclose(eig_populations(spectrum, out), pops0, atol=1e-10)
 
 
 def test_poisson_close_to_first_order_at_small_r(system4, rho0):
     # trace distance <= 1e-3 for R = 0.001 over T in [0, pi]
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     gamma = 1000.0
     for t in np.linspace(0.0, math.pi, 64):
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=gamma)
-        d = (engines.evolve_poisson(block, spectrum, req).entries
+        d = (engines.evolve_poisson(spectrum, req).entries
              - engines.evolve_eigenbasis(spectrum, req).entries)
         trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(d)).sum()
         assert trace_distance <= 1e-3
@@ -203,7 +224,7 @@ def test_poisson_exact_at_tiny_r(system4, rho0, r):
     block, spectrum, _ = system4
     for t in T_GRID_PI:
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r)
-        gap = np.abs(engines.evolve_poisson(block, spectrum, req).entries
+        gap = np.abs(engines.evolve_poisson(spectrum, req).entries
                      - engines.evolve_eigenbasis(spectrum, req).entries).max()
         assert gap <= first_order_gap_bound(block, float(t), r, 1e-13)
 
@@ -221,7 +242,7 @@ def test_ode_unitary_limit(system4, rho0):
     block, spectrum, _ = system4
     req = engines.EvolutionRequest(rho0, t=math.pi, gamma=math.inf, dt=1e-3 / 4.0)
     out = engines.evolve_ode(block, req)
-    ref = engines.evolve_unitary(spectrum, rho0, math.pi)
+    ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi))
     assert np.abs(out.entries - ref.entries).max() <= 1e-8
 
 
@@ -258,14 +279,14 @@ def test_ode_output_state_invariants(system4, rho0):
 
 
 def test_monte_carlo_requires_seed_and_trajectories(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     with pytest.raises(ValidationError):
-        engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, n_traj=100))
+        engines.evolve_monte_carlo(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, n_traj=100))
     with pytest.raises(ValidationError):
-        engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, seed=1))
+        engines.evolve_monte_carlo(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, seed=1))
     with pytest.raises(ValidationError):
         engines.evolve_monte_carlo(
-            block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf, n_traj=10, seed=1))
+            spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf, n_traj=10, seed=1))
 
 
 def test_monte_carlo_zero_block_exact():
@@ -275,28 +296,28 @@ def test_monte_carlo_zero_block_exact():
     spectrum = model.spectrum_numeric(block)
     rho = engines.DensityMatrix.basis_state(0, modes.basis_order())
     result = engines.evolve_monte_carlo(
-        block, spectrum, engines.EvolutionRequest(rho, t=3.0, gamma=2.0, n_traj=500, seed=4))
+        spectrum, engines.EvolutionRequest(rho, t=3.0, gamma=2.0, n_traj=500, seed=4))
     np.testing.assert_allclose(result.rho.entries, rho.entries, atol=1e-14)
     np.testing.assert_allclose(result.stderr, 0.0, atol=1e-14)
 
 
 def test_monte_carlo_deterministic_bits(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     req = engines.EvolutionRequest(rho0, t=1.2, gamma=50.0, n_traj=4000, seed=123)
-    a = engines.evolve_monte_carlo(block, spectrum, req)
-    b = engines.evolve_monte_carlo(block, spectrum, req)
+    a = engines.evolve_monte_carlo(spectrum, req)
+    b = engines.evolve_monte_carlo(spectrum, req)
     assert np.array_equal(a.rho.entries, b.rho.entries)
     assert np.array_equal(a.stderr, b.stderr)
-    c = engines.evolve_monte_carlo(block, spectrum,
+    c = engines.evolve_monte_carlo(spectrum,
                                    engines.EvolutionRequest(rho0, t=1.2, gamma=50.0, n_traj=4000, seed=124))
     assert not np.array_equal(a.rho.entries, c.rho.entries)
 
 
 def test_monte_carlo_converges_to_poisson(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     req = engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0, n_traj=100_000, seed=0)
-    result = engines.evolve_monte_carlo(block, spectrum, req)
-    exact = engines.evolve_poisson(block, spectrum, req)
+    result = engines.evolve_monte_carlo(spectrum, req)
+    exact = engines.evolve_poisson(spectrum, req)
     dev = np.abs(result.rho.entries - exact.entries)
     assert np.all(dev <= 3.0 * result.stderr + 1e-12)
 
@@ -315,7 +336,7 @@ def test_closed_form_rho_matches_unitary(system4, rho0):
     _, spectrum, couplings = system4
     for t in (math.pi / 8, math.pi / 4, math.pi / 2):
         lit = engines.closed_form_rho(couplings, spectrum, t=t, gamma=math.inf)
-        ref = engines.evolve_unitary(spectrum, rho0, t)
+        ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=t))
         assert np.abs(lit.entries - ref.entries).max() <= 1e-9
 
 
@@ -329,7 +350,7 @@ def test_closed_form_rho_matches_reference_engine(system4, rho0):
 def test_closed_form_rho_rejects_degenerate_couplings(system4):
     _, spectrum, _ = system4
     with pytest.raises(ValidationError):
-        engines.closed_form_rho(model.DerivedCouplings(0.0, 1.0, None, 0.0), spectrum, 1.0, 10.0)
+        engines.closed_form_rho(model.DerivedCouplings(0.0, 1.0, None), spectrum, 1.0, 10.0)
 
 
 # ------------------------------------------------------------ cross-engine spot
@@ -340,7 +361,7 @@ def test_all_engines_agree_at_reference_point(system4, rho0):
     req = engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0, dt=1e-3 / 4.0)
     eig = engines.evolve_eigenbasis(spectrum, req)
     ode = engines.evolve_ode(block, req)
-    poi = engines.evolve_poisson(block, spectrum, req)
+    poi = engines.evolve_poisson(spectrum, req)
     assert np.abs(eig.entries - ode.entries).max() <= 1e-6
     # exact kick average differs from the first-order engine only at O(R^2)
     assert np.abs(eig.entries - poi.entries).max() <= 5e-3
@@ -366,8 +387,8 @@ def per_point_transform(engine, spectrum, rho, t, gamma):
 
 PER_POINT_ENGINES = {
     "eigen": lambda block, spectrum, req: engines.evolve_eigenbasis(spectrum, req),
-    "unitary": lambda block, spectrum, req: engines.evolve_unitary(spectrum, req.initial, req.t),
-    "poisson": engines.evolve_poisson,
+    "unitary": engines.ENGINES["unitary"],
+    "poisson": lambda block, spectrum, req: engines.evolve_poisson(spectrum, req),
 }
 
 
@@ -422,28 +443,28 @@ def per_trajectory_monte_carlo(spectrum, rho, t, gamma, n, seed, tail_tol=1e-12)
 
 
 def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
     n = 5000
     for r, t, rho, seed in ((0.001, math.pi, rho0, 0), (0.01, math.pi / 4, rho0, 7), (0.1, 2.0, mixed, 99)):
         req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
-        result = engines.evolve_monte_carlo(block, spectrum, req)
+        result = engines.evolve_monte_carlo(spectrum, req)
         mean, stderr = per_trajectory_monte_carlo(spectrum, rho, t, 1.0 / r, n, seed)
         assert np.abs(result.rho.entries - mean).max() <= 1e-13
         assert np.abs(result.stderr - stderr).max() <= 1e-15
     single = engines.evolve_monte_carlo(
-        block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
+        spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
     assert np.array_equal(single.stderr, np.zeros((4, 4)))
 
 
 def test_monte_carlo_grid_equals_per_point(system4, rho0):
-    block, spectrum, _ = system4
+    _, spectrum, _ = system4
     grid = np.linspace(0.0, math.pi, 9)
     batched = engines.evolve_monte_carlo(
-        block, spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
+        spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
     for j, t in enumerate(grid):
         one = engines.evolve_monte_carlo(
-            block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
+            spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
         assert np.array_equal(batched.rho.entries[j], one.rho.entries)
         assert np.array_equal(batched.stderr[j], one.stderr)
 

@@ -7,16 +7,15 @@ from iondeco import model
 from iondeco.errors import NumericalError, ValidationError
 
 
-def params_for(omega, g_eta_c, gamma=math.inf, eta_c=0.1):
-    return model.SystemParams(omega=omega, g=g_eta_c / eta_c, eta_c=eta_c, eta_l=0.1, gamma=gamma)
+def params_for(omega, g_eta_c, eta_c=0.1):
+    return model.SystemParams(omega=omega, g=g_eta_c / eta_c, eta_c=eta_c, eta_l=0.1)
 
 
 def test_derived_couplings_direct_substitution():
-    c = model.derived_couplings(params_for(math.sqrt(15.0), 2.0, gamma=1000.0), model.ModeIndices(1, 1))
+    c = model.derived_couplings(params_for(math.sqrt(15.0), 2.0), model.ModeIndices(1, 1))
     assert c.a == pytest.approx(1.0, abs=1e-12)
     assert c.mu == pytest.approx(4.0, abs=1e-12)
     assert c.alpha == pytest.approx(4.0, abs=1e-12)
-    assert c.r == pytest.approx(0.001, abs=1e-15)
 
 
 def test_derived_couplings_zero_mode_index():
@@ -24,7 +23,6 @@ def test_derived_couplings_zero_mode_index():
     assert c.a == 0.0
     assert c.mu == pytest.approx(2.5)
     assert c.alpha is None
-    assert c.r == 0.0  # gamma = inf sentinel
 
 
 def test_derived_couplings_sqrt_mn():
@@ -33,7 +31,7 @@ def test_derived_couplings_sqrt_mn():
 
 
 def test_derived_couplings_consistency():
-    c = model.derived_couplings(params_for(2.0, 3.0, gamma=50.0), model.ModeIndices(2, 3))
+    c = model.derived_couplings(params_for(2.0, 3.0), model.ModeIndices(2, 3))
     assert c.mu >= max(c.a, 2.0)
     assert c.mu**2 == pytest.approx(c.a**2 + 2.0**2, rel=1e-15)
     assert c.alpha >= 1.0
@@ -71,8 +69,10 @@ def test_mode_indices_reject_negative():
 def test_system_params_reject_negative():
     with pytest.raises(ValidationError):
         model.SystemParams(omega=-1.0, g=1.0, eta_c=0.1, eta_l=0.1)
-    with pytest.raises(ValidationError):
-        model.SystemParams(omega=1.0, g=1.0, eta_c=0.1, eta_l=0.1, gamma=0.0)
+    for name in ("omega", "g", "eta_c", "eta_l"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match=f"{name} must be finite"):
+                model.SystemParams(**{"omega": 1.0, "g": 1.0, "eta_c": 0.1, "eta_l": 0.1, name: bad})
 
 
 def spectra_for(omega, a):
@@ -147,7 +147,7 @@ def test_eigenvector_sign_convention():
 
 def test_spectrum_analytic_rejects_mismatched_couplings():
     block, _, _ = spectra_for(2.0, 1.0)
-    bad = model.DerivedCouplings(a=0.5, mu=2.0, alpha=4.0, r=0.0)
+    bad = model.DerivedCouplings(a=0.5, mu=2.0, alpha=4.0)
     with pytest.raises(ValidationError):
         model.spectrum_analytic(block, bad)
 

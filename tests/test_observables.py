@@ -89,6 +89,14 @@ def test_coefficients_identities():
         observables.closed_form_coefficients(1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 1.0])
+def test_closed_forms_reject_alpha_outside_domain(alpha):
+    with pytest.raises(ValidationError, match="alpha"):
+        observables.closed_form_coefficients(alpha)
+    with pytest.raises(ValidationError, match="alpha"):
+        observables.published_pghz(math.pi / 4, alpha, 0.0)
+
+
 def test_closed_form_trivial_points():
     for alpha in (2.0, 4.0, 8.0):
         for r in (0.0, 0.01, 0.1):
@@ -143,7 +151,7 @@ def test_purity_and_populations(system4, rho0):
     assert observables.purity(mixed) == pytest.approx(0.25, abs=1e-12)
     np.testing.assert_allclose(observables.populations(rho0), [0.0, 0.0, 1.0, 0.0], atol=1e-15)
     # GHZ point: |e,1,1> and |g,0,0> each hold half the population
-    rho = engines.evolve_unitary(spectrum, rho0, math.pi / 4)
+    rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
     pops = observables.populations(rho)
     assert pops[1] == pytest.approx(0.5, abs=1e-9)
     assert pops[2] == pytest.approx(0.5, abs=1e-9)
