@@ -6,14 +6,11 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericalError, ValidationError
 from .model import (
-    DerivedCouplings,
     HamiltonianBlock,
     ModeIndices,
     Spectrum,
     SystemParams,
     build_hamiltonian,
-    derived_couplings,
-    jacobi_eigh,
     spectrum_analytic,
     spectrum_numeric,
     validate_lamb_dicke,

@@ -276,7 +276,7 @@ def _cmd_evolve(config: dict, out: Path) -> str:
         raise ValidationError("evolve requires m >= 1 and n >= 1 (coupled four-state block)")
     modes = model.ModeIndices(config["m"], config["n"])
     # scaled units: sideband coupling 1, so t = T and gamma = 1/R
-    block, spectrum, _ = experiments.scaled_system(config["alpha"], modes)
+    block, spectrum = experiments.scaled_system(config["alpha"], modes)
     r = config["r"][0] if config["r"] else 0.0
     t_scaled = math.radians(config["t_max_deg"])
     req = engines.EvolutionRequest(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import DerivedCouplings, HamiltonianBlock, Spectrum
+from .model import HamiltonianBlock, Spectrum
 
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
@@ -95,6 +95,7 @@ class DensityMatrix:
 class EvolutionRequest:
     """Inputs common to all engines plus engine-specific controls.
 
+    initial   state at t = 0, one valid 4x4 density matrix
     t         evolution duration (s), or a 1-D array of them (not poisson_kick_sum, evolve_ode)
     gamma     kick frequency (1/s); math.inf = decoherence-free
     tail_tol  Poisson tail mass allowed to be truncated in the kick sum
@@ -112,6 +113,9 @@ class EvolutionRequest:
     seed: int | None = None
 
     def __post_init__(self):
+        if np.shape(self.initial.entries) != (4, 4):
+            raise ValidationError(f"initial must be one 4x4 density matrix, got shape {np.shape(self.initial.entries)}")
+        self.initial.require_valid()
         t = np.asarray(self.t, dtype=float)
         if t.ndim > 1 or not np.all(np.isfinite(t) & (t >= 0)):
             raise ValidationError(f"t must be finite and nonnegative (a scalar or a 1-D array), got {self.t}")
@@ -237,10 +241,9 @@ def _rk4_step_matrix(gen: np.ndarray, dt: float) -> np.ndarray:
 
 def default_ode_step(block: HamiltonianBlock) -> float:
     """Default Runge-Kutta step 1e-3 / mu for the given block."""
-    mu = math.hypot(0.5 * block.sideband, block.omega)
-    if mu == 0.0:
+    if block.mu == 0.0:
         raise ValidationError("cannot derive a default dt for a zero block; pass dt explicitly")
-    return 1e-3 / mu
+    return 1e-3 / block.mu
 
 
 def evolve_ode(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
@@ -374,7 +377,7 @@ ENGINES = {
 
 
 def closed_form_rho(
-    couplings: DerivedCouplings,
+    block: HamiltonianBlock,
     spectrum: Spectrum,
     t: float | np.ndarray,
     gamma: float,
@@ -393,10 +396,9 @@ def closed_form_rho(
     amounts to negating the first eigenvector.  Any residual against the
     reference engine is reported by the audit, not corrected.
     """
-    a, mu = couplings.a, couplings.mu
-    if a <= 0 or mu <= a:
+    a, mu, omega = block.a, block.mu, block.omega
+    if not (a > 0 and omega > 0):
         raise ValidationError("transcription requires a > 0 and omega > 0")
-    omega = math.sqrt(mu * mu - a * a)
     cap_a = math.sqrt((mu + omega) / (4.0 * mu))
     cap_b = math.sqrt((mu - omega) / (4.0 * mu))
 

@@ -32,15 +32,14 @@ def kick_rate(r: float) -> float:
 
 def scaled_system(
     alpha: float, modes: model.ModeIndices = model.ModeIndices(1, 1),
-) -> tuple[model.HamiltonianBlock, model.Spectrum, model.DerivedCouplings]:
-    """Block, spectrum, and couplings of the (m, n) block for sideband coupling a = 1, mu = alpha."""
+) -> tuple[model.HamiltonianBlock, model.Spectrum]:
+    """Block and spectrum of the (m, n) block for sideband coupling a = 1, mu = alpha."""
     observables.check_alpha(alpha)
     # a = g*eta_c*sqrt(mn)/2 = 1 with eta_c inside the soft Lamb-Dicke bound
     g = 2.0 / (0.1 * math.sqrt(modes.m * modes.n))
     params = model.SystemParams(omega=math.sqrt(alpha * alpha - 1.0), g=g, eta_c=0.1, eta_l=0.1)
     block = model.build_hamiltonian(params, modes)
-    couplings = model.derived_couplings(params, modes)
-    return block, model.spectrum_analytic(block, couplings), couplings
+    return block, model.spectrum_analytic(block)
 
 
 def initial_state() -> engines.DensityMatrix:
@@ -97,7 +96,7 @@ def sweep(spec: SweepSpec) -> TimeSeries:
     Each R value is one engine call over the whole T grid; columns follow
     the given r order and ascending T, so the output layout is deterministic.
     """
-    block, spectrum, _ = scaled_system(spec.alpha)
+    block, spectrum = scaled_system(spec.alpha)
     evolve = engines.ENGINES[spec.engine]
     targets = {sign: observables.ghz_state(sign) for sign in spec.targets}
     probabilities = {}
@@ -191,13 +190,19 @@ def physical_units(omega_rad_s: float, alpha: float, r_values) -> UnitReport:
     if not all(0.0 <= r < math.inf for r in r_values):
         raise ValidationError(f"r values must be finite and nonnegative, got {tuple(r_values)}")
     a = omega_rad_s / math.sqrt(alpha * alpha - 1.0)
+    if not 0.0 < a < math.inf:
+        raise ValidationError(f"omega = {omega_rad_s} and alpha = {alpha} give a sideband coupling a = {a} rad/s, "
+                              "which must be finite and positive")
     inv_gamma = {float(r): float(r) / a * 1e9 for r in r_values}
+    t_quarter_us = (math.pi / 4.0) / a * 1e6
+    if not all(math.isfinite(x) for x in (t_quarter_us, *inv_gamma.values())):
+        raise ValidationError(f"the kick periods or t(pi/4) overflow at a = {a} rad/s")
     return UnitReport(
         omega_rad_s=omega_rad_s,
         alpha=alpha,
         a_rad_s=a,
         inv_gamma_ns=inv_gamma,
-        t_quarter_us=(math.pi / 4.0) / a * 1e6,
+        t_quarter_us=t_quarter_us,
     )
 
 
@@ -222,7 +227,7 @@ def table1(omega_rad_s: float = PUBLISHED_OMEGA_RAD_S, alpha: float = 4.0) -> li
     T = 3 pi/4 without decoherence).
     """
     units = physical_units(omega_rad_s, alpha, PUBLISHED_R_VALUES)
-    _, spectrum, _ = scaled_system(alpha)
+    _, spectrum = scaled_system(alpha)
     t_grid = np.array([math.pi / 4.0, 3.0 * math.pi / 4.0])
     rows = []
     for r in (0.0,) + PUBLISHED_R_VALUES:
@@ -272,13 +277,13 @@ def audit(alpha: float = 4.0) -> AuditReport:
     pub_tq = observables.published_pghz(3.0 * math.pi / 4.0, alpha, 0.0)
     gap = pub_q - observables.closed_form_pghz(math.pi / 4.0, alpha, 0.0, "minus")
 
-    _, spectrum, couplings = scaled_system(alpha)
+    block, spectrum = scaled_system(alpha)
     r_grid = (0.0,) + PUBLISHED_R_VALUES
     t_grid = np.linspace(0.0, 2.0 * math.pi, 64)
     worst = 0.0
     for r in r_grid:
         ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t_grid, kick_rate(r)))
-        lit = engines.closed_form_rho(couplings, spectrum, t_grid, kick_rate(r))
+        lit = engines.closed_form_rho(block, spectrum, t_grid, kick_rate(r))
         worst = max(worst, float(np.abs(ref.entries - lit.entries).max()))
     rows = [(row.r, row.p_three_quarter, row.published_three_quarter, row.dev_three_quarter)
             for row in table1(alpha=alpha)[1:]]

@@ -73,20 +73,6 @@ class ModeIndices:
         )
 
 
-@dataclass(frozen=True)
-class DerivedCouplings:
-    """Couplings derived from SystemParams + ModeIndices.
-
-    a       sideband coupling (1/2) g eta_c sqrt(m n), rad/s
-    mu      dressed frequency sqrt(a^2 + omega^2), rad/s
-    alpha   mu / a, dimensionless; None when a == 0
-    """
-
-    a: float
-    mu: float
-    alpha: float | None
-
-
 def validate_lamb_dicke(params: SystemParams) -> list[str]:
     """Return warnings for Lamb-Dicke parameters outside the soft regime bound."""
     msgs = []
@@ -98,14 +84,6 @@ def validate_lamb_dicke(params: SystemParams) -> list[str]:
                 "the four-state block may not describe the physics"
             )
     return msgs
-
-
-def derived_couplings(params: SystemParams, modes: ModeIndices) -> DerivedCouplings:
-    """Compute the sideband coupling, dressed frequency, and their ratio."""
-    a = 0.5 * params.g * params.eta_c * math.sqrt(modes.m * modes.n)
-    mu = math.hypot(a, params.omega)
-    alpha = mu / a if a > 0 else None
-    return DerivedCouplings(a=a, mu=mu, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -123,6 +101,16 @@ class HamiltonianBlock:
     def sideband(self) -> float:
         """The (1,4) entry g eta_c sqrt(mn) = 2a."""
         return float(self.entries[0, 3])
+
+    @property
+    def a(self) -> float:
+        """Sideband coupling (1/2) g eta_c sqrt(mn), rad/s."""
+        return 0.5 * self.sideband
+
+    @property
+    def mu(self) -> float:
+        """Dressed frequency sqrt(a^2 + omega^2), rad/s."""
+        return math.hypot(self.a, self.omega)
 
 
 def build_hamiltonian(params: SystemParams, modes: ModeIndices) -> HamiltonianBlock:
@@ -188,7 +176,7 @@ def _convention_order(eigenvalues: np.ndarray) -> np.ndarray:
     return desc[[1, 3, 0, 2]]
 
 
-def spectrum_analytic(block: HamiltonianBlock, couplings: DerivedCouplings) -> Spectrum:
+def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
     """Closed-form spectral decomposition of the interaction block.
 
     The block commutes with the swap (1<->4, 2<->3), so it reduces on the
@@ -197,10 +185,8 @@ def spectrum_analytic(block: HamiltonianBlock, couplings: DerivedCouplings) -> S
     that stays away from the zero vector in the degenerate limits
     (omega = 0 or a = 0).
     """
-    a, mu = couplings.a, couplings.mu
-    omega = block.omega  # sqrt(mu^2 - a^2) loses all its digits when omega << a
-    if abs(block.sideband - 2.0 * a) > 1e-9 * max(mu, 1.0) or abs(math.hypot(a, omega) - mu) > 1e-9 * max(mu, 1.0):
-        raise ValidationError("couplings do not match the Hamiltonian block")
+    # omega comes off the block; sqrt(mu^2 - a^2) loses all its digits when omega << a
+    a, mu, omega = block.a, block.mu, block.omega
 
     eigenvalues = np.array([mu - a, -(mu + a), mu + a, -(mu - a)])
     if mu == 0.0:
@@ -225,57 +211,13 @@ def spectrum_analytic(block: HamiltonianBlock, couplings: DerivedCouplings) -> S
     return spectrum
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    The matrix is normalized by its largest entry so `tol` bounds the
-    off-diagonal max-norm relative to that scale (an absolute 1e-13 would be
-    unreachable for rad/s-scale inputs).  Returns (eigenvalues, eigenvectors)
-    in the order the rotations leave them; no sorting is applied here.
-
-    Raises NumericalError if the sweep cap is hit, which signals a malformed
-    (non-symmetric or non-finite) input.
-    """
-    m = np.array(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if np.abs(m - m.T).max() > 1e-12 * max(np.abs(m).max(), 1.0):
-        raise ValidationError("matrix is not symmetric")
-    scale = np.abs(m).max()
-    n = m.shape[0]
-    if scale == 0.0:
-        return np.zeros(n), np.eye(n)
-    b = m / scale
-    vectors = np.eye(n)
-    upper = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
-        off = np.abs(b[upper]).max()  # NaN propagates and defeats convergence
-        if off <= tol:
-            return np.diag(b) * scale, vectors
-        for p in range(n):
-            for q in range(p + 1, n):
-                if b[p, q] == 0.0:
-                    continue
-                theta = (b[q, q] - b[p, p]) / (2.0 * b[p, q])
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                b = rot.T @ b @ rot
-                vectors = vectors @ rot
-    raise NumericalError(f"Jacobi sweep cap ({max_sweeps}) reached without convergence")
-
-
 def spectrum_numeric(block: HamiltonianBlock) -> Spectrum:
-    """Independent spectral decomposition via cyclic Jacobi rotations.
+    """Dense spectral decomposition with LAPACK (np.linalg.eigh).
 
     Serves as the numerical oracle for spectrum_analytic: same convention
-    order and sign fixing, different algorithm.
+    order and sign fixing, no use of the closed form.
     """
-    eigenvalues, vectors = jacobi_eigh(block.entries)
+    eigenvalues, vectors = np.linalg.eigh(block.entries)
     order = _convention_order(eigenvalues)
     spectrum = Spectrum(eigenvalues[order], _fix_signs(vectors[:, order]), block.basis_order)
     spectrum.validate(block)

@@ -28,9 +28,10 @@ SIGNS = ("minus", "plus")
 
 
 def check_alpha(alpha: float) -> None:
-    """alpha = mu / a, which must be finite and exceed 1 (omega > 0)."""
-    if not 1.0 < alpha < math.inf:
-        raise ValidationError(f"alpha must be finite and exceed 1, got {alpha}")
+    """alpha = mu / a, which must exceed 1 (omega > 0) and have a finite
+    square, since omega = sqrt(alpha^2 - 1) in units of a."""
+    if not 1.0 < alpha < math.inf or math.isinf(alpha * alpha):
+        raise ValidationError(f"alpha must be finite, exceed 1 and have a finite square, got {alpha}")
 
 
 def _check_sign(sign: str) -> float:

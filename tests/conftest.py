@@ -34,7 +34,7 @@ def first_order_gap_bound(block, t: float, r: float, floor: float) -> float:
 
 @pytest.fixture(scope="session")
 def system4():
-    """Scaled alpha=4 system: (block, spectrum, couplings)."""
+    """Scaled alpha=4 system: (block, spectrum)."""
     return scaled_system(4.0)
 
 
@@ -56,7 +56,7 @@ def ghz_plus():
 @pytest.fixture(scope="session")
 def ode_grid(system4, rho0):
     """Runge-Kutta outputs over the standard grid, keyed by (r, t_index)."""
-    block, spectrum, _ = system4
+    block, spectrum = system4
     dt = 1e-3 / 4.0
     out = {}
     for r in R_VALUES:
@@ -69,7 +69,7 @@ def ode_grid(system4, rho0):
 @pytest.fixture(scope="session")
 def mc_grid(system4, rho0):
     """Monte Carlo outputs (n_traj = 1e5, seed 0) over the standard grid."""
-    _, spectrum, _ = system4
+    _, spectrum = system4
     out = {}
     for r in R_VALUES:
         for j, t in enumerate(T_GRID_PI):

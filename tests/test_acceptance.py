@@ -34,7 +34,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_published_quarter_column(system4, rho0, ghz_minus):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     devs = {}
     for r in R_VALUES:
         rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=1.0 / r))
@@ -74,7 +74,7 @@ def test_criterion_4_closed_form_identity(rho0):
     t_grid = np.linspace(0.0, 2.0 * math.pi, 64)
     targets = {sign: observables.ghz_state(sign) for sign in ("minus", "plus")}
     for alpha in (2.0, 4.0, 8.0):
-        _, spectrum, _ = scaled_system(alpha)
+        _, spectrum = scaled_system(alpha)
         for r in (0.0, 0.001, 0.01, 0.1):
             gamma = math.inf if r == 0.0 else 1.0 / r
             for t in t_grid:
@@ -90,7 +90,7 @@ def test_criterion_4_closed_form_identity(rho0):
 
 
 def test_criterion_5a_ode_vs_reference(system4, rho0, ode_grid):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     worst = 0.0
     for r in R_VALUES:
         for j, t in enumerate(T_GRID_PI):
@@ -117,7 +117,7 @@ def test_criterion_5b_poisson_vs_reference_as_stated(system4, rho0):
     scales as R^2; the measured gap is reported next to it, together with
     gap / R^2, so the size of the first-order error stays on record.
     """
-    block, spectrum, _ = system4
+    block, spectrum = system4
     measured = {}
     ratio = {}
     for r in R_VALUES:
@@ -140,7 +140,7 @@ def test_criterion_5b_poisson_vs_reference_as_stated(system4, rho0):
 
 
 def test_criterion_5c_monte_carlo_vs_poisson(system4, rho0, mc_grid):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     worst_ratio = 0.0
     ok = True
     for r in R_VALUES:
@@ -158,7 +158,7 @@ def test_criterion_5c_monte_carlo_vs_poisson(system4, rho0, mc_grid):
 
 
 def test_criterion_6_state_invariant_suite(system4, rho0, ode_grid, mc_grid):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     eig_pops0 = np.diag(spectrum.eigenvectors.T @ rho0.entries @ spectrum.eigenvectors).real
     problems = []
     for r in R_VALUES:

@@ -253,11 +253,23 @@ def test_metadata_reproduces_run(tmp_path, monkeypatch):
     ["evolve", "--engine", "ode", "--dt", "inf"],
     ["units", "--omega-rad-s", "inf"],
     ["units", "--r", "nan,inf"],
+    # alpha^2 overflows, so omega = sqrt(alpha^2 - 1) in units of a is inf
+    ["units", "--alpha", "1e200"],
+    ["table1", "--alpha", "1e200"],
+    ["audit", "--alpha", "1e200"],
+    ["sweep", "--alpha", "1e200", "--t-max-deg", "10"],
+    # the sideband coupling a = omega / sqrt(alpha^2 - 1), or a value converted with it, is not finite
+    ["units", "--omega-rad-s", "5e-324", "--alpha", "1e150"],  # a underflows to 0
+    ["units", "--omega-rad-s", "1e308", "--alpha", "1.0000000000000002"],  # a overflows
+    ["units", "--omega-rad-s", "1e-320"],  # t(pi/4) = (pi/4) / a overflows
+    ["units", "--omega-rad-s", "1e-300", "--r", "0.1"],  # 1/gamma = R / a overflows
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "Traceback" not in err
+    if "--alpha" in argv:
+        assert "alpha" in err
     assert not (tmp_path / "x.out").exists()
 
 

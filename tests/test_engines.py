@@ -39,6 +39,13 @@ def test_request_validation():
         engines.EvolutionRequest(rho, t=1.0, tail_tol=1.5)
     with pytest.raises(ValidationError):
         engines.EvolutionRequest(rho, t=1.0, n_traj=0)
+    with pytest.raises(ValidationError, match="trace"):  # a trace-2 state
+        engines.EvolutionRequest(engines.DensityMatrix(2.0 * rho.entries, rho.basis_order), t=1.0)
+    for shape in ((3, 3), (2, 4, 4)):  # not one 4x4 matrix
+        entries = np.zeros(shape, dtype=complex)
+        entries[..., 0, 0] = 1.0
+        with pytest.raises(ValidationError, match="4x4"):
+            engines.EvolutionRequest(engines.DensityMatrix(entries, rho.basis_order), t=1.0)
 
 
 def test_density_matrix_validation():
@@ -51,7 +58,7 @@ def test_density_matrix_validation():
 
 
 def test_basis_mismatch_rejected(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     other = engines.DensityMatrix(rho0.entries.copy(), model.ModeIndices(2, 2).basis_order())
     with pytest.raises(ValidationError):
         engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(other, t=1.0))
@@ -61,13 +68,13 @@ def test_basis_mismatch_rejected(system4, rho0):
 
 
 def test_eigenbasis_t_zero_identity(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     out = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=50.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
 
 def test_eigenbasis_diagonal_state_is_stationary(system4):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     weights = np.array([0.4, 0.3, 0.2, 0.1])
     rho = engines.DensityMatrix(
         (spectrum.eigenvectors * weights) @ spectrum.eigenvectors.T + 0j, spectrum.basis_order)
@@ -77,7 +84,7 @@ def test_eigenbasis_diagonal_state_is_stationary(system4):
 
 
 def test_eigenbasis_reference_value(system4, rho0, ghz_minus):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     out = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
     p = observables.p_ghz(out, ghz_minus)
     assert p == pytest.approx(0.896, abs=1e-3)
@@ -85,7 +92,7 @@ def test_eigenbasis_reference_value(system4, rho0, ghz_minus):
 
 
 def test_eigenbasis_dephasing_properties(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     rng = np.random.default_rng(5)
     rho = random_state(rng, spectrum.basis_order)
     pops0 = eig_populations(spectrum, rho)
@@ -106,7 +113,7 @@ def test_eigenbasis_dephasing_properties(system4, rho0):
 
 
 def test_gamma_inf_matches_unitary(system4, rho0):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     a = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=math.inf))
     b = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=5.0))
     np.testing.assert_array_equal(a.entries, b.entries)  # identical code path
@@ -116,7 +123,7 @@ def test_gamma_inf_matches_unitary(system4, rho0):
 
 
 def test_unitary_preserves_purity(system4):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     rng = np.random.default_rng(9)
     rho = random_state(rng, spectrum.basis_order)
     p0 = observables.purity(rho)
@@ -125,7 +132,7 @@ def test_unitary_preserves_purity(system4):
 
 
 def test_unitary_reaches_ghz(system4, rho0, ghz_minus):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
     assert observables.p_ghz(out, ghz_minus) == pytest.approx(1.0, abs=1e-9)
     out0 = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=0.0))
@@ -140,7 +147,7 @@ def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
     """The unitary engine, now the reference engine at gamma = inf, applies the
     bare phases exp(-i Delta T) exactly and agrees with U rho U^dag from a
     dense eigensolve of the block."""
-    block, spectrum, _ = scaled_system(alpha, model.ModeIndices(m, n))
+    block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
     rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
     out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho, t=t, gamma=10.0)).entries
     v = spectrum.eigenvectors
@@ -155,7 +162,7 @@ def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
 
 
 def test_poisson_requires_finite_gamma(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     with pytest.raises(ValidationError):
         engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf))
 
@@ -171,7 +178,7 @@ def test_poisson_zero_block_is_stationary():
 
 
 def test_poisson_t_zero(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=2.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
@@ -181,8 +188,22 @@ def test_poisson_matches_literal_kick_sum(system4, rho0, r, t):
     # tail_tol = 1e-11: at gamma*t ~ 3e3 the pmf accumulation carries ~2e-12
     # of rounding, so the default 1e-12 coverage target is not reliably
     # reachable there; the agreement tolerance still dominates the truncation
-    block, spectrum, _ = system4
+    block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=t, gamma=1.0 / r, tail_tol=1e-11)
+    closed = engines.evolve_poisson(spectrum, req)
+    summed = engines.poisson_kick_sum(block, req)
+    assert np.abs(closed.entries - summed.entries).max() <= 1e-10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), r=st.floats(0.01, 0.5),
+       t=st.floats(0.0, math.pi), seed=st.integers(0, 2**32 - 1))
+def test_poisson_matches_literal_kick_sum_for_mixed_states(alpha, r, t, seed):
+    """The closed-form kick average equals the literal Poisson series for
+    random alpha, R, T and mixed initial states; gamma*t stays below 315."""
+    block, spectrum = scaled_system(alpha)
+    rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
+    req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, tail_tol=1e-11)
     closed = engines.evolve_poisson(spectrum, req)
     summed = engines.poisson_kick_sum(block, req)
     assert np.abs(closed.entries - summed.entries).max() <= 1e-10
@@ -191,14 +212,14 @@ def test_poisson_matches_literal_kick_sum(system4, rho0, r, t):
 def test_poisson_kick_sum_tail_cap(system4, rho0):
     # at gamma*t = 25 the accumulated mass plateaus a few ulp below 1, so an
     # unreachable tail_tol must hit the term cap instead of looping forever
-    block, _, _ = system4
+    block, _ = system4
     req = engines.EvolutionRequest(rho0, t=2.5, gamma=10.0, tail_tol=1e-300)
     with pytest.raises(NumericalError):
         engines.poisson_kick_sum(block, req)
 
 
 def test_poisson_populations_conserved(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     pops0 = eig_populations(spectrum, rho0)
     for t in (0.5, 2.0):
         out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=t, gamma=20.0))
@@ -207,7 +228,7 @@ def test_poisson_populations_conserved(system4, rho0):
 
 def test_poisson_close_to_first_order_at_small_r(system4, rho0):
     # trace distance <= 1e-3 for R = 0.001 over T in [0, pi]
-    _, spectrum, _ = system4
+    _, spectrum = system4
     gamma = 1000.0
     for t in np.linspace(0.0, math.pi, 64):
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=gamma)
@@ -221,7 +242,7 @@ def test_poisson_close_to_first_order_at_small_r(system4, rho0):
 def test_poisson_exact_at_tiny_r(system4, rho0, r):
     # the true first-order gap is ~1e-12 here; e^{-iD/gamma} - 1 written out
     # would add gamma t * 1e-16 of rounding (~5e-10) and break the bound
-    block, spectrum, _ = system4
+    block, spectrum = system4
     for t in T_GRID_PI:
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r)
         gap = np.abs(engines.evolve_poisson(spectrum, req).entries
@@ -233,13 +254,13 @@ def test_poisson_exact_at_tiny_r(system4, rho0, r):
 
 
 def test_ode_t_zero(system4, rho0):
-    block, _, _ = system4
+    block, _ = system4
     out = engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=0.0, gamma=10.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
 
 def test_ode_unitary_limit(system4, rho0):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=math.pi, gamma=math.inf, dt=1e-3 / 4.0)
     out = engines.evolve_ode(block, req)
     ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi))
@@ -247,7 +268,7 @@ def test_ode_unitary_limit(system4, rho0):
 
 
 def test_ode_fourth_order_convergence(system4, rho0):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     gamma = 100.0
     ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=gamma))
     errs = []
@@ -259,18 +280,18 @@ def test_ode_fourth_order_convergence(system4, rho0):
 
 
 def test_ode_default_step(system4):
-    block, _, _ = system4
+    block, _ = system4
     assert engines.default_ode_step(block) == pytest.approx(1e-3 / 4.0, rel=1e-12)
 
 
 def test_ode_diverging_step_reports_numerical_failure(system4, rho0):
-    block, _, _ = system4
+    block, _ = system4
     with pytest.raises(NumericalError):
         engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=50.0, gamma=1.0, dt=5.0))
 
 
 def test_ode_output_state_invariants(system4, rho0):
-    block, _, _ = system4
+    block, _ = system4
     out = engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=2.0, gamma=10.0))
     assert out.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7) == []
 
@@ -279,7 +300,7 @@ def test_ode_output_state_invariants(system4, rho0):
 
 
 def test_monte_carlo_requires_seed_and_trajectories(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     with pytest.raises(ValidationError):
         engines.evolve_monte_carlo(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, n_traj=100))
     with pytest.raises(ValidationError):
@@ -302,7 +323,7 @@ def test_monte_carlo_zero_block_exact():
 
 
 def test_monte_carlo_deterministic_bits(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=1.2, gamma=50.0, n_traj=4000, seed=123)
     a = engines.evolve_monte_carlo(spectrum, req)
     b = engines.evolve_monte_carlo(spectrum, req)
@@ -314,7 +335,7 @@ def test_monte_carlo_deterministic_bits(system4, rho0):
 
 
 def test_monte_carlo_converges_to_poisson(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0, n_traj=100_000, seed=0)
     result = engines.evolve_monte_carlo(spectrum, req)
     exact = engines.evolve_poisson(spectrum, req)
@@ -326,38 +347,40 @@ def test_monte_carlo_converges_to_poisson(system4, rho0):
 
 
 def test_closed_form_rho_initial_state(system4, rho0):
-    _, spectrum, couplings = system4
-    out = engines.closed_form_rho(couplings, spectrum, t=0.0, gamma=math.inf)
+    block, spectrum = system4
+    out = engines.closed_form_rho(block, spectrum, t=0.0, gamma=math.inf)
     assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-12)
 
 
 def test_closed_form_rho_matches_unitary(system4, rho0):
-    _, spectrum, couplings = system4
+    block, spectrum = system4
     for t in (math.pi / 8, math.pi / 4, math.pi / 2):
-        lit = engines.closed_form_rho(couplings, spectrum, t=t, gamma=math.inf)
+        lit = engines.closed_form_rho(block, spectrum, t=t, gamma=math.inf)
         ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=t))
         assert np.abs(lit.entries - ref.entries).max() <= 1e-9
 
 
 def test_closed_form_rho_matches_reference_engine(system4, rho0):
-    _, spectrum, couplings = system4
-    lit = engines.closed_form_rho(couplings, spectrum, t=math.pi / 4, gamma=100.0)
+    block, spectrum = system4
+    lit = engines.closed_form_rho(block, spectrum, t=math.pi / 4, gamma=100.0)
     ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
     assert np.abs(lit.entries - ref.entries).max() <= 1e-9
 
 
 def test_closed_form_rho_rejects_degenerate_couplings(system4):
-    _, spectrum, _ = system4
+    _, spectrum = system4
+    decoupled = model.build_hamiltonian(model.SystemParams(1.0, 0.0, 0.1, 0.1), model.ModeIndices(1, 1))
+    assert (decoupled.a, decoupled.mu) == (0.0, 1.0)
     with pytest.raises(ValidationError):
-        engines.closed_form_rho(model.DerivedCouplings(0.0, 1.0, None), spectrum, 1.0, 10.0)
+        engines.closed_form_rho(decoupled, spectrum, 1.0, 10.0)
 
 
 # ------------------------------------------------------------ cross-engine spot
 
 
 def test_all_engines_agree_at_reference_point(system4, rho0):
-    block, spectrum, _ = system4
+    block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0, dt=1e-3 / 4.0)
     eig = engines.evolve_eigenbasis(spectrum, req)
     ode = engines.evolve_ode(block, req)
@@ -401,7 +424,7 @@ def test_batched_engines_equal_per_point(engine, alpha):
         with pytest.raises(ValidationError):
             experiments.sweep(experiments.SweepSpec(alpha, (0.0,), grid, engine=engine))
     series = experiments.sweep(experiments.SweepSpec(alpha, r_values, grid, engine=engine))
-    block, spectrum, _ = scaled_system(alpha)
+    block, spectrum = scaled_system(alpha)
     mixed = random_state(np.random.default_rng(17), spectrum.basis_order)
     targets = {sign: observables.ghz_state(sign) for sign in observables.SIGNS}
     for r in r_values:
@@ -421,13 +444,13 @@ def test_batched_engines_equal_per_point(engine, alpha):
 
 
 def test_closed_form_rho_vectorised_equals_scalar(system4):
-    _, spectrum, couplings = system4
+    block, spectrum = system4
     grid = np.linspace(0.0, 2.0 * math.pi, 64)
     for gamma in (math.inf, 1000.0, 10.0):
-        stacked = engines.closed_form_rho(couplings, spectrum, grid, gamma)
+        stacked = engines.closed_form_rho(block, spectrum, grid, gamma)
         assert stacked.entries.shape == (grid.size, 4, 4)
         for j, t in enumerate(grid):
-            scalar = engines.closed_form_rho(couplings, spectrum, float(t), gamma)
+            scalar = engines.closed_form_rho(block, spectrum, float(t), gamma)
             assert np.array_equal(stacked.entries[j], scalar.entries)
 
 
@@ -443,7 +466,7 @@ def per_trajectory_monte_carlo(spectrum, rho, t, gamma, n, seed, tail_tol=1e-12)
 
 
 def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
     n = 5000
     for r, t, rho, seed in ((0.001, math.pi, rho0, 0), (0.01, math.pi / 4, rho0, 7), (0.1, 2.0, mixed, 99)):
@@ -458,7 +481,7 @@ def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
 
 
 def test_monte_carlo_grid_equals_per_point(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     grid = np.linspace(0.0, math.pi, 9)
     batched = engines.evolve_monte_carlo(
         spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
@@ -470,7 +493,7 @@ def test_monte_carlo_grid_equals_per_point(system4, rho0):
 
 
 def test_violations_cover_every_state_of_a_stack(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     grid = np.linspace(0.0, math.pi, 16)
     stack = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=30.0))
     assert stack.violations() == []

@@ -4,37 +4,40 @@ import numpy as np
 import pytest
 
 from iondeco import model
-from iondeco.errors import NumericalError, ValidationError
+from iondeco.errors import ValidationError
 
 
 def params_for(omega, g_eta_c, eta_c=0.1):
     return model.SystemParams(omega=omega, g=g_eta_c / eta_c, eta_c=eta_c, eta_l=0.1)
 
 
-def test_derived_couplings_direct_substitution():
-    c = model.derived_couplings(params_for(math.sqrt(15.0), 2.0), model.ModeIndices(1, 1))
-    assert c.a == pytest.approx(1.0, abs=1e-12)
-    assert c.mu == pytest.approx(4.0, abs=1e-12)
-    assert c.alpha == pytest.approx(4.0, abs=1e-12)
+def block_for(omega, g_eta_c, modes):
+    return model.build_hamiltonian(params_for(omega, g_eta_c), modes)
 
 
-def test_derived_couplings_zero_mode_index():
-    c = model.derived_couplings(params_for(2.5, 2.0), model.ModeIndices(0, 5))
-    assert c.a == 0.0
-    assert c.mu == pytest.approx(2.5)
-    assert c.alpha is None
+def test_block_couplings_direct_substitution():
+    block = block_for(math.sqrt(15.0), 2.0, model.ModeIndices(1, 1))
+    assert block.a == pytest.approx(1.0, abs=1e-12)
+    assert block.mu == pytest.approx(4.0, abs=1e-12)
+    assert block.mu / block.a == pytest.approx(4.0, abs=1e-12)
 
 
-def test_derived_couplings_sqrt_mn():
-    c = model.derived_couplings(params_for(1.0, 1.0), model.ModeIndices(4, 9))
-    assert c.a == pytest.approx(3.0, abs=1e-12)
+def test_block_couplings_zero_mode_index():
+    block = block_for(2.5, 2.0, model.ModeIndices(0, 5))
+    assert block.a == 0.0
+    assert block.mu == pytest.approx(2.5)
 
 
-def test_derived_couplings_consistency():
-    c = model.derived_couplings(params_for(2.0, 3.0), model.ModeIndices(2, 3))
-    assert c.mu >= max(c.a, 2.0)
-    assert c.mu**2 == pytest.approx(c.a**2 + 2.0**2, rel=1e-15)
-    assert c.alpha >= 1.0
+def test_block_couplings_sqrt_mn():
+    block = block_for(1.0, 1.0, model.ModeIndices(4, 9))
+    assert block.a == pytest.approx(3.0, abs=1e-12)
+
+
+def test_block_couplings_consistency():
+    block = block_for(2.0, 3.0, model.ModeIndices(2, 3))
+    assert block.mu >= max(block.a, 2.0)
+    assert block.mu**2 == pytest.approx(block.a**2 + 2.0**2, rel=1e-15)
+    assert block.mu / block.a >= 1.0
 
 
 def test_build_hamiltonian_pattern():
@@ -79,8 +82,7 @@ def spectra_for(omega, a):
     params = params_for(omega, 2.0 * a) if a > 0 else model.SystemParams(omega=omega, g=0.0, eta_c=0.1, eta_l=0.1)
     modes = model.ModeIndices(1, 1)
     block = model.build_hamiltonian(params, modes)
-    couplings = model.derived_couplings(params, modes)
-    return block, model.spectrum_analytic(block, couplings), model.spectrum_numeric(block)
+    return block, model.spectrum_analytic(block), model.spectrum_numeric(block)
 
 
 def test_spectrum_analytic_convention_order():
@@ -143,33 +145,6 @@ def test_eigenvector_sign_convention():
                 col = spec.eigenvectors[:, p]
                 first = col[np.abs(col) > 1e-8 * np.abs(col).max()][0]
                 assert first >= 0
-
-
-def test_spectrum_analytic_rejects_mismatched_couplings():
-    block, _, _ = spectra_for(2.0, 1.0)
-    bad = model.DerivedCouplings(a=0.5, mu=2.0, alpha=4.0)
-    with pytest.raises(ValidationError):
-        model.spectrum_analytic(block, bad)
-
-
-def test_jacobi_recovers_known_construction():
-    rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    d = np.array([3.0, -1.5, 0.25, 7.0])
-    evals, evecs = model.jacobi_eigh(q @ np.diag(d) @ q.T)
-    np.testing.assert_allclose(np.sort(evals), np.sort(d), atol=1e-10)
-    a = q @ np.diag(d) @ q.T
-    assert np.abs(a @ evecs - evecs * evals).max() <= 1e-10 * np.abs(d).max()
-
-
-def test_jacobi_rejects_nonsymmetric():
-    with pytest.raises(ValidationError):
-        model.jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_jacobi_nonconvergence_on_malformed_input():
-    with pytest.raises(NumericalError):
-        model.jacobi_eigh(np.full((4, 4), np.nan))
 
 
 def test_lamb_dicke_warnings():

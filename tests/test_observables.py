@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iondeco import engines, observables
+from iondeco import engines, experiments, observables
 from iondeco.errors import ValidationError
 from iondeco.experiments import initial_state, scaled_system
 
@@ -51,7 +53,7 @@ def test_p_ghz_of_projector_is_one(ghz_plus):
 
 
 def test_p_ghz_reference_value(system4, rho0, ghz_minus):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=1000.0))
     assert observables.p_ghz(rho, ghz_minus) == pytest.approx(0.988, abs=1e-3)
 
@@ -63,7 +65,7 @@ def test_p_ghz_basis_mismatch(ghz_minus):
 
 
 def test_probability_sum_bounded(system4, rho0, ghz_minus, ghz_plus):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     rng = np.random.default_rng(2)
     for _ in range(25):
         t = rng.uniform(0.0, 2.0 * math.pi)
@@ -118,7 +120,7 @@ def test_closed_form_peaks_at_shifted_quarters():
 
 def test_closed_form_matches_engine_small_grid(rho0, ghz_minus, ghz_plus):
     # the full grid runs in the acceptance suite; spot-check another alpha here
-    block, spectrum, _ = scaled_system(2.0)
+    block, spectrum = scaled_system(2.0)
     targets = {"minus": ghz_minus, "plus": ghz_plus}
     for r in (0.0, 0.01):
         gamma = math.inf if r == 0.0 else 1.0 / r
@@ -127,6 +129,18 @@ def test_closed_form_matches_engine_small_grid(rho0, ghz_minus, ghz_plus):
             for sign, target in targets.items():
                 assert observables.p_ghz(rho, target) == pytest.approx(
                     observables.closed_form_pghz(float(t), 2.0, r, sign), abs=1e-9)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), r=st.floats(0.0, 0.5),
+       t=st.floats(0.0, 2.0 * math.pi), sign=st.sampled_from(observables.SIGNS))
+def test_closed_form_equals_reference_engine(alpha, r, t, sign):
+    """The corrected closed-form P(T) is an identity with the reference engine
+    over the whole parameter domain, not only at the spot-checked alphas."""
+    _, spectrum = scaled_system(alpha)
+    req = engines.EvolutionRequest(initial_state(), t=t, gamma=experiments.kick_rate(r))
+    p = observables.p_ghz(engines.evolve_eigenbasis(spectrum, req), observables.ghz_state(sign))
+    assert abs(p - observables.closed_form_pghz(t, alpha, r, sign)) <= 1e-9
 
 
 def test_published_formula_values():
@@ -145,7 +159,7 @@ def test_published_formula_gap_pinned():
 
 
 def test_purity_and_populations(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     assert observables.purity(rho0) == pytest.approx(1.0, abs=1e-12)
     mixed = engines.DensityMatrix(np.eye(4, dtype=complex) / 4.0, rho0.basis_order)
     assert observables.purity(mixed) == pytest.approx(0.25, abs=1e-12)
@@ -159,14 +173,14 @@ def test_purity_and_populations(system4, rho0):
 
 
 def test_purity_range_under_dephasing(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     for t in np.linspace(0.0, 20.0, 9):
         rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=2.0))
         assert 0.25 <= observables.purity(rho) <= 1.0 + 1e-12
 
 
 def test_eigenbasis_coherences_shape_and_decay(system4, rho0):
-    _, spectrum, _ = system4
+    _, spectrum = system4
     c0 = observables.eigenbasis_coherences(rho0, spectrum)
     assert c0.shape == (6,)
     rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=3.0, gamma=5.0))
