@@ -21,15 +21,15 @@ The reference engine at gamma = inf is the unitary limit, and
 closed_form_rho transcribes the published closed-form solution
 for the |g,m-1,n-1> initial state so it can be audited against the engines.
 
-All engines but the Runge-Kutta one apply one transform, dephase, with their
-own kick-count factor, to a whole grid of times at once.  ENGINES maps each
-engine name to a function of (block, spectrum, request).
+All engines but the Runge-Kutta one, which marches once along the grid, apply
+one transform, dephase, with their own kick-count factor, to a whole grid of
+times at once.  ENGINES maps each engine name to a function of (block, spectrum, request).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .model import HamiltonianBlock, Spectrum
 
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
+# Largest Runge-Kutta step count t/dt per call; at about 2 us per step, some 20 s.
+MAX_ODE_STEPS = 10_000_000
 
 
 @dataclass
@@ -73,13 +75,13 @@ class DensityMatrix:
         out = []
         rho = self.entries
         rho_h = np.swapaxes(rho, -1, -2).conj()
-        herm = np.abs(rho - rho_h).max()
+        herm = np.abs(rho - rho_h).max(initial=0.0)
         if herm > hermitian_tol:
             out.append(f"hermiticity violated by {herm:.3e}")
-        tr_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max()
+        tr_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
         if tr_err > trace_tol:
             out.append(f"trace deviates from 1 by {tr_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h)).min())
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(initial=np.inf))
         if min_eig < psd_floor:
             out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
         return out
@@ -96,7 +98,7 @@ class EvolutionRequest:
     """Inputs common to all engines plus engine-specific controls.
 
     initial   state at t = 0, one valid 4x4 density matrix
-    t         evolution duration (s), or a 1-D array of them (not poisson_kick_sum, evolve_ode)
+    t         evolution duration (s), or a 1-D array of them (not poisson_kick_sum)
     gamma     kick frequency (1/s); math.inf = decoherence-free
     tail_tol  Poisson tail mass allowed to be truncated in the kick sum
     dt        fixed step for the Runge-Kutta engine (None: 1e-3 / mu)
@@ -249,30 +251,35 @@ def default_ode_step(block: HamiltonianBlock) -> float:
 def evolve_ode(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
     """Fixed-step classical 4th-order Runge-Kutta on the first-order generator.
 
-    The final step is shortened to land exactly on t and the result is
-    re-Hermitized once at the end.  A positivity breach beyond the integrator
-    tolerance (-1e-7) is reported as a numerical failure rather than patched.
+    One march visits the times in ascending order, taking the shortened step to
+    each on a copy, so each gets the products of a run from t = 0.  States but
+    t = 0 are re-Hermitized; a positivity breach below -1e-7 is a NumericalError.
     """
     _check_basis(block.basis_order, req.initial.basis_order)
-    if req.t == 0.0:
-        return DensityMatrix(req.initial.entries.astype(complex), req.initial.basis_order)
+    times = np.asarray(req.t, dtype=float).ravel()
     dt = req.dt if req.dt is not None else default_ode_step(block)
+    n_steps = float(np.max(times, initial=0.0)) / dt  # Python float division: inf for a subnormal dt, no warning
+    if n_steps > MAX_ODE_STEPS:
+        raise ValidationError(f"t / dt = {n_steps:.3g} Runge-Kutta steps exceed the budget of {MAX_ODE_STEPS}")
     gen = _first_order_superoperator(block.entries, req.gamma)
-    n_full = int(req.t / dt)
-    remainder = req.t - n_full * dt
     step = _rk4_step_matrix(gen, dt)
     vec = req.initial.entries.astype(complex).reshape(16)
-    for _ in range(n_full):
-        vec = step @ vec
-    if remainder > 1e-15 * req.t:
-        vec = _rk4_step_matrix(gen, remainder) @ vec
-    rho = vec.reshape(4, 4)
-    rho = 0.5 * (rho + rho.conj().T)
-    out = DensityMatrix(rho, req.initial.basis_order)
-    problems = out.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7)
+    out = np.empty((times.size, 16), dtype=complex)
+    n_done = 0
+    for i in np.argsort(times, kind="stable"):
+        n_full = int(times[i] / dt)
+        for _ in range(n_full - n_done):
+            vec = step @ vec
+        n_done = n_full
+        remainder = times[i] - n_full * dt
+        out[i] = _rk4_step_matrix(gen, remainder) @ vec if remainder > 1e-15 * times[i] else vec
+    rho = out.reshape(-1, 4, 4)
+    rho = np.where((times == 0.0)[:, None, None], req.initial.entries, 0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
+    result = DensityMatrix(rho.reshape(np.shape(req.t) + (4, 4)), req.initial.basis_order)
+    problems = result.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7)
     if problems:
         raise NumericalError("Runge-Kutta output invalid: " + "; ".join(problems))
-    return out
+    return result
 
 
 # splitmix64 finalizer constants (Steele, Lea & Flood); the mix of
@@ -296,28 +303,32 @@ def _log_poisson_pmf(k: float, lam: float) -> float:
     return k * math.log(lam) - lam - math.lgamma(k + 1.0)
 
 
-def _poisson_cdf(lam: float, tail_tol: float) -> np.ndarray:
-    """Poisson CDF table truncated so the true tail mass is below tail_tol.
+def _poisson_cutoff(lam: float, tail_tol: float) -> int:
+    """Kick count K past which the true Poisson tail mass is below tail_tol.
 
     The cut is certified with the geometric bound
     sum_{k > K} pmf(k) <= pmf(K+1) / (1 - lam/(K+2)) for K >= lam, which stays
     rigorous where a floating sum of the pmf would drown in rounding.
     """
-    if lam == 0.0:
-        return np.array([1.0])
     k_max = int(lam + 12.0 * math.sqrt(lam + 1.0)) + 30
     for _ in range(64):
         ratio = lam / (k_max + 2.0)
         log_next = _log_poisson_pmf(k_max + 1.0, lam)
         bound = math.exp(log_next) / (1.0 - ratio) if log_next > -745.0 else 0.0
         if bound <= tail_tol:
-            break
+            return k_max
         k_max = int(1.25 * k_max) + 32
-    else:
-        raise NumericalError(f"cannot certify Poisson tail below tail_tol {tail_tol:.1e}")
-    ks = np.arange(k_max + 1, dtype=float)
-    log_pmf = ks * math.log(lam) - lam - np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
-    return np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0))
+    raise NumericalError(f"cannot certify Poisson tail below tail_tol {tail_tol:.1e}")
+
+
+def _poisson_cdfs(lams: list[float], tail_tol: float) -> list[np.ndarray]:
+    """Poisson CDF table for each mean in lams, cut at _poisson_cutoff; all
+    take prefixes of one log-factorial table."""
+    k_maxes = [_poisson_cutoff(lam, tail_tol) if lam > 0.0 else 0 for lam in lams]
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(max(k_maxes, default=0) + 1)])
+    log_pmfs = [np.arange(k + 1, dtype=float) * math.log(lam) - lam - log_factorial[: k + 1] if lam > 0.0
+                else np.zeros(1) for lam, k in zip(lams, k_maxes)]
+    return [np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0)) for log_pmf in log_pmfs]
 
 
 @dataclass
@@ -336,22 +347,23 @@ def evolve_monte_carlo(spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloR
     share one state, so the mean and the per-entry standard error are taken
     over the distinct N (a few hundred for 1e5 trajectories), each weighted
     by how many trajectories drew it.  Every time of a 1-D req.t reuses the
-    same uniforms.
+    same uniforms, sorted once: those in [cdf[N-1], cdf[N]) drew N kicks.
     """
     gamma = _finite_gamma(req.gamma)
     if req.seed is None or req.n_traj is None:
         raise ValidationError(f"Monte Carlo engine requires a seed and n_traj, got {req.seed} and {req.n_traj}")
     n = req.n_traj
-    uniforms = _trajectory_uniforms(req.seed, n)
+    uniforms = np.sort(_trajectory_uniforms(req.seed, n))
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     t = np.asarray(req.t, dtype=float)
     mean = np.empty(t.shape + (4, 4), dtype=complex)
     stderr = np.zeros(t.shape + (4, 4))
-    for i, t_i in np.ndenumerate(t):
-        cdf = _poisson_cdf(gamma * float(t_i), req.tail_tol)
-        kicks, counts = np.unique(np.searchsorted(cdf, uniforms, side="right"), return_counts=True)
+    cdfs = _poisson_cdfs([gamma * t_i for t_i in t.ravel().tolist()], req.tail_tol)
+    for i, cdf in zip(np.ndindex(t.shape), cdfs):
+        counts = np.diff(np.concatenate(([0], np.searchsorted(uniforms, cdf, side="left"), [n])))
+        kicks = np.flatnonzero(counts)
         states = dephase(spectrum, req.initial, np.exp(-1j * delta * (kicks[:, None, None] / gamma)))
-        weights = counts[:, None, None]
+        weights = counts[kicks, None, None]
         mean[i] = (weights * states).sum(axis=0) / n
         if n > 1:
             var = (weights * np.square(np.abs(states - mean[i]))).sum(axis=0) / (n - 1)
@@ -359,20 +371,13 @@ def evolve_monte_carlo(spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloR
     return MonteCarloResult(DensityMatrix(mean, req.initial.basis_order), stderr)
 
 
-def _evolve_ode_grid(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
-    """evolve_ode at each time of req.t, every run starting again from t = 0."""
-    t = np.asarray(req.t, dtype=float)
-    states = [evolve_ode(block, replace(req, t=t_i)).entries for t_i in t.ravel().tolist()]
-    return DensityMatrix(np.array(states).reshape(t.shape + (4, 4)), req.initial.basis_order)
-
-
 # Engine name -> engine(block, spectrum, req), the state at each time of req.t.
 ENGINES = {
     "eigen": lambda block, spectrum, req: evolve_eigenbasis(spectrum, req),
     "poisson": lambda block, spectrum, req: evolve_poisson(spectrum, req),
-    "ode": lambda block, spectrum, req: _evolve_ode_grid(block, req),
+    "ode": lambda block, spectrum, req: evolve_ode(block, req),
     "mc": lambda block, spectrum, req: evolve_monte_carlo(spectrum, req).rho,
-    "unitary": lambda block, spectrum, req: evolve_eigenbasis(spectrum, replace(req, gamma=math.inf)),
+    "unitary": lambda block, spectrum, req: _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t)),
 }
 
 

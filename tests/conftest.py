@@ -56,13 +56,14 @@ def ghz_plus():
 @pytest.fixture(scope="session")
 def ode_grid(system4, rho0):
     """Runge-Kutta outputs over the standard grid, keyed by (r, t_index)."""
-    block, spectrum = system4
+    block, _ = system4
     dt = 1e-3 / 4.0
     out = {}
     for r in R_VALUES:
-        for j, t in enumerate(T_GRID_PI):
-            req = engines.EvolutionRequest(initial=rho0, t=float(t), gamma=1.0 / r, dt=dt)
-            out[(r, j)] = engines.evolve_ode(block, req)
+        req = engines.EvolutionRequest(initial=rho0, t=T_GRID_PI, gamma=1.0 / r, dt=dt)
+        stack = engines.evolve_ode(block, req)
+        for j in range(T_GRID_PI.size):
+            out[(r, j)] = engines.DensityMatrix(stack.entries[j], stack.basis_order)
     return out
 
 
@@ -72,8 +73,9 @@ def mc_grid(system4, rho0):
     _, spectrum = system4
     out = {}
     for r in R_VALUES:
-        for j, t in enumerate(T_GRID_PI):
-            req = engines.EvolutionRequest(
-                initial=rho0, t=float(t), gamma=1.0 / r, n_traj=100_000, seed=0)
-            out[(r, j)] = engines.evolve_monte_carlo(spectrum, req)
+        req = engines.EvolutionRequest(initial=rho0, t=T_GRID_PI, gamma=1.0 / r, n_traj=100_000, seed=0)
+        result = engines.evolve_monte_carlo(spectrum, req)
+        for j in range(T_GRID_PI.size):
+            out[(r, j)] = engines.MonteCarloResult(
+                engines.DensityMatrix(result.rho.entries[j], result.rho.basis_order), result.stderr[j])
     return out

@@ -292,6 +292,23 @@ def test_trajectory_budget_exits_two_without_allocating(tmp_path, monkeypatch, c
     assert not (tmp_path / "big.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--engine", "ode", "--alpha", "1e100", "--t-max-deg", "10"],  # default dt = 1e-3 / mu = 1e-103
+    ["evolve", "--engine", "ode", "--dt", "1e-300"],
+    ["evolve", "--engine", "ode", "--dt", "5e-324"],  # t / dt overflows to inf
+    ["sweep", "--engine", "ode", "--alpha", "1e100", "--t-max-deg", "10"],
+], ids=lambda argv: " ".join(argv))
+def test_ode_step_budget_exits_two_without_stepping(tmp_path, monkeypatch, capsys, argv):
+    # the default sweep at alpha = 100 marches 2 pi / 1e-5, about 6.3e5 steps, and stays inside
+    block, _ = experiments.scaled_system(100.0)
+    assert 2.0 * math.pi / engines.default_ode_step(block) <= engines.MAX_ODE_STEPS
+    monkeypatch.setattr(engines, "_rk4_step_matrix", lambda gen, dt: pytest.fail("step matrix built"))
+    assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "steps exceed the budget" in err and "Traceback" not in err
+    assert not (tmp_path / "x.out").exists()
+
+
 # ---------------------------------------------------------------- golden bytes
 
 

@@ -296,6 +296,72 @@ def test_ode_output_state_invariants(system4, rho0):
     assert out.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7) == []
 
 
+def restart_rk4(block, rho, t, gamma, dt):
+    """Reference: one Runge-Kutta run from t = 0 to t, restarted for each t."""
+    if t == 0.0:
+        return rho.entries.astype(complex)
+    gen = engines._first_order_superoperator(block.entries, gamma)
+    n_full = int(t / dt)
+    remainder = t - n_full * dt
+    step = engines._rk4_step_matrix(gen, dt)
+    vec = rho.entries.astype(complex).reshape(16)
+    for _ in range(n_full):
+        vec = step @ vec
+    if remainder > 1e-15 * t:
+        vec = engines._rk4_step_matrix(gen, remainder) @ vec
+    out = vec.reshape(4, 4)
+    return 0.5 * (out + out.conj().T)
+
+
+def test_ode_grid_march_equals_restarts(system4):
+    """One march along an unsorted grid, with repeated times and t = 0, gives
+    each time the bits of a run from t = 0."""
+    block, spectrum = system4
+    mixed = random_state(np.random.default_rng(31), spectrum.basis_order)
+    grid = np.concatenate([np.linspace(0.0, 2.0, 9), [1.3, 0.0, 0.25, 1.3, 2.0 / 3.0]])
+    for rho in (experiments.initial_state(), mixed):
+        for gamma in (10.0, math.inf):
+            march = engines.ENGINES["ode"](block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=1e-3))
+            assert march.entries.shape == (grid.size, 4, 4)
+            for j, t in enumerate(grid):
+                one = engines.evolve_ode(block, engines.EvolutionRequest(rho, float(t), gamma, dt=1e-3))
+                assert np.array_equal(one.entries, restart_rk4(block, rho, float(t), gamma, 1e-3))
+                assert np.array_equal(march.entries[j], one.entries)
+    empty = engines.evolve_ode(block, engines.EvolutionRequest(mixed, np.array([]), 10.0))
+    assert empty.entries.shape == (0, 4, 4)
+
+
+def test_ode_march_within_rk4_error_of_expm(system4):
+    """Third oracle for the first-order generator: expm of the 16x16
+    superoperator on row-major vec(rho), built here from the block.
+
+    The generator G is a polynomial in the real symmetric C = H x I - I x H^T,
+    so it is normal, and the RK4 step is the degree-4 Taylor polynomial p of
+    exp(dt G).  Where |p(z)| <= 1 at every z = dt * eigenvalue of G (checked
+    below), and Re z <= 0, n steps are off by at most n |p(z) - e^z| <=
+    n |z|^5 e^|z| / 120 at the largest |z|, in the Frobenius norm
+    (||rho0||_F <= 1), which bounds the largest entry.
+    """
+    expm = pytest.importorskip("scipy.linalg").expm
+    block, spectrum = system4
+    eye = np.eye(4)
+    comm = np.kron(block.entries, eye) - np.kron(eye, block.entries.T)
+    dt = 2e-3
+    grid = np.array([math.pi, 0.0, 0.5, 2.0, 0.5 + 1e-4])
+    mixed = random_state(np.random.default_rng(41), spectrum.basis_order)
+    for gamma in (10.0, 100.0, math.inf):
+        gen = -1j * comm - (comm @ comm) / (2.0 * gamma)
+        zs = dt * np.linalg.eigvals(gen)
+        assert np.abs(1 + zs + zs**2 / 2 + zs**3 / 6 + zs**4 / 24).max() <= 1.0
+        z = np.abs(zs).max()
+        for rho in (experiments.initial_state(), mixed):
+            march = engines.evolve_ode(block, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
+            for j, t in enumerate(grid):
+                exact = (expm(t * gen) @ rho.entries.reshape(16)).reshape(4, 4)
+                bound = (math.floor(t / dt) + 1) * z**5 * math.exp(z) / 120.0 + 1e-12
+                assert np.abs(march.entries[j] - exact).max() <= bound
+
+
 # ----------------------------------------------------------------- monte carlo
 
 
@@ -456,7 +522,7 @@ def test_closed_form_rho_vectorised_equals_scalar(system4):
 
 def per_trajectory_monte_carlo(spectrum, rho, t, gamma, n, seed, tail_tol=1e-12):
     """Mean and standard error over every trajectory, one state per draw."""
-    kicks = np.searchsorted(engines._poisson_cdf(gamma * t, tail_tol),
+    kicks = np.searchsorted(engines._poisson_cdfs([gamma * t], tail_tol)[0],
                             engines._trajectory_uniforms(seed, n), side="right")
     v = spectrum.eigenvectors
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
@@ -482,14 +548,16 @@ def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
 
 def test_monte_carlo_grid_equals_per_point(system4, rho0):
     _, spectrum = system4
-    grid = np.linspace(0.0, math.pi, 9)
-    batched = engines.evolve_monte_carlo(
-        spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
-    for j, t in enumerate(grid):
-        one = engines.evolve_monte_carlo(
-            spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
-        assert np.array_equal(batched.rho.entries[j], one.rho.entries)
-        assert np.array_equal(batched.stderr[j], one.stderr)
+    # the second grid puts its largest T first, so the shared log-factorial
+    # table is built for that T and the others take prefixes of it
+    for grid in (np.linspace(0.0, math.pi, 9), np.array([math.pi, 0.0, 0.4, 2.5, 0.4, 1e-3])):
+        batched = engines.evolve_monte_carlo(
+            spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
+        for j, t in enumerate(grid):
+            one = engines.evolve_monte_carlo(
+                spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
+            assert np.array_equal(batched.rho.entries[j], one.rho.entries)
+            assert np.array_equal(batched.stderr[j], one.stderr)
 
 
 def test_violations_cover_every_state_of_a_stack(system4, rho0):
