@@ -9,6 +9,7 @@ validation error, 3 numerical or I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -122,6 +123,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # built on the first call, then shared by every main() of the process
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, metavar="PATH")
@@ -169,10 +171,11 @@ def _metadata_line(command: str, config: dict) -> str:
 def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int:
     """Write a deterministic CSV: metadata line, header, then one line per row
     of the given columns, with 9-significant-digit numbers and LF terminators.
-    A float array column is formatted whole.  Returns bytes written."""
-    cells = [[f"{x:.9g}" for x in col.tolist()] if isinstance(col, np.ndarray) else [_fmt(v) for v in col]
-             for col in columns]
-    return _emit_text(metadata, [",".join(header)] + [",".join(row) for row in zip(*cells)], dest)
+    Each row is one %-format: a float array column takes %.9g over tolist(),
+    any other column its _fmt strings.  Returns bytes written."""
+    row_format = ",".join("%.9g" if isinstance(col, np.ndarray) else "%s" for col in columns)
+    cells = [col.tolist() if isinstance(col, np.ndarray) else [_fmt(v) for v in col] for col in columns]
+    return _emit_text(metadata, [",".join(header)] + [row_format % row for row in zip(*cells)], dest)
 
 
 def _emit_text(metadata: str, body: list[str], dest: Path) -> int:

@@ -40,6 +40,9 @@ from .model import HamiltonianBlock, Spectrum
 MAX_TRAJECTORIES = 10_000_000
 # Largest Runge-Kutta step count t/dt per call; at about 2 us per step, some 20 s.
 MAX_ODE_STEPS = 10_000_000
+# Largest total length of the Poisson CDF tables of one Monte Carlo call, which holds
+# one at a time; at about 33 B and 0.3 us per entry, a peak near 330 MB and some 3 s.
+MAX_KICK_TABLE = 10_000_000
 
 
 @dataclass
@@ -149,8 +152,11 @@ def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.n
     thing in which the engines below differ.  Returns an (N, 4, 4) stack."""
     _check_basis(spectrum.basis_order, initial.basis_order)
     v = spectrum.eigenvectors
-    rho_eig = v.T @ initial.entries @ v
-    return v @ (rho_eig * phi) @ v.T
+    x = (v.T @ initial.entries @ v) * phi
+    n = len(x)
+    # two GEMMs over the whole stack: V [X_0 | X_1 | ...], then [V X_0; V X_1; ...] V^T
+    vx = (v @ x.transpose(1, 0, 2).reshape(4, 4 * n)).reshape(4, n, 4).transpose(1, 0, 2)
+    return (vx.reshape(4 * n, 4) @ v.T).reshape(x.shape)
 
 
 def _dephased(spectrum: Spectrum, req: EvolutionRequest, phi) -> DensityMatrix:
@@ -321,14 +327,11 @@ def _poisson_cutoff(lam: float, tail_tol: float) -> int:
     raise NumericalError(f"cannot certify Poisson tail below tail_tol {tail_tol:.1e}")
 
 
-def _poisson_cdfs(lams: list[float], tail_tol: float) -> list[np.ndarray]:
-    """Poisson CDF table for each mean in lams, cut at _poisson_cutoff; all
-    take prefixes of one log-factorial table."""
-    k_maxes = [_poisson_cutoff(lam, tail_tol) if lam > 0.0 else 0 for lam in lams]
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(max(k_maxes, default=0) + 1)])
-    log_pmfs = [np.arange(k + 1, dtype=float) * math.log(lam) - lam - log_factorial[: k + 1] if lam > 0.0
-                else np.zeros(1) for lam, k in zip(lams, k_maxes)]
-    return [np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0)) for log_pmf in log_pmfs]
+def _poisson_cdf(lam: float, k_max: int, log_factorial: np.ndarray) -> np.ndarray:
+    """Poisson CDF of mean lam on 0..k_max, from a prefix of the table log(k!)."""
+    log_pmf = (np.arange(k_max + 1, dtype=float) * math.log(lam) - lam - log_factorial[: k_max + 1] if lam > 0.0
+               else np.zeros(1))
+    return np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0))
 
 
 @dataclass
@@ -348,18 +351,28 @@ def evolve_monte_carlo(spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloR
     over the distinct N (a few hundred for 1e5 trajectories), each weighted
     by how many trajectories drew it.  Every time of a 1-D req.t reuses the
     same uniforms, sorted once: those in [cdf[N-1], cdf[N]) drew N kicks.
+    Each time's CDF is built when that time is reached, and the tables of one
+    call may hold at most MAX_KICK_TABLE entries together.
     """
     gamma = _finite_gamma(req.gamma)
     if req.seed is None or req.n_traj is None:
         raise ValidationError(f"Monte Carlo engine requires a seed and n_traj, got {req.seed} and {req.n_traj}")
     n = req.n_traj
+    t = np.asarray(req.t, dtype=float)
+    lams = [gamma * t_i for t_i in t.ravel().tolist()]
+    # a cut is at least its mean, so a mean at the budget is charged the budget without seeking its cut
+    k_maxes = [0 if lam == 0.0 else _poisson_cutoff(lam, req.tail_tol) if lam < MAX_KICK_TABLE else MAX_KICK_TABLE
+               for lam in lams]
+    if sum(k_maxes) + len(k_maxes) > MAX_KICK_TABLE:
+        raise ValidationError(f"the Poisson kick tables of {len(lams)} times up to gamma*t = {max(lams):.3g} exceed "
+                              f"the budget of {MAX_KICK_TABLE} entries; raise R or take fewer, shorter times")
+    log_factorial = np.fromiter(map(math.lgamma, range(1, max(k_maxes, default=0) + 2)), dtype=float)
     uniforms = np.sort(_trajectory_uniforms(req.seed, n))
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    t = np.asarray(req.t, dtype=float)
     mean = np.empty(t.shape + (4, 4), dtype=complex)
     stderr = np.zeros(t.shape + (4, 4))
-    cdfs = _poisson_cdfs([gamma * t_i for t_i in t.ravel().tolist()], req.tail_tol)
-    for i, cdf in zip(np.ndindex(t.shape), cdfs):
+    for i, lam, k_max in zip(np.ndindex(t.shape), lams, k_maxes):
+        cdf = _poisson_cdf(lam, k_max, log_factorial)
         counts = np.diff(np.concatenate(([0], np.searchsorted(uniforms, cdf, side="left"), [n])))
         kicks = np.flatnonzero(counts)
         states = dephase(spectrum, req.initial, np.exp(-1j * delta * (kicks[:, None, None] / gamma)))

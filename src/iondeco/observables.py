@@ -72,7 +72,7 @@ def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:
     stack of states; clamp with clamp_probability for reporting."""
     if rho.basis_order != target.basis_order:
         raise ValidationError(f"basis mismatch: {rho.basis_order} vs {target.basis_order}")
-    return np.trace(rho.entries @ target.projector, axis1=-2, axis2=-1).real
+    return np.einsum("...ij,ji->...", rho.entries, target.projector).real
 
 
 def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
@@ -164,7 +164,7 @@ def published_pghz(t_scaled, alpha: float, r: float):
 
 def purity(rho: DensityMatrix) -> float | np.ndarray:
     """tr(rho^2), one value per state when rho holds a stack of states."""
-    return np.trace(rho.entries @ rho.entries, axis1=-2, axis2=-1).real
+    return np.einsum("...ij,...ji->...", rho.entries, rho.entries).real
 
 
 def populations(rho: DensityMatrix) -> np.ndarray:

@@ -1,9 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import iondeco
 from iondeco import cli, engines, experiments
 from iondeco.errors import ConfigError
 
@@ -53,6 +60,36 @@ def test_flags_override_file():
 def test_duplicate_flag_rejected(tmp_path, monkeypatch):
     code = run_cli(tmp_path, monkeypatch, ["sweep", "--r", "0.1", "--r", "0.2"])
     assert code == 1
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; no flag value, subcommand or
+    config-file value of one main() call reaches the next."""
+    (tmp_path / "run.cfg").write_text("alpha = 6\nr = 0.5\nomega_rad_s = 1e6\n")
+    assert run_cli(tmp_path, monkeypatch, ["units", "--config", "run.cfg", "--seed", "9", "--out", "a.csv"]) == 0
+    assert run_cli(tmp_path, monkeypatch, ["table1", "--m", "1", "--out", "b.csv"]) == 0
+    assert run_cli(tmp_path, monkeypatch, ["units", "--out", "c.csv"]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    assert run_cli(tmp_path, monkeypatch, ["units", "--bogus", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus 1" in err and err.splitlines()[-1].startswith("usage: iondeco")
+    assert run_cli(tmp_path, monkeypatch, ["--out", "d.csv"]) == 1  # no subcommand is taken from an earlier call
+    defaults = {key: default for key, (_, default) in cli.CONFIG_SPEC.items()}
+    assert (tmp_path / "b.csv").read_text().splitlines()[0] == cli._metadata_line("table1", defaults | {"out": "b.csv"})
+    c = (tmp_path / "c.csv").read_text().splitlines()
+    assert c[0].startswith(cli._metadata_line("units", defaults | {"out": "c.csv"}) + " a_rad_s=")
+    cli._build_parser.cache_clear()  # a fresh parser writes the same file
+    assert run_cli(tmp_path, monkeypatch, ["units", "--out", "c.csv"]) == 0
+    assert (tmp_path / "c.csv").read_text().splitlines() == c
+
+
+def test_parser_is_not_built_at_import():
+    code = "import iondeco.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    src = str(Path(iondeco.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip() == "0"
 
 
 # ------------------------------------------------------------------ exit codes
@@ -309,6 +346,23 @@ def test_ode_step_budget_exits_two_without_stepping(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "x.out").exists()
 
 
+def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, capsys):
+    # the default sweep --engine mc at every published R, and the mc_grid fixture, stay inside the budget
+    config = {key: default for key, (_, default) in cli.CONFIG_SPEC.items()}
+    for r in experiments.PUBLISHED_R_VALUES:
+        for grid in (cli._t_grid_rad(config), np.linspace(0.0, math.pi, 64)):
+            lams = (experiments.kick_rate(r) * grid).tolist()
+            assert sum(engines._poisson_cutoff(lam, 1e-12) if lam else 0 for lam in lams) + grid.size <= engines.MAX_KICK_TABLE
+    monkeypatch.setattr(engines, "_poisson_cdf", lambda *args: pytest.fail("Poisson table built"))
+    monkeypatch.setattr(engines, "_trajectory_uniforms", lambda seed, n: pytest.fail("trajectories drawn"))
+    # about 4.6e8 entries on the default grid; the last argv is one time whose mean alone is 6e300
+    for argv in (["sweep", "--engine", "mc", "--r", "0.00001"], ["evolve", "--engine", "mc", "--r", "1e-300"]):
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "exceed the budget" in err and "Traceback" not in err
+        assert not (tmp_path / "x.out").exists()
+
+
 # ---------------------------------------------------------------- golden bytes
 
 
@@ -333,3 +387,40 @@ def test_default_output_golden_bytes(tmp_path, monkeypatch, argv):
     assert run_cli(tmp_path, monkeypatch, argv.split() + ["--out", "g.out"]) == 0
     body = (tmp_path / "g.out").read_bytes().split(b"\n", 1)[1]
     assert hashlib.sha256(body).hexdigest() == GOLDEN_SHA256[argv]
+
+
+def per_cell_csv(metadata, header, columns):
+    """The CSV bytes as formatted before each row became one %-format string:
+    every cell alone, f"{x:.9g}" over a float array, _fmt otherwise."""
+    cells = [[f"{x:.9g}" for x in col.tolist()] if isinstance(col, np.ndarray) else [cli._fmt(v) for v in col]
+             for col in columns]
+    return ("\n".join([metadata, ",".join(header)] + [",".join(row) for row in zip(*cells)]) + "\n").encode()
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 123456789.5, 0.1]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+CELLS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6), st.none(), FLOATS, FLOATS.map(np.float64),
+    st.integers(-10**12, 10**12), st.lists(FLOATS, max_size=3).map(tuple), st.booleans(),
+)
+
+
+@st.composite
+def csv_columns(draw):
+    n_rows = draw(st.integers(0, 8))
+    column = st.one_of(st.lists(FLOATS, min_size=n_rows, max_size=n_rows).map(np.array),
+                       st.lists(CELLS, min_size=n_rows, max_size=n_rows))
+    return draw(st.lists(column, min_size=1, max_size=5))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(columns=csv_columns())
+@example(columns=[np.array(SPECIAL_FLOATS), [None, "a%s", (), (0.5, -0.0), np.float64(-0.0), math.nan, "x",
+                                              math.inf, 7, (math.nan,), "", np.float64(5e-324), -math.inf]])
+def test_emit_csv_equals_per_cell_formatting(tmp_path_factory, columns):
+    dest = tmp_path_factory.getbasetemp() / "emit_csv.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    n = cli.emit_csv("# meta", header, columns, dest)
+    assert dest.read_bytes() == per_cell_csv("# meta", header, columns)
+    assert n == dest.stat().st_size

@@ -484,29 +484,32 @@ PER_POINT_ENGINES = {
 @pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
 @pytest.mark.parametrize("alpha", [1.5, 4.0, 12.0])
 def test_batched_engines_equal_per_point(engine, alpha):
-    grid = np.linspace(0.0, 2.0 * math.pi, 37)
+    full = np.linspace(0.0, 2.0 * math.pi, 37)
     r_values = (0.0, 1e-3, 0.1, 0.5) if engine != "poisson" else (1e-3, 0.1, 0.5)
     if engine == "poisson":  # the exact kick average needs finite gamma, R > 0
         with pytest.raises(ValidationError):
-            experiments.sweep(experiments.SweepSpec(alpha, (0.0,), grid, engine=engine))
-    series = experiments.sweep(experiments.SweepSpec(alpha, r_values, grid, engine=engine))
+            experiments.sweep(experiments.SweepSpec(alpha, (0.0,), full, engine=engine))
     block, spectrum = scaled_system(alpha)
     mixed = random_state(np.random.default_rng(17), spectrum.basis_order)
     targets = {sign: observables.ghz_state(sign) for sign in observables.SIGNS}
-    for r in r_values:
-        gamma = experiments.kick_rate(r)
-        for rho0 in (experiments.initial_state(), mixed):
-            batched = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
-            assert batched.entries.shape == (grid.size, 4, 4)
-            for j, t in enumerate(grid):
-                one = PER_POINT_ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, float(t), gamma))
-                assert np.array_equal(batched.entries[j], one.entries)
-                assert np.array_equal(one.entries, per_point_transform(engine, spectrum, rho0, float(t), gamma))
-                if rho0 is mixed:
-                    continue
-                for sign, target in targets.items():
-                    assert series.probabilities[(r, sign)][j] == observables.p_ghz(one, target)
-                assert series.purities[r][j] == observables.purity(one)
+    # a full grid, a single-state stack (N = 1) and an empty one (N = 0)
+    for grid in (full, np.array([1.3]), np.empty(0)):
+        series = experiments.sweep(experiments.SweepSpec(alpha, r_values, grid, engine=engine))
+        for r in r_values:
+            gamma = experiments.kick_rate(r)
+            assert series.purities[r].shape == grid.shape
+            for rho0 in (experiments.initial_state(), mixed):
+                batched = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+                assert batched.entries.shape == (grid.size, 4, 4)
+                for j, t in enumerate(grid):
+                    one = PER_POINT_ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, float(t), gamma))
+                    assert np.array_equal(batched.entries[j], one.entries)
+                    assert np.array_equal(one.entries, per_point_transform(engine, spectrum, rho0, float(t), gamma))
+                    if rho0 is mixed:
+                        continue
+                    for sign, target in targets.items():
+                        assert series.probabilities[(r, sign)][j] == observables.p_ghz(one, target)
+                    assert series.purities[r][j] == observables.purity(one)
 
 
 def test_closed_form_rho_vectorised_equals_scalar(system4):
@@ -520,15 +523,33 @@ def test_closed_form_rho_vectorised_equals_scalar(system4):
             assert np.array_equal(stacked.entries[j], scalar.entries)
 
 
-def per_trajectory_monte_carlo(spectrum, rho, t, gamma, n, seed, tail_tol=1e-12):
+def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):
+    """Kick count of each trajectory, each drawn by inverting the Poisson CDF."""
+    k_max = engines._poisson_cutoff(gamma * t, tail_tol)
+    cdf = engines._poisson_cdf(gamma * t, k_max, np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)]))
+    return np.searchsorted(cdf, engines._trajectory_uniforms(seed, n), side="right")
+
+
+def per_trajectory_monte_carlo(spectrum, rho, kicks, gamma):
     """Mean and standard error over every trajectory, one state per draw."""
-    kicks = np.searchsorted(engines._poisson_cdfs([gamma * t], tail_tol)[0],
-                            engines._trajectory_uniforms(seed, n), side="right")
+    n = kicks.size
     v = spectrum.eigenvectors
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     states = v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * (kicks[:, None, None] / gamma))) @ v.T
     mean = states.mean(axis=0)
     return mean, np.sqrt(np.square(np.abs(states - mean)).sum(axis=0) / (n - 1) / n)
+
+
+def assert_grouped_stack_equals_per_state(spectrum, rho, kicks, gamma):
+    """dephase of the distinct kick counts, the stack the Monte Carlo engine
+    averages, equals V X V^T taken one state at a time."""
+    v = spectrum.eigenvectors
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    phi = np.exp(-1j * delta * (np.unique(kicks)[:, None, None] / gamma))
+    stack = engines.dephase(spectrum, rho, phi)
+    assert stack.shape == phi.shape
+    for x, state in zip((v.T @ rho.entries @ v) * phi, stack):
+        assert np.array_equal(state, v @ x @ v.T)
 
 
 def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
@@ -538,9 +559,12 @@ def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
     for r, t, rho, seed in ((0.001, math.pi, rho0, 0), (0.01, math.pi / 4, rho0, 7), (0.1, 2.0, mixed, 99)):
         req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
         result = engines.evolve_monte_carlo(spectrum, req)
-        mean, stderr = per_trajectory_monte_carlo(spectrum, rho, t, 1.0 / r, n, seed)
+        kicks = trajectory_kicks(t, 1.0 / r, n, seed)
+        mean, stderr = per_trajectory_monte_carlo(spectrum, rho, kicks, 1.0 / r)
         assert np.abs(result.rho.entries - mean).max() <= 1e-13
         assert np.abs(result.stderr - stderr).max() <= 1e-15
+        for stack_kicks in (kicks, kicks[:1], kicks[:0]):  # many distinct counts, one (N = 1), none (N = 0)
+            assert_grouped_stack_equals_per_state(spectrum, rho, stack_kicks, 1.0 / r)
     single = engines.evolve_monte_carlo(
         spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
     assert np.array_equal(single.stderr, np.zeros((4, 4)))
