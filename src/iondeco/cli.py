@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -180,7 +182,24 @@ def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int
 
 def _emit_text(metadata: str, body: list[str], dest: Path) -> int:
     data = ("\n".join([metadata] + body) + "\n").encode("utf-8")
-    Path(dest).write_bytes(data)
+    # Overwrite in place and cut only a longer old file: on ext4 (auto_da_alloc) an O_TRUNC of
+    # a file with unwritten blocks waits for their writeback.  Not atomic, as before; a failed
+    # write empties a regular file (no old tail), and unbuffered os.write leaves close() nothing to flush.
+    fd = os.open(dest, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        old = os.fstat(fd)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(old.st_mode) and old.st_size > len(data):  # never /dev/null, a pipe or a tty
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if stat.S_ISREG(old.st_mode):
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
     return len(data)
 
 

@@ -190,6 +190,57 @@ def test_byte_identical_monte_carlo_reruns(tmp_path, monkeypatch):
     assert first == (tmp_path / "m.csv").read_bytes()
 
 
+def test_rewrite_over_longer_file_leaves_only_new_bytes(tmp_path, monkeypatch):
+    assert run_cli(tmp_path, monkeypatch, sweep_args("a.csv")) == 0
+    fresh = (tmp_path / "a.csv").read_bytes()
+    (tmp_path / "a.csv").write_bytes(os.urandom(1 << 20))
+    inode = (tmp_path / "a.csv").stat().st_ino
+    assert run_cli(tmp_path, monkeypatch, sweep_args("a.csv")) == 0
+    assert (tmp_path / "a.csv").read_bytes() == fresh
+    assert (tmp_path / "a.csv").stat().st_ino == inode  # overwritten in place
+
+
+def test_out_to_devnull_exits_zero(tmp_path, monkeypatch):
+    # /dev/null reports size 0 and cannot be truncated; the writer never cuts it
+    assert run_cli(tmp_path, monkeypatch, sweep_args(os.devnull)) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_symlinked_out_is_written_through(tmp_path, monkeypatch):
+    assert run_cli(tmp_path, monkeypatch, sweep_args("link.csv")) == 0
+    fresh = (tmp_path / "link.csv").read_bytes()
+    (tmp_path / "link.csv").unlink()
+    (tmp_path / "target.csv").write_bytes(b"\xff" * (4 * len(fresh)))
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    assert run_cli(tmp_path, monkeypatch, sweep_args("link.csv")) == 0
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_bytes() == fresh
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_failed_write_leaves_no_old_tail(tmp_path, monkeypatch):
+    # The child may write 4096 bytes of a 234 KB sweep over a 360 KB old file;
+    # the write fails with EFBIG, and what is left must be a prefix of the new
+    # output (the writer empties the file), never new bytes ahead of the old tail.
+    assert run_cli(tmp_path, monkeypatch, ["sweep", "--out", "big.csv"]) == 0
+    full = (tmp_path / "big.csv").read_bytes()
+    old = b"\xff" * 360_000  # 0xff never occurs in UTF-8 output
+    assert len(full) < len(old)
+    (tmp_path / "big.csv").write_bytes(old)
+    code = ("import resource, signal, sys\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "from iondeco.cli import main\n"
+            "sys.exit(main(['sweep', '--out', 'big.csv']))\n")
+    src = str(Path(iondeco.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert child.returncode == 3, child.stderr
+    assert child.stderr.startswith("numerical/io error:")
+    left = (tmp_path / "big.csv").read_bytes()
+    assert full.startswith(left) and b"\xff" not in left
+
+
 def test_config_file_equals_flags(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 4\nr = 0.001,0.01\nt_max_deg = 30\nt_step_deg = 7.5\ntarget = both\n")

@@ -530,6 +530,27 @@ def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):
     return np.searchsorted(cdf, engines._trajectory_uniforms(seed, n), side="right")
 
 
+def per_pass_uniforms(seed, n):
+    """The splitmix64 uniforms as computed before the passes ran in place on
+    one buffer: every pass allocates a new array."""
+    idx = np.arange(n, dtype=np.uint64)
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (idx + np.uint64(1)) * engines._SM64_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * engines._SM64_MIX1
+    z = (z ^ (z >> np.uint64(27))) * engines._SM64_MIX2
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.one_of(st.sampled_from([0, -1, -12345, 7, 2**63 + 5, 2**64 - 1]), st.integers(-2**64, 2**64 - 1)),
+       n=st.integers(1, 3000))
+@example(seed=0, n=3000)
+@example(seed=-1, n=1)
+@example(seed=2**64 - 1, n=3000)
+def test_in_place_uniforms_equal_per_pass_formula(seed, n):
+    assert np.array_equal(engines._trajectory_uniforms(seed, n), per_pass_uniforms(seed, n))
+
+
 def per_trajectory_monte_carlo(spectrum, rho, kicks, gamma):
     """Mean and standard error over every trajectory, one state per draw."""
     n = kicks.size
