@@ -182,9 +182,10 @@ def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int
 
 def _emit_text(metadata: str, body: list[str], dest: Path) -> int:
     data = ("\n".join([metadata] + body) + "\n").encode("utf-8")
-    # Overwrite in place and cut only a longer old file: on ext4 (auto_da_alloc) an O_TRUNC of
-    # a file with unwritten blocks waits for their writeback.  Not atomic, as before; a failed
-    # write empties a regular file (no old tail), and unbuffered os.write leaves close() nothing to flush.
+    # Overwrite in place and cut only a longer old file: on ext4 an O_TRUNC of an existing file
+    # frees its blocks and (auto_da_alloc) flushes it at close, far slower than the write itself.
+    # Not atomic, as before, and a system crash may leave old and new bytes mixed.  A failed write
+    # empties a regular file (no old tail); unbuffered os.write leaves close() nothing to flush.
     fd = os.open(dest, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         old = os.fstat(fd)
