@@ -126,22 +126,32 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache  # built on the first call, then shared by every main() of the process
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subparsers by command name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, metavar="PATH")
     for key, (parse, _) in CONFIG_SPEC.items():
         common.add_argument("--" + key.replace("_", "-"), type=parse)
     parser = _Parser(prog="iondeco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
+    return parser, {name: sub.add_parser(name, parents=[common], help=text) for name, text in (
         ("sweep", "probability vs scaled time for each R value"),
         ("table1", "peak probabilities at T = pi/4 and 3 pi/4 vs published values"),
         ("units", "physical unit conversion for given omega and alpha"),
         ("audit", "published closed-form audit report"),
         ("evolve", "single-point evolution; dumps the density matrix"),
-    ):
-        sub.add_parser(name, parents=[common], help=text)
-    return parser
+    )}
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The top-level parse_args; a leading command name goes straight to its
+    subparser with the rest of argv, which is all the top-level pass does."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args = commands[argv[0]].parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _reject_duplicate_flags(argv: list[str]) -> None:
@@ -294,6 +304,10 @@ def _cmd_audit(config: dict, out: Path) -> str:
     return f"audit: transcription max dev {report.transcription_max_dev:.3e} -> {out} ({n} bytes)"
 
 
+# labels of the rho.entries values, row-major with re before im
+_RHO_LABELS = [f"rho[{i}][{j}].{part}" for i in range(4) for j in range(4) for part in ("re", "im")]
+
+
 def _cmd_evolve(config: dict, out: Path) -> str:
     if config["m"] < 1 or config["n"] < 1:
         raise ValidationError("evolve requires m >= 1 and n >= 1 (coupled four-state block)")
@@ -309,18 +323,15 @@ def _cmd_evolve(config: dict, out: Path) -> str:
     )
     rho = engines.ENGINES[config["engine"]](block, spectrum, req)
 
-    rows = [["t_scaled_rad", t_scaled], ["r", r], ["purity", observables.purity(rho)]]
-    for label, value in zip(modes.basis_order(), observables.populations(rho)):
-        rows.append([f"population[{label.replace(',', ':')}]", value])
+    labels = ["t_scaled_rad", "r", "purity"] + [f"population[{s.replace(',', ':')}]" for s in modes.basis_order()]
+    values = [[t_scaled, r, observables.purity(rho)], observables.populations(rho)]
     if (modes.m, modes.n) == (1, 1):
-        for sign in ("minus", "plus"):
-            raw = observables.p_ghz(rho, observables.ghz_state(sign))
-            rows.append([f"p_ghz_{sign}", observables.clamp_probability(raw)])
-    for i in range(4):
-        for j in range(4):
-            rows.append([f"rho[{i}][{j}].re", rho.entries[i, j].real])
-            rows.append([f"rho[{i}][{j}].im", rho.entries[i, j].imag])
-    n = emit_csv(_metadata_line("evolve", config), ["quantity", "value"], list(zip(*rows)), out)
+        labels += [f"p_ghz_{sign}" for sign in observables.GHZ_TARGETS]
+        values.append([observables.clamp_probability(observables.p_ghz(rho, target))
+                       for target in observables.GHZ_TARGETS.values()])
+    values.append(np.stack((rho.entries.real, rho.entries.imag), axis=-1).ravel())
+    n = emit_csv(_metadata_line("evolve", config), ["quantity", "value"],
+                 [labels + _RHO_LABELS, np.concatenate(values)], out)
     return f"evolve: engine={config['engine']} T={config['t_max_deg']:g} deg R={_fmt(r)} -> {out} ({n} bytes)"
 
 
@@ -341,10 +352,9 @@ def run(command: str, config: dict) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
         _reject_duplicate_flags(argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         file_text = None
         if args.config is not None:
             try:
@@ -356,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage().rstrip(), file=sys.stderr)
+        print(_build_parser()[0].format_usage().rstrip(), file=sys.stderr)
         return 1
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -64,9 +64,9 @@ class DensityMatrix:
 
     @classmethod
     def basis_state(cls, index: int, basis_order: tuple[str, str, str, str]) -> "DensityMatrix":
-        v = np.zeros(4, dtype=complex)
-        v[index] = 1.0
-        return cls.pure(v, basis_order)
+        entries = np.zeros((4, 4), dtype=complex)
+        entries[index, index] = 1.0
+        return cls(entries, basis_order)
 
     def violations(
         self,
@@ -372,7 +372,8 @@ def evolve_monte_carlo(spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloR
         raise ValidationError(f"the Poisson kick tables of {len(lams)} times up to gamma*t = {max(lams):.3g} exceed "
                               f"the budget of {MAX_KICK_TABLE} entries; raise R or take fewer, shorter times")
     log_factorial = np.fromiter(map(math.lgamma, range(1, max(k_maxes, default=0) + 2)), dtype=float)
-    uniforms = np.sort(_trajectory_uniforms(req.seed, n))
+    uniforms = _trajectory_uniforms(req.seed, n)
+    uniforms.sort()
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     mean = np.empty(t.shape + (4, 4), dtype=complex)
     stderr = np.zeros(t.shape + (4, 4))
@@ -429,8 +430,7 @@ def closed_form_rho(
     v[:, 0] = -v[:, 0]
     t = np.asarray(t, dtype=float)[..., None, None]
 
-    def ket_bra(p: int, q: int) -> np.ndarray:
-        return np.outer(v[:, p], v[:, q].conj())
+    ket_bra = np.einsum("ip,jq->pqij", v, v.conj())  # ket_bra[p, q] = |p><q|, one product per entry
 
     def damp(freq: float):
         # decay exponent 2 freq^2 t / gamma of the published expression
@@ -440,19 +440,19 @@ def closed_form_rho(
     amb = 0.5 * (cap_a - cap_b) ** 2
     cross = 0.5 * (cap_a**2 - cap_b**2)
 
-    rho = apb * (ket_bra(0, 0) + ket_bra(3, 3)) - apb * (
-        np.exp(-damp(mu - a) - 2j * (mu - a) * t) * ket_bra(0, 3)
-        + np.exp(-damp(mu - a) + 2j * (mu - a) * t) * ket_bra(3, 0)
+    rho = apb * (ket_bra[0, 0] + ket_bra[3, 3]) - apb * (
+        np.exp(-damp(mu - a) - 2j * (mu - a) * t) * ket_bra[0, 3]
+        + np.exp(-damp(mu - a) + 2j * (mu - a) * t) * ket_bra[3, 0]
     )
     rho += amb * (
-        np.exp(-damp(mu + a) + 2j * (mu + a) * t) * ket_bra(1, 2)
-        + np.exp(-damp(mu + a) - 2j * (mu + a) * t) * ket_bra(2, 1)
+        np.exp(-damp(mu + a) + 2j * (mu + a) * t) * ket_bra[1, 2]
+        + np.exp(-damp(mu + a) - 2j * (mu + a) * t) * ket_bra[2, 1]
     )
-    rho += amb * (ket_bra(1, 1) + ket_bra(2, 2))
+    rho += amb * (ket_bra[1, 1] + ket_bra[2, 2])
     rho += cross * (
-        np.exp(-damp(mu) - 2j * mu * t) * (ket_bra(0, 1) - ket_bra(2, 3))
-        + np.exp(-damp(mu) + 2j * mu * t) * (ket_bra(1, 0) - ket_bra(3, 2))
-        + np.exp(-damp(a) + 2j * a * t) * (ket_bra(0, 2) - ket_bra(1, 3))
-        + np.exp(-damp(a) - 2j * a * t) * (ket_bra(2, 0) - ket_bra(3, 1))
+        np.exp(-damp(mu) - 2j * mu * t) * (ket_bra[0, 1] - ket_bra[2, 3])
+        + np.exp(-damp(mu) + 2j * mu * t) * (ket_bra[1, 0] - ket_bra[3, 2])
+        + np.exp(-damp(a) + 2j * a * t) * (ket_bra[0, 2] - ket_bra[1, 3])
+        + np.exp(-damp(a) - 2j * a * t) * (ket_bra[2, 0] - ket_bra[3, 1])
     )
     return DensityMatrix(rho, spectrum.basis_order)

@@ -98,7 +98,7 @@ def sweep(spec: SweepSpec) -> TimeSeries:
     """
     block, spectrum = scaled_system(spec.alpha)
     evolve = engines.ENGINES[spec.engine]
-    targets = {sign: observables.ghz_state(sign) for sign in spec.targets}
+    targets = {sign: observables.GHZ_TARGETS[sign] for sign in spec.targets}
     probabilities = {}
     purities = {}
     for r in spec.r_values:
@@ -232,8 +232,8 @@ def table1(omega_rad_s: float = PUBLISHED_OMEGA_RAD_S, alpha: float = 4.0) -> li
     rows = []
     for r in (0.0,) + PUBLISHED_R_VALUES:
         states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t_grid, kick_rate(r)))
-        p_q = observables.p_ghz(states, observables.ghz_state("minus"))[0]
-        p_tq = observables.p_ghz(states, observables.ghz_state("plus"))[1]
+        p_q = observables.p_ghz(states, observables.GHZ_TARGETS["minus"])[0]
+        p_tq = observables.p_ghz(states, observables.GHZ_TARGETS["plus"])[1]
         rows.append(Table1Row(
             r=r,
             inv_gamma_ns=0.0 if r == 0.0 else units.inv_gamma_ns[r],

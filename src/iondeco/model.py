@@ -149,31 +149,30 @@ class Spectrum:
         h = block.entries
         e_scale = max(np.abs(self.eigenvalues).max(), 1.0)
         residual = np.abs(h @ self.eigenvectors - self.eigenvectors * self.eigenvalues).max()
-        if residual > 1e-10 * e_scale:
+        if not residual <= 1e-10 * e_scale:  # NaN fails too
             raise NumericalError(f"eigen residual {residual:.3e} exceeds 1e-10 * {e_scale:.3e}")
         gram = self.eigenvectors.T @ self.eigenvectors
-        if np.abs(gram - np.eye(4)).max() > 1e-12:
+        if not np.abs(gram - np.eye(4)).max() <= 1e-12:
             raise NumericalError("eigenvectors are not orthonormal to 1e-12")
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first significant component is >= 0."""
-    out = vectors.copy()
-    for p in range(out.shape[1]):
-        col = out[:, p]
-        scale = np.abs(col).max()
-        if scale == 0.0:
-            continue
-        idx = np.flatnonzero(np.abs(col) > _SIGN_SIGNIFICANCE * scale)[0]
-        if col[idx] < 0:
-            out[:, p] = -col
-    return out
+    """Flip eigenvector columns so the first significant component is >= 0;
+    a zero column, with no significant component, is left as it is."""
+    mag = np.abs(vectors)
+    first = (mag > _SIGN_SIGNIFICANCE * mag.max(axis=0)).argmax(axis=0)
+    return np.where(vectors[first, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
 def _convention_order(eigenvalues: np.ndarray) -> np.ndarray:
     """Indices rearranging eigenvalues into (mu-a, -(mu+a), mu+a, -(mu-a))."""
     desc = np.argsort(-eigenvalues, kind="stable")
     return desc[[1, 3, 0, 2]]
+
+
+# (e1+e4, e2+e3, e1-e4, e2-e3) / sqrt2: the swap-symmetric pair, then the antisymmetric one
+_SWAP_BASIS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                        [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
 
 
 def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
@@ -192,11 +191,7 @@ def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
     if mu == 0.0:
         return Spectrum(np.zeros(4), np.eye(4), block.basis_order)
 
-    s1 = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    s2 = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    d1 = np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0)
-    d2 = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
-
+    s1, s2, d1, d2 = _SWAP_BASIS
     # antisymmetric block [[-2a, omega], [omega, 0]]: eigenvalues mu-a, -(mu+a)
     # symmetric block     [[+2a, omega], [omega, 0]]: eigenvalues mu+a, -(mu-a)
     raw = [

@@ -58,13 +58,12 @@ def ghz_state(sign: str, p: int = 0) -> GHZTarget:
     vector[2] = 1.0 / math.sqrt(2.0)
     vector[1] = -upper * 1j / math.sqrt(2.0)
     vector = (-1.0) ** p * vector
-    return GHZTarget(
-        sign=sign,
-        p_phase=p,
-        vector=vector,
-        projector=np.outer(vector, vector.conj()),
-        basis_order=GHZ_BASIS,
-    )
+    projector = np.outer(vector, vector.conj())
+    vector.flags.writeable = projector.flags.writeable = False  # GHZ_TARGETS shares them with every caller
+    return GHZTarget(sign=sign, p_phase=p, vector=vector, projector=projector, basis_order=GHZ_BASIS)
+
+
+GHZ_TARGETS = {sign: ghz_state(sign) for sign in SIGNS}  # p = 0, built once at import
 
 
 def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -90,6 +92,47 @@ def test_parser_is_not_built_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True).stdout.strip() == "0"
+
+
+FLAGS = ["--config"] + ["--" + key.replace("_", "-") for key in cli.CONFIG_SPEC]
+FLAG_FORMS = st.one_of(st.sampled_from(FLAGS),  # exact, or abbreviated (ambiguous ones too)
+                       st.tuples(st.sampled_from(FLAGS), st.integers(3, 12)).map(lambda f: f[0][:f[1]]))
+ARG_VALUES = st.one_of(
+    st.integers(-10**6, 10**6).map(str), st.floats().map(repr),
+    st.sampled_from(["-1", "-0.5", "-1e3", "-inf", "nan", "eigen", "mc", "minus", "both", "none", "-", "1,2,x", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+ARG_CHUNKS = st.one_of(
+    st.tuples(FLAG_FORMS, ARG_VALUES).map(list),  # --k v
+    st.tuples(FLAG_FORMS, ARG_VALUES).map(lambda kv: ["=".join(kv)]),  # --k=v
+    st.one_of(ARG_VALUES, FLAG_FORMS, st.sampled_from(list(cli.DEFAULT_OUT) + [
+        "evolv", "frobnicate", "--", "-h", "--help", "--he", "-x", "---"])).map(lambda token: [token]),
+)
+
+
+def parse_outcome(parse, argv):
+    """A parse's namespace (repr, so NaN equals NaN), its ConfigError text, or its SystemExit code and output."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            return "namespace", repr(sorted(vars(parse(argv)).items()))
+    except ConfigError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(argv=st.lists(ARG_CHUNKS, max_size=5).map(lambda chunks: sum(chunks, [])),
+       command=st.sampled_from(list(cli.DEFAULT_OUT) + [None]))
+@example(argv=["-h"], command=None)
+@example(argv=["--alpha=-3", "--r", "-0.5,nan", "--", "x"], command="evolve")
+@example(argv=["--t", "1"], command="sweep")  # ambiguous abbreviation
+def test_command_parse_equals_top_level_parse(argv, command):
+    """main parses a leading command with its subparser alone; the namespace,
+    the error text or the exit is what the top-level parser gives."""
+    argv = ([command] if command else []) + argv
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser()[0].parse_args, argv)
 
 
 # ------------------------------------------------------------------ exit codes
@@ -430,6 +473,9 @@ GOLDEN_SHA256 = {
     "evolve --engine unitary": "6ddddc62807c04e2b256b0ed7136163d51dbb5b949b745027f66afd6dd8b36f6",
     "evolve --engine poisson": "f884985dd64f32bb11a61e6d1e49be08b455d68ef1c7dd9dfcc4c237a1720096",
     "evolve --engine mc --n-traj 2000 --seed 7": "b2a625cfc6addc7be6cc7821d8f42ed4dd120adcbda35770a551b3eff7b143e0",
+    # outside the m = n = 1 block (no p_ghz rows); hashed before evolve wrote one value column
+    "evolve --engine eigen --m 3 --n 2 --r 0.05 --t-max-deg 77":
+        "bfa9c74ea4108e787caa776f0e090d2a9883d7cc51017cc23440666e9c102bfc",
 }
 
 

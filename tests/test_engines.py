@@ -57,6 +57,14 @@ def test_density_matrix_validation():
         bad.require_valid()
 
 
+def test_basis_state_equals_pure_bitwise():
+    """Signed zeros included: basis_state(i) has the bits of the pure state of e_i."""
+    for i in range(4):
+        pure = engines.DensityMatrix.pure(np.eye(4)[i], observables.GHZ_BASIS).entries
+        entries = engines.DensityMatrix.basis_state(i, observables.GHZ_BASIS).entries
+        assert entries.dtype == pure.dtype and entries.view(np.uint64).tolist() == pure.view(np.uint64).tolist()
+
+
 def test_basis_mismatch_rejected(system4, rho0):
     _, spectrum = system4
     other = engines.DensityMatrix(rho0.entries.copy(), model.ModeIndices(2, 2).basis_order())

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iondeco import model
-from iondeco.errors import ValidationError
+from iondeco.errors import NumericalError, ValidationError
 
 
 def params_for(omega, g_eta_c, eta_c=0.1):
@@ -145,6 +147,43 @@ def test_eigenvector_sign_convention():
                 col = spec.eigenvectors[:, p]
                 first = col[np.abs(col) > 1e-8 * np.abs(col).max()][0]
                 assert first >= 0
+
+
+def loop_fix_signs(vectors):
+    """The sign fix as a loop over the columns, as written before it was vectorised."""
+    out = vectors.copy()
+    for p in range(out.shape[1]):
+        col = out[:, p]
+        scale = np.abs(col).max()
+        if scale == 0.0:
+            continue
+        idx = np.flatnonzero(np.abs(col) > model._SIGN_SIGNIFICANCE * scale)[0]
+        if col[idx] < 0:
+            out[:, p] = -col
+    return out
+
+
+# zeros of both signs, entries at and below the 1e-8 significance threshold, subnormals
+SIGN_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 1e-9, -1e-9, 5e-324, -5e-324, 1.0, -1.0]),
+                         st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(columns=st.lists(st.lists(SIGN_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=4),
+       scale=st.sampled_from([1.0, 1e-300, 1e300, 3.7]))
+@example(columns=[[0.0, -0.0, 0.0, -0.0], [-0.0, -1e-9, 1.0, -2.0], [1e-9, -1.0, 0.0, 0.0], [-0.0, -0.5, 0.5, 0.0]],
+         scale=1.0)
+def test_fix_signs_equals_the_column_loop(columns, scale):
+    vectors = np.array(columns).T * scale
+    assert model._fix_signs(vectors).view(np.uint64).tolist() == loop_fix_signs(vectors).view(np.uint64).tolist()
+
+
+def test_overflowing_block_is_a_numerical_error():
+    """g * eta_c * sqrt(mn) overflows to inf: the NaN spectrum fails validation."""
+    block = model.build_hamiltonian(model.SystemParams(1.0, 1e308, 0.2, 0.1), model.ModeIndices(100, 100))
+    assert math.isinf(block.sideband)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="eigen residual nan"):
+        model.spectrum_analytic(block)
 
 
 def test_lamb_dicke_warnings():

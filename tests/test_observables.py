@@ -38,6 +38,15 @@ def test_ghz_global_phase_leaves_projector():
     np.testing.assert_allclose(b.vector, -a.vector, atol=1e-15)
 
 
+def test_shared_ghz_targets_reject_writes():
+    for sign, target in observables.GHZ_TARGETS.items():
+        assert (target.sign, target.p_phase) == (sign, 0)
+        np.testing.assert_array_equal(target.projector, observables.ghz_state(sign).projector)
+        for array in (target.vector, target.projector):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.0
+
+
 def test_ghz_rejects_unknown_sign():
     with pytest.raises(ValidationError):
         observables.ghz_state("pm")
