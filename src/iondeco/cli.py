@@ -75,7 +75,7 @@ CONFIG_SPEC = {
 }
 
 # Largest sweep grid (T points x R values).  The batched engines peak at about
-# 770 B per T point of one R column; a sweep at the cap peaks near 220 MB RSS.
+# 1,280 B per T point of one R column (tracemalloc); a one-R sweep at the cap peaks near 345 MB RSS.
 MAX_GRID_POINTS = 250_000
 
 DEFAULT_OUT = {
@@ -314,6 +314,8 @@ def _cmd_evolve(config: dict, out: Path) -> str:
     modes = model.ModeIndices(config["m"], config["n"])
     # scaled units: sideband coupling 1, so t = T and gamma = 1/R
     block, spectrum = experiments.scaled_system(config["alpha"], modes)
+    if len(config["r"]) > 1 and config["r"] is not CONFIG_SPEC["r"][1]:  # the default list runs at its first R
+        raise ValidationError(f"evolve runs at one R value, got {len(config['r'])}: r={_fmt(config['r'])}")
     r = config["r"][0] if config["r"] else 0.0
     t_scaled = math.radians(config["t_max_deg"])
     req = engines.EvolutionRequest(

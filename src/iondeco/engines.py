@@ -23,7 +23,9 @@ for the |g,m-1,n-1> initial state so it can be audited against the engines.
 
 All engines but the Runge-Kutta one, which marches once along the grid, apply
 one transform, dephase, with their own kick-count factor, to a whole grid of
-times at once.  ENGINES maps each engine name to a function of (block, spectrum, request).
+times at once.  eigen, poisson, unitary and closed_form_rho also take one gamma
+per time, so a flattened (R, T) grid is one call.  ENGINES maps each engine
+name to a function of (block, spectrum, request).
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class EvolutionRequest:
 
     initial   state at t = 0, one valid 4x4 density matrix
     t         evolution duration (s), or a 1-D array of them (not poisson_kick_sum)
-    gamma     kick frequency (1/s); math.inf = decoherence-free
+    gamma     kick frequency (1/s); math.inf = decoherence-free; or one per time
+              of t, kept as a float array (eigen, poisson and unitary only)
     tail_tol  Poisson tail mass allowed to be truncated in the kick sum
     dt        fixed step for the Runge-Kutta engine (None: 1e-3 / mu)
     n_traj    Monte Carlo trajectory count, at most MAX_TRAJECTORIES
@@ -111,7 +114,7 @@ class EvolutionRequest:
 
     initial: DensityMatrix
     t: float | np.ndarray
-    gamma: float = math.inf
+    gamma: float | np.ndarray = math.inf
     tail_tol: float = 1e-12
     dt: float | None = None
     n_traj: int | None = None
@@ -124,8 +127,10 @@ class EvolutionRequest:
         t = np.asarray(self.t, dtype=float)
         if t.ndim > 1 or not np.all(np.isfinite(t) & (t >= 0)):
             raise ValidationError(f"t must be finite and nonnegative (a scalar or a 1-D array), got {self.t}")
-        if not self.gamma > 0:
-            raise ValidationError(f"gamma must be positive (or inf), got {self.gamma}")
+        scalar = isinstance(self.gamma, (int, float))  # one gamma, checked without numpy
+        self.gamma = self.gamma if scalar else np.asarray(self.gamma, dtype=float)  # or one per time
+        if not (self.gamma > 0 if scalar else self.gamma.shape in ((), t.shape) and (self.gamma > 0).all()):
+            raise ValidationError(f"gamma must be positive (or inf), one value or one per time of t, got {self.gamma}")
         if not 0.0 < self.tail_tol < 1.0:
             raise ValidationError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
@@ -139,9 +144,15 @@ def _check_basis(a: tuple[str, ...], b: tuple[str, ...]) -> None:
         raise ValidationError(f"basis mismatch: {a} vs {b}")
 
 
-def _finite_gamma(gamma: float) -> float:
-    if math.isinf(gamma):
+def _finite_gamma(gamma: float | np.ndarray) -> float | np.ndarray:
+    if np.isinf(gamma).any() if isinstance(gamma, np.ndarray) else math.isinf(gamma):
         raise ValidationError("this engine requires finite gamma")
+    return gamma
+
+
+def _one_gamma(gamma: float | np.ndarray) -> float:
+    if np.ndim(gamma):
+        raise ValidationError(f"this engine takes one gamma per call, got an array of shape {np.shape(gamma)}")
     return gamma
 
 
@@ -160,11 +171,16 @@ def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.n
 
 
 def _dephased(spectrum: Spectrum, req: EvolutionRequest, phi) -> DensityMatrix:
-    """dephase with phi(delta, t) at every time of req.t; entries have shape np.shape(req.t) + (4, 4)."""
+    """dephase with phi(delta, t, gamma) at every (time, gamma) of req, evaluated once per distinct
+    delta = Ep - Eq (9 of the 16 here) and gathered; entries have shape np.shape(req.t) + (4, 4)."""
     t = np.asarray(req.t, dtype=float)
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    stack = dephase(spectrum, req.initial, phi(delta, t.reshape(-1, 1, 1)))
-    return DensityMatrix(stack.reshape(t.shape + (4, 4)), req.initial.basis_order)
+    gamma = req.gamma.reshape(-1, 1) if isinstance(req.gamma, np.ndarray) else req.gamma
+    e = spectrum.eigenvalues.tolist()
+    index = {}
+    # Python floats subtract as numpy does; a -0.0 shares +0.0's entry, which no engine's phi tells apart
+    gather = [index.setdefault(p - q, len(index)) for p in e for q in e]
+    factor = phi(np.array(list(index)), t.reshape(-1, 1), gamma).take(gather, axis=1).reshape(-1, 4, 4)
+    return DensityMatrix(dephase(spectrum, req.initial, factor).reshape(t.shape + (4, 4)), req.initial.basis_order)
 
 
 def evolve_eigenbasis(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
@@ -175,7 +191,7 @@ def evolve_eigenbasis(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatri
     evolution: the damping term is then +0.0, and subtracting it leaves the
     phase bit for bit.
     """
-    return _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t - delta * delta * t / (2.0 * req.gamma)))
+    return _dephased(spectrum, req, lambda delta, t, gamma: np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma)))
 
 
 def evolve_poisson(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
@@ -189,8 +205,8 @@ def evolve_poisson(spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     gamma t multiplies into the result (gap to the exact value 4.7e-10 at
     alpha = 4, gamma = 1e7, t = pi).
     """
-    gamma = _finite_gamma(req.gamma)
-    return _dephased(spectrum, req, lambda delta, t: np.exp(gamma * t * np.expm1(-1j * delta / gamma)))
+    _finite_gamma(req.gamma)
+    return _dephased(spectrum, req, lambda delta, t, gamma: np.exp(gamma * t * np.expm1(-1j * delta / gamma)))
 
 
 def poisson_kick_sum(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
@@ -267,7 +283,7 @@ def evolve_ode(block: HamiltonianBlock, req: EvolutionRequest) -> DensityMatrix:
     n_steps = float(np.max(times, initial=0.0)) / dt  # Python float division: inf for a subnormal dt, no warning
     if n_steps > MAX_ODE_STEPS:
         raise ValidationError(f"t / dt = {n_steps:.3g} Runge-Kutta steps exceed the budget of {MAX_ODE_STEPS}")
-    gen = _first_order_superoperator(block.entries, req.gamma)
+    gen = _first_order_superoperator(block.entries, _one_gamma(req.gamma))
     step = _rk4_step_matrix(gen, dt)
     vec = req.initial.entries.astype(complex).reshape(16)
     out = np.empty((times.size, 16), dtype=complex)
@@ -359,7 +375,7 @@ def evolve_monte_carlo(spectrum: Spectrum, req: EvolutionRequest) -> MonteCarloR
     Each time's CDF is built when that time is reached, and the tables of one
     call may hold at most MAX_KICK_TABLE entries together.
     """
-    gamma = _finite_gamma(req.gamma)
+    gamma = _finite_gamma(_one_gamma(req.gamma))
     if req.seed is None or req.n_traj is None:
         raise ValidationError(f"Monte Carlo engine requires a seed and n_traj, got {req.seed} and {req.n_traj}")
     n = req.n_traj
@@ -396,7 +412,7 @@ ENGINES = {
     "poisson": lambda block, spectrum, req: evolve_poisson(spectrum, req),
     "ode": lambda block, spectrum, req: evolve_ode(block, req),
     "mc": lambda block, spectrum, req: evolve_monte_carlo(spectrum, req).rho,
-    "unitary": lambda block, spectrum, req: _dephased(spectrum, req, lambda delta, t: np.exp(-1j * delta * t)),
+    "unitary": lambda block, spectrum, req: _dephased(spectrum, req, lambda delta, t, gamma: np.exp(-1j * delta * t)),
 }
 
 
@@ -404,11 +420,11 @@ def closed_form_rho(
     block: HamiltonianBlock,
     spectrum: Spectrum,
     t: float | np.ndarray,
-    gamma: float,
+    gamma: float | np.ndarray,
 ) -> DensityMatrix:
     """Literal transcription of the published closed-form rho(t) for the
-    initial state |g, m-1, n-1><g, m-1, n-1|; t is a scalar or an array of
-    times, and the entries have shape np.shape(t) + (4, 4).
+    initial state |g, m-1, n-1><g, m-1, n-1|; t is a scalar or an array of times,
+    gamma one value or one per time, and the entries have shape np.shape(t) + (4, 4).
 
     Exists to audit that published expression against the engines, not to
     serve as a reference.  Coefficients use A^2 = (mu + omega)/(4 mu),
@@ -429,6 +445,7 @@ def closed_form_rho(
     v = spectrum.eigenvectors.astype(complex)
     v[:, 0] = -v[:, 0]
     t = np.asarray(t, dtype=float)[..., None, None]
+    gamma = np.asarray(gamma, dtype=float)[..., None, None]
 
     ket_bra = np.einsum("ip,jq->pqij", v, v.conj())  # ket_bra[p, q] = |p><q|, one product per entry
 

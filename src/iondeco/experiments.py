@@ -47,6 +47,12 @@ def initial_state() -> engines.DensityMatrix:
     return engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
 
 
+def _published_rt_grid(t_grid: np.ndarray) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """R = 0 and the published R values x t_grid, flattened R-major: the R values, then each point's time and gamma."""
+    r_values = (0.0,) + PUBLISHED_R_VALUES
+    return r_values, np.tile(t_grid, len(r_values)), np.repeat([kick_rate(r) for r in r_values], len(t_grid))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A (R, T) grid swept with one engine.
@@ -228,23 +234,20 @@ def table1(omega_rad_s: float = PUBLISHED_OMEGA_RAD_S, alpha: float = 4.0) -> li
     """
     units = physical_units(omega_rad_s, alpha, PUBLISHED_R_VALUES)
     _, spectrum = scaled_system(alpha)
-    t_grid = np.array([math.pi / 4.0, 3.0 * math.pi / 4.0])
-    rows = []
-    for r in (0.0,) + PUBLISHED_R_VALUES:
-        states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t_grid, kick_rate(r)))
-        p_q = observables.p_ghz(states, observables.GHZ_TARGETS["minus"])[0]
-        p_tq = observables.p_ghz(states, observables.GHZ_TARGETS["plus"])[1]
-        rows.append(Table1Row(
-            r=r,
-            inv_gamma_ns=0.0 if r == 0.0 else units.inv_gamma_ns[r],
-            p_quarter=p_q,
-            published_quarter=PUBLISHED_P_QUARTER[r],
-            dev_quarter=abs(p_q - PUBLISHED_P_QUARTER[r]),
-            p_three_quarter=p_tq,
-            published_three_quarter=PUBLISHED_P_THREE_QUARTER[r],
-            dev_three_quarter=abs(p_tq - PUBLISHED_P_THREE_QUARTER[r]),
-        ))
-    return rows
+    r_values, t, gamma = _published_rt_grid(np.array([math.pi / 4.0, 3.0 * math.pi / 4.0]))
+    states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t, gamma))
+    p_quarter = observables.p_ghz(states, observables.GHZ_TARGETS["minus"])[0::2]
+    p_three_quarter = observables.p_ghz(states, observables.GHZ_TARGETS["plus"])[1::2]
+    return [Table1Row(
+        r=r,
+        inv_gamma_ns=0.0 if r == 0.0 else units.inv_gamma_ns[r],
+        p_quarter=p_q,
+        published_quarter=PUBLISHED_P_QUARTER[r],
+        dev_quarter=abs(p_q - PUBLISHED_P_QUARTER[r]),
+        p_three_quarter=p_tq,
+        published_three_quarter=PUBLISHED_P_THREE_QUARTER[r],
+        dev_three_quarter=abs(p_tq - PUBLISHED_P_THREE_QUARTER[r]),
+    ) for r, p_q, p_tq in zip(r_values, p_quarter, p_three_quarter)]
 
 
 @dataclass(frozen=True)
@@ -278,13 +281,10 @@ def audit(alpha: float = 4.0) -> AuditReport:
     gap = pub_q - observables.closed_form_pghz(math.pi / 4.0, alpha, 0.0, "minus")
 
     block, spectrum = scaled_system(alpha)
-    r_grid = (0.0,) + PUBLISHED_R_VALUES
-    t_grid = np.linspace(0.0, 2.0 * math.pi, 64)
-    worst = 0.0
-    for r in r_grid:
-        ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t_grid, kick_rate(r)))
-        lit = engines.closed_form_rho(block, spectrum, t_grid, kick_rate(r))
-        worst = max(worst, float(np.abs(ref.entries - lit.entries).max()))
+    r_grid, t, gamma = _published_rt_grid(np.linspace(0.0, 2.0 * math.pi, 64))
+    ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t, gamma))
+    lit = engines.closed_form_rho(block, spectrum, t, gamma)
+    worst = float(np.abs(ref.entries - lit.entries).max())
     rows = [(row.r, row.p_three_quarter, row.published_three_quarter, row.dev_three_quarter)
             for row in table1(alpha=alpha)[1:]]
 

@@ -352,6 +352,28 @@ def test_evolve_command_reports_state(tmp_path, monkeypatch):
     assert values["t_scaled_rad"] == pytest.approx(math.pi / 4, abs=1e-9)
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["--r", "0.5,0.2"], None),
+    (["--r", "0.001,0.005,0.01,0.1"], None),  # the default values, named by the user
+    ([], "r = 0.1,0.2\n"),
+])
+def test_evolve_rejects_more_than_one_r(tmp_path, monkeypatch, capsys, argv, config):
+    if config is not None:
+        (tmp_path / "e.cfg").write_text(config)
+        argv = argv + ["--config", "e.cfg"]
+    assert run_cli(tmp_path, monkeypatch, ["evolve"] + argv + ["--out", "e.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "one R value" in err
+    assert not (tmp_path / "e.csv").exists()
+
+
+def test_evolve_default_r_runs_at_its_first_value(tmp_path, monkeypatch, capsys):
+    assert run_cli(tmp_path, monkeypatch, ["evolve", "--out", "e.csv"]) == 0
+    assert "R=0.001 " in capsys.readouterr().out
+    lines = (tmp_path / "e.csv").read_text().splitlines()
+    assert " r=0.001,0.005,0.01,0.1 " in lines[0] and "r,0.001" in lines
+
+
 def test_metadata_reproduces_run(tmp_path, monkeypatch):
     """An output file carries enough configuration to reproduce itself."""
     assert run_cli(tmp_path, monkeypatch, sweep_args("orig.csv")) == 0
@@ -476,6 +498,9 @@ GOLDEN_SHA256 = {
     # outside the m = n = 1 block (no p_ghz rows); hashed before evolve wrote one value column
     "evolve --engine eigen --m 3 --n 2 --r 0.05 --t-max-deg 77":
         "bfa9c74ea4108e787caa776f0e090d2a9883d7cc51017cc23440666e9c102bfc",
+    # away from the default alpha; hashed while table1 and audit made one engine call per R
+    "table1 --alpha 1.5": "cd2d07ab1644c164e12b9a03ce5d3e24863a44a0225ef049b66629099b04c5d1",
+    "audit --alpha 12": "9c507ab1eef659f4edccb60e0c3d8163b13b08848c92bff09b4e6ff08d0aa8e9",
 }
 
 

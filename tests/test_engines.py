@@ -48,6 +48,34 @@ def test_request_validation():
             engines.EvolutionRequest(engines.DensityMatrix(entries, rho.basis_order), t=1.0)
 
 
+def test_request_rejects_bad_gamma_arrays():
+    rho = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
+    t = np.array([0.5, 1.0, 2.0])
+    engines.EvolutionRequest(rho, t=t, gamma=np.array([1.0, math.inf, 5.0]))  # one gamma per time
+    for gamma in (np.ones(2), np.ones(4), np.ones((3, 1)), np.ones((1, 3)), np.ones(1)):
+        with pytest.raises(ValidationError, match="gamma"):
+            engines.EvolutionRequest(rho, t=t, gamma=gamma)
+    with pytest.raises(ValidationError, match="gamma"):  # a scalar t takes one gamma
+        engines.EvolutionRequest(rho, t=1.0, gamma=np.ones(3))
+    for bad in (0.0, -0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="gamma"):
+            engines.EvolutionRequest(rho, t=t, gamma=np.array([1.0, bad, 5.0]))
+        with pytest.raises(ValidationError, match="gamma"):
+            engines.EvolutionRequest(rho, t=1.0, gamma=bad)
+
+
+def test_one_gamma_per_call_engines_reject_gamma_arrays(system4, rho0):
+    block, spectrum = system4
+    req = engines.EvolutionRequest(rho0, t=np.array([0.5, 1.0]), gamma=np.array([10.0, 100.0]), n_traj=100, seed=1)
+    with pytest.raises(ValidationError, match="one gamma per call"):
+        engines.evolve_ode(block, req)
+    with pytest.raises(ValidationError, match="one gamma per call"):
+        engines.evolve_monte_carlo(spectrum, req)
+    for name in ("ode", "mc"):
+        with pytest.raises(ValidationError, match="one gamma per call"):
+            engines.ENGINES[name](block, spectrum, req)
+
+
 def test_density_matrix_validation():
     rho = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
     assert rho.violations() == []
@@ -173,6 +201,9 @@ def test_poisson_requires_finite_gamma(system4, rho0):
     _, spectrum = system4
     with pytest.raises(ValidationError):
         engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf))
+    t = np.array([0.5, 1.0, 2.0])
+    with pytest.raises(ValidationError, match="finite gamma"):
+        engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=t, gamma=np.array([10.0, math.inf, 5.0])))
 
 
 def test_poisson_zero_block_is_stationary():
@@ -523,12 +554,76 @@ def test_batched_engines_equal_per_point(engine, alpha):
 def test_closed_form_rho_vectorised_equals_scalar(system4):
     block, spectrum = system4
     grid = np.linspace(0.0, 2.0 * math.pi, 64)
-    for gamma in (math.inf, 1000.0, 10.0):
+    gammas = (math.inf, 1000.0, 10.0)
+    for gamma in gammas:
         stacked = engines.closed_form_rho(block, spectrum, grid, gamma)
         assert stacked.entries.shape == (grid.size, 4, 4)
         for j, t in enumerate(grid):
             scalar = engines.closed_form_rho(block, spectrum, float(t), gamma)
             assert np.array_equal(stacked.entries[j], scalar.entries)
+    # the flattened (gamma, T) grid, one gamma per time, in one call
+    rt = engines.closed_form_rho(block, spectrum, np.tile(grid, len(gammas)), np.repeat(gammas, grid.size))
+    assert rt.entries.shape == (len(gammas) * grid.size, 4, 4)
+    for k, gamma in enumerate(gammas):
+        stacked = engines.closed_form_rho(block, spectrum, grid, gamma)
+        assert np.array_equal(rt.entries[k * grid.size:(k + 1) * grid.size], stacked.entries)
+
+
+@pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
+@pytest.mark.parametrize("alpha", [1.5, 4.0, 12.0])
+def test_gamma_grid_call_equals_per_gamma_calls(engine, alpha):
+    """One call over a tiled (R, T) grid with one gamma per time has the bits
+    of one call per R; eigen and unitary mix gamma = inf into the grid."""
+    grid = np.linspace(0.0, 2.0 * math.pi, 37)
+    r_values = (1e-3, 0.0, 0.1, 0.5, 0.0) if engine != "poisson" else (1e-3, 0.1, 0.5)
+    gammas = [experiments.kick_rate(r) for r in r_values]
+    block, spectrum = scaled_system(alpha)
+    mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
+    t, gamma = np.tile(grid, len(gammas)), np.repeat(gammas, grid.size)
+    for rho0 in (experiments.initial_state(), mixed):
+        one_call = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, t, gamma))
+        assert one_call.entries.shape == (t.size, 4, 4)
+        for k, g in enumerate(gammas):
+            per_r = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, g))
+            assert np.array_equal(one_call.entries[k * grid.size:(k + 1) * grid.size], per_r.entries)
+
+
+@pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
+def test_signed_zero_difference_keeps_the_bits(engine):
+    """At omega = 0 the eigenvalues are (0, -2a, 2a, -0.0), so Ep - Eq holds a -0.0
+    beside +0.0 and the gather reuses the +0.0 factor; the bits, signed zeros
+    included, are those of the factor over all 16 differences."""
+    block = model.build_hamiltonian(model.SystemParams(0.0, 1.0, 0.1, 0.1), model.ModeIndices(1, 1))
+    spectrum = model.spectrum_analytic(block)
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    assert np.signbit(delta[3, 0]) and not np.signbit(delta[0, 3])
+    grid = np.linspace(0.0, 30.0, 11)
+    for gamma in ((10.0, 1e4) if engine == "poisson" else (math.inf, 10.0)):
+        for rho0 in (engines.DensityMatrix.basis_state(2, spectrum.basis_order),
+                     random_state(np.random.default_rng(5), spectrum.basis_order)):
+            batched = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+            for j, t in enumerate(grid):
+                one = per_point_transform(engine, spectrum, rho0, float(t), gamma)
+                assert batched.entries[j].view(np.uint64).tolist() == one.view(np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), m=st.integers(1, 5), n=st.integers(1, 5),
+       r=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+@example(alpha=1.0000000000000002, m=1, n=3, r=0.01, seed=0)  # omega ~ 2e-8: near-degenerate differences
+def test_factor_from_distinct_differences_equals_full_factor(alpha, m, n, r, seed):
+    """_dephased evaluates phi once per distinct Ep - Eq and gathers; that has
+    the bits of phi over all 16 differences."""
+    block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
+    rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
+    t = np.linspace(0.0, 7.0, 11)
+    gamma = np.repeat([experiments.kick_rate(r), 3.0], [6, 5])
+    def phi(delta, t, gamma):
+        return np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    full = engines.dephase(spectrum, rho, phi(delta, t[:, None, None], gamma[:, None, None]))
+    gathered = engines._dephased(spectrum, engines.EvolutionRequest(rho, t, gamma), phi)
+    assert np.array_equal(gathered.entries, full)
 
 
 def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):

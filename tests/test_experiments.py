@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iondeco import experiments, observables
+from iondeco import engines, experiments, observables
 from iondeco.errors import ValidationError
 
 # Engine-oracle values frozen for the published-table comparison.
@@ -175,6 +175,49 @@ def test_audit_report_contents():
         assert computed == pytest.approx(COMPUTED_THREE_QUARTER[r], abs=1e-6)
         assert published == experiments.PUBLISHED_P_THREE_QUARTER[r]
         assert 0.02 <= dev <= 0.11  # unresolved column, reported side by side
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_table1_and_audit_make_one_engine_call_per_grid(monkeypatch):
+    """table1's 5 R x 2 T and audit's 5 R x 64 T grids each go through the engine
+    (and, in audit, the published rho(t)) in one call, not one call per R."""
+    engine_calls = count_calls(monkeypatch, engines, "evolve_eigenbasis")
+    closed_form_calls = count_calls(monkeypatch, engines, "closed_form_rho")
+    experiments.table1()
+    assert (len(engine_calls), len(closed_form_calls)) == (1, 0)
+    engine_calls.clear()
+    experiments.audit()
+    assert (len(engine_calls), len(closed_form_calls)) == (2, 1)  # its grid, plus its table1
+
+
+@pytest.mark.parametrize("alpha", [1.5, 4.0, 12.0])
+def test_table1_and_audit_equal_their_per_r_loops(alpha):
+    """The one-call grids give the values of one engine call per R.  At
+    alpha = 1.5 the largest audit deviation is at R = 0.005, not in the first R block."""
+    block, spectrum = experiments.scaled_system(alpha)
+    rho0 = experiments.initial_state()
+    r_values = (0.0,) + experiments.PUBLISHED_R_VALUES
+    pair = np.array([math.pi / 4.0, 3.0 * math.pi / 4.0])
+    grid = np.linspace(0.0, 2.0 * math.pi, 64)
+    rows, per_r = experiments.table1(alpha=alpha), []
+    for row, r in zip(rows, r_values, strict=True):
+        gamma = experiments.kick_rate(r)
+        states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, pair, gamma))
+        assert row.r == r
+        assert row.p_quarter == observables.p_ghz(states, observables.GHZ_TARGETS["minus"])[0]
+        assert row.p_three_quarter == observables.p_ghz(states, observables.GHZ_TARGETS["plus"])[1]
+        ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+        per_r.append(float(np.abs(ref.entries - engines.closed_form_rho(block, spectrum, grid, gamma).entries).max()))
+    assert experiments.audit(alpha).transcription_max_dev == max(per_r)
 
 
 @pytest.mark.parametrize("bad", [dict(alpha=math.nan), dict(alpha=math.inf),
