@@ -12,19 +12,18 @@ from .model import (
     SystemParams,
     build_hamiltonian,
     spectrum_analytic,
-    spectrum_numeric,
     validate_lamb_dicke,
 )
 from .engines import (
     DensityMatrix,
     EvolutionRequest,
-    MonteCarloResult,
     closed_form_rho,
+    evolve,
     evolve_eigenbasis,
     evolve_monte_carlo,
     evolve_ode,
     evolve_poisson,
-    poisson_kick_sum,
+    evolve_unitary,
 )
 from .observables import (
     GHZTarget,
@@ -32,7 +31,6 @@ from .observables import (
     clamp_probability,
     closed_form_coefficients,
     closed_form_pghz,
-    eigenbasis_coherences,
     ghz_state,
     p_ghz,
     populations,

@@ -323,7 +323,7 @@ def _cmd_evolve(config: dict, out: Path) -> str:
         gamma=experiments.kick_rate(r), dt=config["dt"], tail_tol=config["tail_tol"],
         n_traj=config["n_traj"], seed=config["seed"],
     )
-    rho = engines.ENGINES[config["engine"]](block, spectrum, req)
+    rho = engines.evolve(config["engine"], block, spectrum, req)
 
     labels = ["t_scaled_rad", "r", "purity"] + [f"population[{s.replace(',', ':')}]" for s in modes.basis_order()]
     values = [[t_scaled, r, observables.purity(rho)], observables.populations(rho)]

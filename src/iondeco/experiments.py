@@ -103,7 +103,6 @@ def sweep(spec: SweepSpec) -> TimeSeries:
     the given r order and ascending T, so the output layout is deterministic.
     """
     block, spectrum = scaled_system(spec.alpha)
-    evolve = engines.ENGINES[spec.engine]
     targets = {sign: observables.GHZ_TARGETS[sign] for sign in spec.targets}
     probabilities = {}
     purities = {}
@@ -112,7 +111,7 @@ def sweep(spec: SweepSpec) -> TimeSeries:
             initial=initial_state(), t=spec.t_grid, gamma=kick_rate(r), dt=spec.dt,
             tail_tol=spec.tail_tol, n_traj=spec.n_traj, seed=spec.seed,
         )
-        states = evolve(block, spectrum, req)
+        states = engines.evolve(spec.engine, block, spectrum, req)
         for sign, target in targets.items():
             probabilities[(r, sign)] = observables.p_ghz(states, target)
         purities[r] = observables.purity(states)
@@ -233,9 +232,9 @@ def table1(omega_rad_s: float = PUBLISHED_OMEGA_RAD_S, alpha: float = 4.0) -> li
     T = 3 pi/4 without decoherence).
     """
     units = physical_units(omega_rad_s, alpha, PUBLISHED_R_VALUES)
-    _, spectrum = scaled_system(alpha)
+    block, spectrum = scaled_system(alpha)
     r_values, t, gamma = _published_rt_grid(np.array([math.pi / 4.0, 3.0 * math.pi / 4.0]))
-    states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t, gamma))
+    states = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(initial_state(), t, gamma))
     p_quarter = observables.p_ghz(states, observables.GHZ_TARGETS["minus"])[0::2]
     p_three_quarter = observables.p_ghz(states, observables.GHZ_TARGETS["plus"])[1::2]
     return [Table1Row(
@@ -282,7 +281,7 @@ def audit(alpha: float = 4.0) -> AuditReport:
 
     block, spectrum = scaled_system(alpha)
     r_grid, t, gamma = _published_rt_grid(np.linspace(0.0, 2.0 * math.pi, 64))
-    ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(initial_state(), t, gamma))
+    ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(initial_state(), t, gamma))
     lit = engines.closed_form_rho(block, spectrum, t, gamma)
     worst = float(np.abs(ref.entries - lit.entries).max())
     rows = [(row.r, row.p_three_quarter, row.published_three_quarter, row.dev_three_quarter)

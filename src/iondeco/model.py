@@ -164,12 +164,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(vectors[first, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
-def _convention_order(eigenvalues: np.ndarray) -> np.ndarray:
-    """Indices rearranging eigenvalues into (mu-a, -(mu+a), mu+a, -(mu-a))."""
-    desc = np.argsort(-eigenvalues, kind="stable")
-    return desc[[1, 3, 0, 2]]
-
-
 # (e1+e4, e2+e3, e1-e4, e2-e3) / sqrt2: the swap-symmetric pair, then the antisymmetric one
 _SWAP_BASIS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
                         [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
@@ -202,18 +196,5 @@ def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
     ]
     vectors = np.stack([v / np.linalg.norm(v) for v in raw], axis=1)
     spectrum = Spectrum(eigenvalues, _fix_signs(vectors), block.basis_order)
-    spectrum.validate(block)
-    return spectrum
-
-
-def spectrum_numeric(block: HamiltonianBlock) -> Spectrum:
-    """Dense spectral decomposition with LAPACK (np.linalg.eigh).
-
-    Serves as the numerical oracle for spectrum_analytic: same convention
-    order and sign fixing, no use of the closed form.
-    """
-    eigenvalues, vectors = np.linalg.eigh(block.entries)
-    order = _convention_order(eigenvalues)
-    spectrum = Spectrum(eigenvalues[order], _fix_signs(vectors[:, order]), block.basis_order)
     spectrum.validate(block)
     return spectrum

@@ -20,7 +20,7 @@ import numpy as np
 
 from .engines import DensityMatrix
 from .errors import ValidationError
-from .model import ModeIndices, Spectrum
+from .model import ModeIndices
 
 GHZ_BASIS = ModeIndices(1, 1).basis_order()
 
@@ -169,13 +169,3 @@ def purity(rho: DensityMatrix) -> float | np.ndarray:
 def populations(rho: DensityMatrix) -> np.ndarray:
     """Diagonal occupations in the block basis."""
     return np.diag(rho.entries).real.copy()
-
-
-def eigenbasis_coherences(rho: DensityMatrix, spectrum: Spectrum) -> np.ndarray:
-    """|rho_pq| for p < q in the eigenbasis, ordered (01, 02, 03, 12, 13, 23)."""
-    if rho.basis_order != spectrum.basis_order:
-        raise ValidationError("basis mismatch between state and spectrum")
-    v = spectrum.eigenvectors
-    rho_eig = v.T @ rho.entries @ v
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    return np.array([abs(rho_eig[p, q]) for p, q in pairs])

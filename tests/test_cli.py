@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iondeco
-from iondeco import cli, engines, experiments
+from iondeco import cli, engines, experiments, model, observables
 from iondeco.errors import ConfigError
 
 
@@ -501,6 +502,10 @@ GOLDEN_SHA256 = {
     # away from the default alpha; hashed while table1 and audit made one engine call per R
     "table1 --alpha 1.5": "cd2d07ab1644c164e12b9a03ce5d3e24863a44a0225ef049b66629099b04c5d1",
     "audit --alpha 12": "9c507ab1eef659f4edccb60e0c3d8163b13b08848c92bff09b4e6ff08d0aa8e9",
+    # over a grid; hashed before the Monte Carlo engine shared the first-order factor
+    "sweep --engine mc --n-traj 2000 --seed 7 --r 0.01,0.1 --t-step-deg 15":
+        "2104f6e709a835116b63e263d03dfed7495a799a695a6eb72483b8b2c4198649",
+    "sweep --engine poisson --t-step-deg 15": "7f5ea5f195a42849ef57d96a12dba85f4626e07ac7622e83ab1e74ad90a3ae3e",
 }
 
 
@@ -546,3 +551,32 @@ def test_emit_csv_equals_per_cell_formatting(tmp_path_factory, columns):
     n = cli.emit_csv("# meta", header, columns, dest)
     assert dest.read_bytes() == per_cell_csv("# meta", header, columns)
     assert n == dest.stat().st_size
+
+
+# ------------------------------------------------------------ benchmark tracer
+
+
+def test_benchmark_tracer_sees_every_cli_engine_call(tmp_path, monkeypatch):
+    """perfbench's tracer wraps module attributes, so it sees an engine only if the
+    CLI reaches it through the engines module: each `evolve --engine X` must record
+    exactly one span of X's engines.evolve_* function and none of the others'."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install({"cli": cli, "experiments": experiments, "engines": engines,
+                    "observables": observables, "model": model})
+    try:
+        assert not set(tracing.ENGINE_ENTRIES) & set(tracer.absent)
+        for op, name in enumerate(engines.ENGINES):
+            tracer.begin_op(op)
+            assert run_cli(tmp_path, monkeypatch, ["evolve", "--engine", name, "--out", "e.csv"]) == 0
+    finally:
+        tracer.remove()
+    assert not hasattr(engines.evolve_eigenbasis, "__wrapped__")
+    spans = tracer.span_table()
+    for op, name in enumerate(engines.ENGINES):
+        recorded = {entry: int(((spans["op"] == op) & (spans["fid"] == tracer.names.index(entry))).sum())
+                    for entry in tracing.ENGINE_ENTRIES}
+        assert recorded == {entry: int(entry == f"engines.{engines.ENGINES[name]}") for entry in recorded}

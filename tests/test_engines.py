@@ -1,4 +1,7 @@
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from iondeco import engines, experiments, model, observables
 from iondeco.errors import NumericalError, ValidationError
 from iondeco.experiments import scaled_system
 
+import oracles
 from conftest import T_GRID_PI, first_order_gap_bound
 
 
@@ -64,16 +68,59 @@ def test_request_rejects_bad_gamma_arrays():
             engines.EvolutionRequest(rho, t=1.0, gamma=bad)
 
 
-def test_one_gamma_per_call_engines_reject_gamma_arrays(system4, rho0):
+REFUSE_INF = {"poisson", "mc"}  # "finite gamma"
+REFUSE_ARRAY = {"ode", "mc"}  # "one gamma per call"
+
+
+@pytest.mark.parametrize("name", sorted(engines.ENGINES))
+def test_engine_rules(system4, rho0, name):
+    """Every engine, called by name, returns a DensityMatrix of shape t.shape + (4, 4);
+    exactly poisson and mc refuse gamma = inf, and exactly ode and mc a gamma array."""
     block, spectrum = system4
-    req = engines.EvolutionRequest(rho0, t=np.array([0.5, 1.0]), gamma=np.array([10.0, 100.0]), n_traj=100, seed=1)
-    with pytest.raises(ValidationError, match="one gamma per call"):
-        engines.evolve_ode(block, req)
-    with pytest.raises(ValidationError, match="one gamma per call"):
-        engines.evolve_monte_carlo(spectrum, req)
-    for name in ("ode", "mc"):
-        with pytest.raises(ValidationError, match="one gamma per call"):
-            engines.ENGINES[name](block, spectrum, req)
+
+    def outcome(t, gamma):
+        try:
+            out = engines.evolve(name, block, spectrum, engines.EvolutionRequest(rho0, t, gamma, n_traj=100, seed=1))
+        except ValidationError as exc:
+            return str(exc)
+        assert isinstance(out, engines.DensityMatrix) and out.entries.shape == np.shape(t) + (4, 4)
+        return "ok"
+
+    grid = np.array([0.5, 1.0, 2.0])
+    for t in (1.0, grid, np.empty(0)):
+        assert outcome(t, 10.0) == "ok"
+    for t, gamma, refused in ((1.0, math.inf, name in REFUSE_INF),
+                              (grid, np.array([10.0, 100.0, 5.0]), name in REFUSE_ARRAY),
+                              (grid, np.array([10.0, math.inf, 5.0]), name in REFUSE_ARRAY | REFUSE_INF)):
+        expected = ("one gamma per call" if np.ndim(gamma) and name in REFUSE_ARRAY
+                    else "finite gamma" if refused else "ok")
+        assert expected in outcome(t, gamma)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1, -math.inf, math.nan, np.array([1.0, 0.0, 5.0])])
+def test_request_and_closed_form_rho_share_the_gamma_check(system4, rho0, bad):
+    """Both raise the same ValidationError, before closed_form_rho divides by gamma,
+    so no RuntimeWarning is emitted."""
+    block, spectrum = system4
+    t = np.array([0.5, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="gamma must be positive") as from_request:
+            engines.EvolutionRequest(rho0, t, bad)
+        with pytest.raises(ValidationError, match="gamma must be positive") as from_closed_form:
+            engines.closed_form_rho(block, spectrum, t, bad)
+    assert str(from_request.value) == str(from_closed_form.value)
+
+
+def test_oracles_import_no_code_they_check():
+    """tests/oracles.py takes only containers, error classes and a constant from iondeco."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported == {("iondeco.engines", "DensityMatrix"), ("iondeco.errors", "NumericalError"),
+                        ("iondeco.model", "_SIGN_SIGNIFICANCE"), ("iondeco.model", "Spectrum")}
+    assert {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names} == {
+        "math", "numpy"}
 
 
 def test_density_matrix_validation():
@@ -88,47 +135,47 @@ def test_density_matrix_validation():
 def test_basis_state_equals_pure_bitwise():
     """Signed zeros included: basis_state(i) has the bits of the pure state of e_i."""
     for i in range(4):
-        pure = engines.DensityMatrix.pure(np.eye(4)[i], observables.GHZ_BASIS).entries
+        pure = oracles.pure(np.eye(4)[i], observables.GHZ_BASIS).entries
         entries = engines.DensityMatrix.basis_state(i, observables.GHZ_BASIS).entries
         assert entries.dtype == pure.dtype and entries.view(np.uint64).tolist() == pure.view(np.uint64).tolist()
 
 
 def test_basis_mismatch_rejected(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     other = engines.DensityMatrix(rho0.entries.copy(), model.ModeIndices(2, 2).basis_order())
     with pytest.raises(ValidationError):
-        engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(other, t=1.0))
+        engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(other, t=1.0))
 
 
 # ------------------------------------------------------------------ eigenbasis
 
 
 def test_eigenbasis_t_zero_identity(system4, rho0):
-    _, spectrum = system4
-    out = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=50.0))
+    block, spectrum = system4
+    out = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=50.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
 
 def test_eigenbasis_diagonal_state_is_stationary(system4):
-    _, spectrum = system4
+    block, spectrum = system4
     weights = np.array([0.4, 0.3, 0.2, 0.1])
     rho = engines.DensityMatrix(
         (spectrum.eigenvectors * weights) @ spectrum.eigenvectors.T + 0j, spectrum.basis_order)
     for gamma in (math.inf, 10.0, 0.5):
-        out = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho, t=2.7, gamma=gamma))
+        out = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho, t=2.7, gamma=gamma))
         np.testing.assert_allclose(out.entries, rho.entries, atol=1e-12)
 
 
 def test_eigenbasis_reference_value(system4, rho0, ghz_minus):
-    _, spectrum = system4
-    out = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
+    block, spectrum = system4
+    out = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
     p = observables.p_ghz(out, ghz_minus)
     assert p == pytest.approx(0.896, abs=1e-3)
     assert p == pytest.approx(observables.closed_form_pghz(math.pi / 4, 4.0, 0.01, "minus"), abs=1e-12)
 
 
 def test_eigenbasis_dephasing_properties(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     rng = np.random.default_rng(5)
     rho = random_state(rng, spectrum.basis_order)
     pops0 = eig_populations(spectrum, rho)
@@ -137,22 +184,39 @@ def test_eigenbasis_dephasing_properties(system4, rho0):
     last_purity = np.inf
     last_coh = np.full(6, np.inf)
     for t in times:
-        out = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho, t=float(t), gamma=gamma))
+        out = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho, t=float(t), gamma=gamma))
         assert out.violations(psd_floor=-1e-10) == []
         np.testing.assert_allclose(eig_populations(spectrum, out), pops0, atol=1e-10)
         p = observables.purity(out)
         assert p <= last_purity + 1e-12
         last_purity = p
-        coh = observables.eigenbasis_coherences(out, spectrum)
+        coh = oracles.eigenbasis_coherences(out, spectrum)
         assert np.all(coh <= last_coh + 1e-12)
         last_coh = coh
 
 
 def test_gamma_inf_matches_unitary(system4, rho0):
     block, spectrum = system4
-    a = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=math.inf))
-    b = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=5.0))
+    a = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=math.inf))
+    b = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho0, t=1.3, gamma=5.0))
     np.testing.assert_array_equal(a.entries, b.entries)  # identical code path
+
+
+def test_gamma_inf_is_the_bare_phase_where_the_damping_would_overflow():
+    """At alpha = 5e153 the gap D ~ 1e154 makes D^2 t overflow at t = 6.  At gamma = inf
+    the first-order factor is still the bare phase: eigen and unitary give its bits, and
+    mc (N kicks at t = N / gamma) the per-trajectory mean, with no RuntimeWarning."""
+    block, spectrum = scaled_system(5e153)
+    rho = experiments.initial_state()
+    v = spectrum.eigenvectors
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    assert math.isinf(float(delta.max()) * float(delta.max()) * 6.0)
+    bare = v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * 6.0)) @ v.T
+    for name in ("eigen", "unitary"):
+        assert np.array_equal(engines.evolve(name, block, spectrum, engines.EvolutionRequest(rho, 6.0)).entries, bare)
+    mc = engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho, 6.0, 2.0, n_traj=200, seed=1))
+    per_trajectory = per_trajectory_monte_carlo(spectrum, rho, trajectory_kicks(6.0, 2.0, 200, 1), 2.0)
+    assert np.abs(mc.entries - per_trajectory).max() <= 1e-13
 
 
 # --------------------------------------------------------------------- unitary
@@ -163,15 +227,15 @@ def test_unitary_preserves_purity(system4):
     rng = np.random.default_rng(9)
     rho = random_state(rng, spectrum.basis_order)
     p0 = observables.purity(rho)
-    out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho, t=3.7))
+    out = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho, t=3.7))
     assert observables.purity(out) == pytest.approx(p0, abs=1e-12)
 
 
 def test_unitary_reaches_ghz(system4, rho0, ghz_minus):
     block, spectrum = system4
-    out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
+    out = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
     assert observables.p_ghz(out, ghz_minus) == pytest.approx(1.0, abs=1e-9)
-    out0 = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho0, t=0.0))
+    out0 = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho0, t=0.0))
     np.testing.assert_allclose(out0.entries, rho0.entries, atol=1e-15)
 
 
@@ -185,7 +249,7 @@ def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
     dense eigensolve of the block."""
     block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
     rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
-    out = engines.ENGINES["unitary"](block, spectrum, engines.EvolutionRequest(rho, t=t, gamma=10.0)).entries
+    out = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho, t=t, gamma=10.0)).entries
     v = spectrum.eigenvectors
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     assert np.array_equal(out, v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * t)) @ v.T)
@@ -197,28 +261,19 @@ def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
 # --------------------------------------------------------------------- poisson
 
 
-def test_poisson_requires_finite_gamma(system4, rho0):
-    _, spectrum = system4
-    with pytest.raises(ValidationError):
-        engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf))
-    t = np.array([0.5, 1.0, 2.0])
-    with pytest.raises(ValidationError, match="finite gamma"):
-        engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=t, gamma=np.array([10.0, math.inf, 5.0])))
-
-
 def test_poisson_zero_block_is_stationary():
     params = model.SystemParams(0.0, 0.0, 0.1, 0.1)
     modes = model.ModeIndices(1, 1)
     block = model.build_hamiltonian(params, modes)
-    spectrum = model.spectrum_numeric(block)
+    spectrum = oracles.spectrum_numeric(block)
     rho = engines.DensityMatrix.basis_state(1, modes.basis_order())
-    out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho, t=5.0, gamma=2.0))
+    out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho, t=5.0, gamma=2.0))
     np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
 
 
 def test_poisson_t_zero(system4, rho0):
-    _, spectrum = system4
-    out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=2.0))
+    block, spectrum = system4
+    out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=2.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
 
@@ -229,8 +284,8 @@ def test_poisson_matches_literal_kick_sum(system4, rho0, r, t):
     # reachable there; the agreement tolerance still dominates the truncation
     block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=t, gamma=1.0 / r, tail_tol=1e-11)
-    closed = engines.evolve_poisson(spectrum, req)
-    summed = engines.poisson_kick_sum(block, req)
+    closed = engines.evolve_poisson(block, spectrum, req)
+    summed = oracles.poisson_kick_sum(block, req)
     assert np.abs(closed.entries - summed.entries).max() <= 1e-10
 
 
@@ -243,8 +298,8 @@ def test_poisson_matches_literal_kick_sum_for_mixed_states(alpha, r, t, seed):
     block, spectrum = scaled_system(alpha)
     rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
     req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, tail_tol=1e-11)
-    closed = engines.evolve_poisson(spectrum, req)
-    summed = engines.poisson_kick_sum(block, req)
+    closed = engines.evolve_poisson(block, spectrum, req)
+    summed = oracles.poisson_kick_sum(block, req)
     assert np.abs(closed.entries - summed.entries).max() <= 1e-10
 
 
@@ -254,25 +309,25 @@ def test_poisson_kick_sum_tail_cap(system4, rho0):
     block, _ = system4
     req = engines.EvolutionRequest(rho0, t=2.5, gamma=10.0, tail_tol=1e-300)
     with pytest.raises(NumericalError):
-        engines.poisson_kick_sum(block, req)
+        oracles.poisson_kick_sum(block, req)
 
 
 def test_poisson_populations_conserved(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     pops0 = eig_populations(spectrum, rho0)
     for t in (0.5, 2.0):
-        out = engines.evolve_poisson(spectrum, engines.EvolutionRequest(rho0, t=t, gamma=20.0))
+        out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho0, t=t, gamma=20.0))
         np.testing.assert_allclose(eig_populations(spectrum, out), pops0, atol=1e-10)
 
 
 def test_poisson_close_to_first_order_at_small_r(system4, rho0):
     # trace distance <= 1e-3 for R = 0.001 over T in [0, pi]
-    _, spectrum = system4
+    block, spectrum = system4
     gamma = 1000.0
     for t in np.linspace(0.0, math.pi, 64):
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=gamma)
-        d = (engines.evolve_poisson(spectrum, req).entries
-             - engines.evolve_eigenbasis(spectrum, req).entries)
+        d = (engines.evolve_poisson(block, spectrum, req).entries
+             - engines.evolve_eigenbasis(block, spectrum, req).entries)
         trace_distance = 0.5 * np.abs(np.linalg.eigvalsh(d)).sum()
         assert trace_distance <= 1e-3
 
@@ -284,8 +339,8 @@ def test_poisson_exact_at_tiny_r(system4, rho0, r):
     block, spectrum = system4
     for t in T_GRID_PI:
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r)
-        gap = np.abs(engines.evolve_poisson(spectrum, req).entries
-                     - engines.evolve_eigenbasis(spectrum, req).entries).max()
+        gap = np.abs(engines.evolve_poisson(block, spectrum, req).entries
+                     - engines.evolve_eigenbasis(block, spectrum, req).entries).max()
         assert gap <= first_order_gap_bound(block, float(t), r, 1e-13)
 
 
@@ -293,26 +348,26 @@ def test_poisson_exact_at_tiny_r(system4, rho0, r):
 
 
 def test_ode_t_zero(system4, rho0):
-    block, _ = system4
-    out = engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=0.0, gamma=10.0))
+    block, spectrum = system4
+    out = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=0.0, gamma=10.0))
     np.testing.assert_allclose(out.entries, rho0.entries, atol=1e-15)
 
 
 def test_ode_unitary_limit(system4, rho0):
     block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=math.pi, gamma=math.inf, dt=1e-3 / 4.0)
-    out = engines.evolve_ode(block, req)
-    ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi))
+    out = engines.evolve_ode(block, spectrum, req)
+    ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi))
     assert np.abs(out.entries - ref.entries).max() <= 1e-8
 
 
 def test_ode_fourth_order_convergence(system4, rho0):
     block, spectrum = system4
     gamma = 100.0
-    ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=gamma))
+    ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=gamma))
     errs = []
     for dt in (4e-3, 2e-3):
-        out = engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=1.0, gamma=gamma, dt=dt))
+        out = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=gamma, dt=dt))
         errs.append(np.abs(out.entries - ref.entries).max())
     ratio = errs[0] / errs[1]
     assert 12.0 <= ratio <= 20.0
@@ -324,14 +379,14 @@ def test_ode_default_step(system4):
 
 
 def test_ode_diverging_step_reports_numerical_failure(system4, rho0):
-    block, _ = system4
+    block, spectrum = system4
     with pytest.raises(NumericalError):
-        engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=50.0, gamma=1.0, dt=5.0))
+        engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=50.0, gamma=1.0, dt=5.0))
 
 
 def test_ode_output_state_invariants(system4, rho0):
-    block, _ = system4
-    out = engines.evolve_ode(block, engines.EvolutionRequest(rho0, t=2.0, gamma=10.0))
+    block, spectrum = system4
+    out = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=2.0, gamma=10.0))
     assert out.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7) == []
 
 
@@ -360,13 +415,13 @@ def test_ode_grid_march_equals_restarts(system4):
     grid = np.concatenate([np.linspace(0.0, 2.0, 9), [1.3, 0.0, 0.25, 1.3, 2.0 / 3.0]])
     for rho in (experiments.initial_state(), mixed):
         for gamma in (10.0, math.inf):
-            march = engines.ENGINES["ode"](block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=1e-3))
+            march = engines.evolve("ode", block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=1e-3))
             assert march.entries.shape == (grid.size, 4, 4)
             for j, t in enumerate(grid):
-                one = engines.evolve_ode(block, engines.EvolutionRequest(rho, float(t), gamma, dt=1e-3))
+                one = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, float(t), gamma, dt=1e-3))
                 assert np.array_equal(one.entries, restart_rk4(block, rho, float(t), gamma, 1e-3))
                 assert np.array_equal(march.entries[j], one.entries)
-    empty = engines.evolve_ode(block, engines.EvolutionRequest(mixed, np.array([]), 10.0))
+    empty = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(mixed, np.array([]), 10.0))
     assert empty.entries.shape == (0, 4, 4)
 
 
@@ -394,7 +449,7 @@ def test_ode_march_within_rk4_error_of_expm(system4):
         assert np.abs(1 + zs + zs**2 / 2 + zs**3 / 6 + zs**4 / 24).max() <= 1.0
         z = np.abs(zs).max()
         for rho in (experiments.initial_state(), mixed):
-            march = engines.evolve_ode(block, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
+            march = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
             for j, t in enumerate(grid):
                 exact = (expm(t * gen) @ rho.entries.reshape(16)).reshape(4, 4)
                 bound = (math.floor(t / dt) + 1) * z**5 * math.exp(z) / 120.0 + 1e-12
@@ -405,47 +460,45 @@ def test_ode_march_within_rk4_error_of_expm(system4):
 
 
 def test_monte_carlo_requires_seed_and_trajectories(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     with pytest.raises(ValidationError):
-        engines.evolve_monte_carlo(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, n_traj=100))
+        engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, n_traj=100))
     with pytest.raises(ValidationError):
-        engines.evolve_monte_carlo(spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, seed=1))
+        engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=10.0, seed=1))
     with pytest.raises(ValidationError):
         engines.evolve_monte_carlo(
-            spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf, n_traj=10, seed=1))
+            block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=math.inf, n_traj=10, seed=1))
 
 
 def test_monte_carlo_zero_block_exact():
     params = model.SystemParams(0.0, 0.0, 0.1, 0.1)
     modes = model.ModeIndices(1, 1)
     block = model.build_hamiltonian(params, modes)
-    spectrum = model.spectrum_numeric(block)
+    spectrum = oracles.spectrum_numeric(block)
     rho = engines.DensityMatrix.basis_state(0, modes.basis_order())
     result = engines.evolve_monte_carlo(
-        spectrum, engines.EvolutionRequest(rho, t=3.0, gamma=2.0, n_traj=500, seed=4))
-    np.testing.assert_allclose(result.rho.entries, rho.entries, atol=1e-14)
-    np.testing.assert_allclose(result.stderr, 0.0, atol=1e-14)
+        block, spectrum, engines.EvolutionRequest(rho, t=3.0, gamma=2.0, n_traj=500, seed=4))
+    np.testing.assert_allclose(result.entries, rho.entries, atol=1e-14)
 
 
 def test_monte_carlo_deterministic_bits(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=1.2, gamma=50.0, n_traj=4000, seed=123)
-    a = engines.evolve_monte_carlo(spectrum, req)
-    b = engines.evolve_monte_carlo(spectrum, req)
-    assert np.array_equal(a.rho.entries, b.rho.entries)
-    assert np.array_equal(a.stderr, b.stderr)
-    c = engines.evolve_monte_carlo(spectrum,
+    a = engines.evolve_monte_carlo(block, spectrum, req)
+    b = engines.evolve_monte_carlo(block, spectrum, req)
+    assert np.array_equal(a.entries, b.entries)
+    c = engines.evolve_monte_carlo(block, spectrum,
                                    engines.EvolutionRequest(rho0, t=1.2, gamma=50.0, n_traj=4000, seed=124))
-    assert not np.array_equal(a.rho.entries, c.rho.entries)
+    assert not np.array_equal(a.entries, c.entries)
 
 
 def test_monte_carlo_converges_to_poisson(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0, n_traj=100_000, seed=0)
-    result = engines.evolve_monte_carlo(spectrum, req)
-    exact = engines.evolve_poisson(spectrum, req)
-    dev = np.abs(result.rho.entries - exact.entries)
-    assert np.all(dev <= 3.0 * result.stderr + 1e-12)
+    result = engines.evolve_monte_carlo(block, spectrum, req)
+    exact = engines.evolve_poisson(block, spectrum, req)
+    dev = np.abs(result.entries - exact.entries)
+    assert np.all(dev <= 3.0 * oracles.kick_standard_error(block, rho0, math.pi / 4, 100.0, 100_000) + 1e-12)
 
 
 # ------------------------------------------------- published rho(t) expression
@@ -462,14 +515,14 @@ def test_closed_form_rho_matches_unitary(system4, rho0):
     block, spectrum = system4
     for t in (math.pi / 8, math.pi / 4, math.pi / 2):
         lit = engines.closed_form_rho(block, spectrum, t=t, gamma=math.inf)
-        ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=t))
+        ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=t))
         assert np.abs(lit.entries - ref.entries).max() <= 1e-9
 
 
 def test_closed_form_rho_matches_reference_engine(system4, rho0):
     block, spectrum = system4
     lit = engines.closed_form_rho(block, spectrum, t=math.pi / 4, gamma=100.0)
-    ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
+    ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
     assert np.abs(lit.entries - ref.entries).max() <= 1e-9
 
 
@@ -487,9 +540,9 @@ def test_closed_form_rho_rejects_degenerate_couplings(system4):
 def test_all_engines_agree_at_reference_point(system4, rho0):
     block, spectrum = system4
     req = engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0, dt=1e-3 / 4.0)
-    eig = engines.evolve_eigenbasis(spectrum, req)
-    ode = engines.evolve_ode(block, req)
-    poi = engines.evolve_poisson(spectrum, req)
+    eig = engines.evolve_eigenbasis(block, spectrum, req)
+    ode = engines.evolve_ode(block, spectrum, req)
+    poi = engines.evolve_poisson(block, spectrum, req)
     assert np.abs(eig.entries - ode.entries).max() <= 1e-6
     # exact kick average differs from the first-order engine only at O(R^2)
     assert np.abs(eig.entries - poi.entries).max() <= 5e-3
@@ -513,14 +566,10 @@ def per_point_transform(engine, spectrum, rho, t, gamma):
     return v @ ((v.T @ rho.entries @ v) * factor) @ v.T
 
 
-PER_POINT_ENGINES = {
-    "eigen": lambda block, spectrum, req: engines.evolve_eigenbasis(spectrum, req),
-    "unitary": engines.ENGINES["unitary"],
-    "poisson": lambda block, spectrum, req: engines.evolve_poisson(spectrum, req),
-}
+DEPHASING_ENGINES = ("eigen", "poisson", "unitary")
 
 
-@pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
+@pytest.mark.parametrize("engine", DEPHASING_ENGINES)
 @pytest.mark.parametrize("alpha", [1.5, 4.0, 12.0])
 def test_batched_engines_equal_per_point(engine, alpha):
     full = np.linspace(0.0, 2.0 * math.pi, 37)
@@ -538,10 +587,10 @@ def test_batched_engines_equal_per_point(engine, alpha):
             gamma = experiments.kick_rate(r)
             assert series.purities[r].shape == grid.shape
             for rho0 in (experiments.initial_state(), mixed):
-                batched = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+                batched = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
                 assert batched.entries.shape == (grid.size, 4, 4)
                 for j, t in enumerate(grid):
-                    one = PER_POINT_ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, float(t), gamma))
+                    one = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, float(t), gamma))
                     assert np.array_equal(batched.entries[j], one.entries)
                     assert np.array_equal(one.entries, per_point_transform(engine, spectrum, rho0, float(t), gamma))
                     if rho0 is mixed:
@@ -569,7 +618,7 @@ def test_closed_form_rho_vectorised_equals_scalar(system4):
         assert np.array_equal(rt.entries[k * grid.size:(k + 1) * grid.size], stacked.entries)
 
 
-@pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
+@pytest.mark.parametrize("engine", DEPHASING_ENGINES)
 @pytest.mark.parametrize("alpha", [1.5, 4.0, 12.0])
 def test_gamma_grid_call_equals_per_gamma_calls(engine, alpha):
     """One call over a tiled (R, T) grid with one gamma per time has the bits
@@ -581,14 +630,14 @@ def test_gamma_grid_call_equals_per_gamma_calls(engine, alpha):
     mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
     t, gamma = np.tile(grid, len(gammas)), np.repeat(gammas, grid.size)
     for rho0 in (experiments.initial_state(), mixed):
-        one_call = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, t, gamma))
+        one_call = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, t, gamma))
         assert one_call.entries.shape == (t.size, 4, 4)
         for k, g in enumerate(gammas):
-            per_r = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, g))
+            per_r = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, grid, g))
             assert np.array_equal(one_call.entries[k * grid.size:(k + 1) * grid.size], per_r.entries)
 
 
-@pytest.mark.parametrize("engine", sorted(PER_POINT_ENGINES))
+@pytest.mark.parametrize("engine", DEPHASING_ENGINES)
 def test_signed_zero_difference_keeps_the_bits(engine):
     """At omega = 0 the eigenvalues are (0, -2a, 2a, -0.0), so Ep - Eq holds a -0.0
     beside +0.0 and the gather reuses the +0.0 factor; the bits, signed zeros
@@ -601,7 +650,7 @@ def test_signed_zero_difference_keeps_the_bits(engine):
     for gamma in ((10.0, 1e4) if engine == "poisson" else (math.inf, 10.0)):
         for rho0 in (engines.DensityMatrix.basis_state(2, spectrum.basis_order),
                      random_state(np.random.default_rng(5), spectrum.basis_order)):
-            batched = engines.ENGINES[engine](block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+            batched = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
             for j, t in enumerate(grid):
                 one = per_point_transform(engine, spectrum, rho0, float(t), gamma)
                 assert batched.entries[j].view(np.uint64).tolist() == one.view(np.uint64).tolist()
@@ -622,7 +671,7 @@ def test_factor_from_distinct_differences_equals_full_factor(alpha, m, n, r, see
         return np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     full = engines.dephase(spectrum, rho, phi(delta, t[:, None, None], gamma[:, None, None]))
-    gathered = engines._dephased(spectrum, engines.EvolutionRequest(rho, t, gamma), phi)
+    gathered = engines._dephased(spectrum, rho, t, gamma, phi)
     assert np.array_equal(gathered.entries, full)
 
 
@@ -655,13 +704,11 @@ def test_in_place_uniforms_equal_per_pass_formula(seed, n):
 
 
 def per_trajectory_monte_carlo(spectrum, rho, kicks, gamma):
-    """Mean and standard error over every trajectory, one state per draw."""
-    n = kicks.size
+    """Mean over every trajectory, one state per draw."""
     v = spectrum.eigenvectors
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     states = v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * (kicks[:, None, None] / gamma))) @ v.T
-    mean = states.mean(axis=0)
-    return mean, np.sqrt(np.square(np.abs(states - mean)).sum(axis=0) / (n - 1) / n)
+    return states.mean(axis=0)
 
 
 def assert_grouped_stack_equals_per_state(spectrum, rho, kicks, gamma):
@@ -677,41 +724,39 @@ def assert_grouped_stack_equals_per_state(spectrum, rho, kicks, gamma):
 
 
 def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
     n = 5000
     for r, t, rho, seed in ((0.001, math.pi, rho0, 0), (0.01, math.pi / 4, rho0, 7), (0.1, 2.0, mixed, 99)):
         req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
-        result = engines.evolve_monte_carlo(spectrum, req)
+        result = engines.evolve_monte_carlo(block, spectrum, req)
         kicks = trajectory_kicks(t, 1.0 / r, n, seed)
-        mean, stderr = per_trajectory_monte_carlo(spectrum, rho, kicks, 1.0 / r)
-        assert np.abs(result.rho.entries - mean).max() <= 1e-13
-        assert np.abs(result.stderr - stderr).max() <= 1e-15
+        assert np.abs(result.entries - per_trajectory_monte_carlo(spectrum, rho, kicks, 1.0 / r)).max() <= 1e-13
         for stack_kicks in (kicks, kicks[:1], kicks[:0]):  # many distinct counts, one (N = 1), none (N = 0)
             assert_grouped_stack_equals_per_state(spectrum, rho, stack_kicks, 1.0 / r)
     single = engines.evolve_monte_carlo(
-        spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
-    assert np.array_equal(single.stderr, np.zeros((4, 4)))
+        block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
+    one_kick_count = per_trajectory_monte_carlo(spectrum, rho0, trajectory_kicks(1.0, 100.0, 1, 3), 100.0)
+    assert np.abs(single.entries - one_kick_count).max() <= 1e-13
 
 
 def test_monte_carlo_grid_equals_per_point(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     # the second grid puts its largest T first, so the shared log-factorial
     # table is built for that T and the others take prefixes of it
     for grid in (np.linspace(0.0, math.pi, 9), np.array([math.pi, 0.0, 0.4, 2.5, 0.4, 1e-3])):
         batched = engines.evolve_monte_carlo(
-            spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
+            block, spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0, n_traj=3000, seed=5))
         for j, t in enumerate(grid):
             one = engines.evolve_monte_carlo(
-                spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
-            assert np.array_equal(batched.rho.entries[j], one.rho.entries)
-            assert np.array_equal(batched.stderr[j], one.stderr)
+                block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
+            assert np.array_equal(batched.entries[j], one.entries)
 
 
 def test_violations_cover_every_state_of_a_stack(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     grid = np.linspace(0.0, math.pi, 16)
-    stack = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=30.0))
+    stack = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=30.0))
     assert stack.violations() == []
     stack.entries[5] *= 1.01  # one state of the stack loses unit trace
     assert [v for v in stack.violations() if "trace" in v]

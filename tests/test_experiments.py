@@ -211,11 +211,11 @@ def test_table1_and_audit_equal_their_per_r_loops(alpha):
     rows, per_r = experiments.table1(alpha=alpha), []
     for row, r in zip(rows, r_values, strict=True):
         gamma = experiments.kick_rate(r)
-        states = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, pair, gamma))
+        states = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, pair, gamma))
         assert row.r == r
         assert row.p_quarter == observables.p_ghz(states, observables.GHZ_TARGETS["minus"])[0]
         assert row.p_three_quarter == observables.p_ghz(states, observables.GHZ_TARGETS["plus"])[1]
-        ref = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, grid, gamma))
+        ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
         per_r.append(float(np.abs(ref.entries - engines.closed_form_rho(block, spectrum, grid, gamma).entries).max()))
     assert experiments.audit(alpha).transcription_max_dev == max(per_r)
 

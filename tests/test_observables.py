@@ -9,6 +9,8 @@ from iondeco import engines, experiments, observables
 from iondeco.errors import ValidationError
 from iondeco.experiments import initial_state, scaled_system
 
+import oracles
+
 
 def test_ghz_minus_vector():
     target = observables.ghz_state("minus", p=0)
@@ -62,8 +64,8 @@ def test_p_ghz_of_projector_is_one(ghz_plus):
 
 
 def test_p_ghz_reference_value(system4, rho0, ghz_minus):
-    _, spectrum = system4
-    rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=1000.0))
+    block, spectrum = system4
+    rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=1000.0))
     assert observables.p_ghz(rho, ghz_minus) == pytest.approx(0.988, abs=1e-3)
 
 
@@ -74,12 +76,12 @@ def test_p_ghz_basis_mismatch(ghz_minus):
 
 
 def test_probability_sum_bounded(system4, rho0, ghz_minus, ghz_plus):
-    _, spectrum = system4
+    block, spectrum = system4
     rng = np.random.default_rng(2)
     for _ in range(25):
         t = rng.uniform(0.0, 2.0 * math.pi)
         gamma = rng.uniform(5.0, 2000.0)
-        rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=t, gamma=gamma))
+        rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=t, gamma=gamma))
         total = observables.p_ghz(rho, ghz_minus) + observables.p_ghz(rho, ghz_plus)
         assert total <= 1.0 + 1e-10
 
@@ -134,7 +136,7 @@ def test_closed_form_matches_engine_small_grid(rho0, ghz_minus, ghz_plus):
     for r in (0.0, 0.01):
         gamma = math.inf if r == 0.0 else 1.0 / r
         for t in np.linspace(0.0, 2.0 * math.pi, 17):
-            rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=gamma))
+            rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=gamma))
             for sign, target in targets.items():
                 assert observables.p_ghz(rho, target) == pytest.approx(
                     observables.closed_form_pghz(float(t), 2.0, r, sign), abs=1e-9)
@@ -146,9 +148,9 @@ def test_closed_form_matches_engine_small_grid(rho0, ghz_minus, ghz_plus):
 def test_closed_form_equals_reference_engine(alpha, r, t, sign):
     """The corrected closed-form P(T) is an identity with the reference engine
     over the whole parameter domain, not only at the spot-checked alphas."""
-    _, spectrum = scaled_system(alpha)
+    block, spectrum = scaled_system(alpha)
     req = engines.EvolutionRequest(initial_state(), t=t, gamma=experiments.kick_rate(r))
-    p = observables.p_ghz(engines.evolve_eigenbasis(spectrum, req), observables.ghz_state(sign))
+    p = observables.p_ghz(engines.evolve_eigenbasis(block, spectrum, req), observables.ghz_state(sign))
     assert abs(p - observables.closed_form_pghz(t, alpha, r, sign)) <= 1e-9
 
 
@@ -168,13 +170,13 @@ def test_published_formula_gap_pinned():
 
 
 def test_purity_and_populations(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     assert observables.purity(rho0) == pytest.approx(1.0, abs=1e-12)
     mixed = engines.DensityMatrix(np.eye(4, dtype=complex) / 4.0, rho0.basis_order)
     assert observables.purity(mixed) == pytest.approx(0.25, abs=1e-12)
     np.testing.assert_allclose(observables.populations(rho0), [0.0, 0.0, 1.0, 0.0], atol=1e-15)
     # GHZ point: |e,1,1> and |g,0,0> each hold half the population
-    rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
+    rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4))
     pops = observables.populations(rho)
     assert pops[1] == pytest.approx(0.5, abs=1e-9)
     assert pops[2] == pytest.approx(0.5, abs=1e-9)
@@ -182,16 +184,16 @@ def test_purity_and_populations(system4, rho0):
 
 
 def test_purity_range_under_dephasing(system4, rho0):
-    _, spectrum = system4
+    block, spectrum = system4
     for t in np.linspace(0.0, 20.0, 9):
-        rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=2.0))
+        rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=2.0))
         assert 0.25 <= observables.purity(rho) <= 1.0 + 1e-12
 
 
 def test_eigenbasis_coherences_shape_and_decay(system4, rho0):
-    _, spectrum = system4
-    c0 = observables.eigenbasis_coherences(rho0, spectrum)
+    block, spectrum = system4
+    c0 = oracles.eigenbasis_coherences(rho0, spectrum)
     assert c0.shape == (6,)
-    rho = engines.evolve_eigenbasis(spectrum, engines.EvolutionRequest(rho0, t=3.0, gamma=5.0))
-    c1 = observables.eigenbasis_coherences(rho, spectrum)
+    rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=3.0, gamma=5.0))
+    c1 = oracles.eigenbasis_coherences(rho, spectrum)
     assert np.all(c1 <= c0 + 1e-12)
