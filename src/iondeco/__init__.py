@@ -27,9 +27,7 @@ from .engines import (
 )
 from .observables import (
     GHZTarget,
-    ClosedFormCoefficients,
     clamp_probability,
-    closed_form_coefficients,
     closed_form_pghz,
     ghz_state,
     p_ghz,

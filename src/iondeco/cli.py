@@ -1,9 +1,8 @@
 """Command-line front end.
 
-Commands: sweep, table1, units, audit, evolve.  Configuration comes from an
-optional plain-text file (`key = value` lines, `#` comments) overridden by
-command-line flags.  Exit codes: 0 success, 1 usage/parse error, 2 input
-validation error, 3 numerical or I/O failure.
+Configuration comes from an optional plain-text file (`key = value` lines,
+`#` comments) overridden by command-line flags.  Exit codes: 0 success,
+1 usage/parse error, 2 input validation error, 3 numerical or I/O failure.
 """
 
 from __future__ import annotations
@@ -59,11 +58,11 @@ def _parse_optional_float(text: str):
 # key -> (parser, default); this fixed order is also the metadata order
 CONFIG_SPEC = {
     "alpha": (_parse_float, 4.0),
-    "r": (_parse_r_list, (0.001, 0.005, 0.01, 0.1)),
+    "r": (_parse_r_list, experiments.PUBLISHED_R_VALUES),
     "t_max_deg": (_parse_float, 360.0),
     "t_step_deg": (_parse_float, 0.25),
-    "target": (_parse_choice(("minus", "plus", "both")), "both"),
-    "engine": (_parse_choice(experiments.ENGINE_NAMES), "eigen"),
+    "target": (_parse_choice(observables.SIGNS + ("both",)), "both"),
+    "engine": (_parse_choice(tuple(engines.ENGINES)), "eigen"),
     "omega_rad_s": (_parse_float, experiments.PUBLISHED_OMEGA_RAD_S),
     "m": (_parse_int, 1),
     "n": (_parse_int, 1),
@@ -77,14 +76,6 @@ CONFIG_SPEC = {
 # Largest sweep grid (T points x R values).  The batched engines peak at about
 # 1,280 B per T point of one R column (tracemalloc); a one-R sweep at the cap peaks near 345 MB RSS.
 MAX_GRID_POINTS = 250_000
-
-DEFAULT_OUT = {
-    "sweep": "sweep.csv",
-    "table1": "table1.csv",
-    "units": "units.csv",
-    "audit": "audit.txt",
-    "evolve": "evolve.csv",
-}
 
 
 def parse_config_file(text: str) -> dict:
@@ -134,13 +125,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         common.add_argument("--" + key.replace("_", "-"), type=parse)
     parser = _Parser(prog="iondeco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    return parser, {name: sub.add_parser(name, parents=[common], help=text) for name, text in (
-        ("sweep", "probability vs scaled time for each R value"),
-        ("table1", "peak probabilities at T = pi/4 and 3 pi/4 vs published values"),
-        ("units", "physical unit conversion for given omega and alpha"),
-        ("audit", "published closed-form audit report"),
-        ("evolve", "single-point evolution; dumps the density matrix"),
-    )}
+    return parser, {name: sub.add_parser(name, parents=[common], help=text)
+                    for name, (_, _, text) in COMMANDS.items()}
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -229,7 +215,7 @@ def _t_grid_rad(config: dict) -> np.ndarray:
 
 
 def _targets(config: dict) -> tuple[str, ...]:
-    return ("minus", "plus") if config["target"] == "both" else (config["target"],)
+    return observables.SIGNS if config["target"] == "both" else (config["target"],)
 
 
 def _require_unit_block(config: dict, command: str) -> None:
@@ -319,7 +305,7 @@ def _cmd_evolve(config: dict, out: Path) -> str:
     r = config["r"][0] if config["r"] else 0.0
     t_scaled = math.radians(config["t_max_deg"])
     req = engines.EvolutionRequest(
-        initial=engines.DensityMatrix.basis_state(2, modes.basis_order()), t=t_scaled,
+        initial=experiments.initial_state(modes), t=t_scaled,
         gamma=experiments.kick_rate(r), dt=config["dt"], tail_tol=config["tail_tol"],
         n_traj=config["n_traj"], seed=config["seed"],
     )
@@ -337,19 +323,20 @@ def _cmd_evolve(config: dict, out: Path) -> str:
     return f"evolve: engine={config['engine']} T={config['t_max_deg']:g} deg R={_fmt(r)} -> {out} ({n} bytes)"
 
 
-_COMMANDS = {
-    "sweep": _cmd_sweep,
-    "table1": _cmd_table1,
-    "units": _cmd_units,
-    "audit": _cmd_audit,
-    "evolve": _cmd_evolve,
+# command -> (function, default output file, help line); this order is also the usage order
+COMMANDS = {
+    "sweep": (_cmd_sweep, "sweep.csv", "probability vs scaled time for each R value"),
+    "table1": (_cmd_table1, "table1.csv", "peak probabilities at T = pi/4 and 3 pi/4 vs published values"),
+    "units": (_cmd_units, "units.csv", "physical unit conversion for given omega and alpha"),
+    "audit": (_cmd_audit, "audit.txt", "published closed-form audit report"),
+    "evolve": (_cmd_evolve, "evolve.csv", "single-point evolution; dumps the density matrix"),
 }
 
 
 def run(command: str, config: dict) -> str:
     """Dispatch a command with a fully merged config; returns the summary line."""
-    out = Path(config["out"]) if config["out"] else Path(DEFAULT_OUT[command])
-    return _COMMANDS[command](config, out)
+    function, default_out, _ = COMMANDS[command]
+    return function(config, Path(config["out"] or default_out))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -155,12 +155,13 @@ def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.n
 
 
 def first_order_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """exp(-i D t - D^2 t / (2 gamma)).  At one gamma = inf it is the bare phase
-    exp(-i D t): the damping term would be +0.0, which leaves the phase bit for
-    bit, but D^2 t overflows first when |D| ~ 1e154 and would make it NaN."""
-    phase = -1j * delta * t
-    return np.exp(phase if isinstance(gamma, float) and gamma == math.inf
-                  else phase - delta * delta * t / (2.0 * gamma))
+    """exp(-i D t - D^2 t / (2 gamma)).  Wherever gamma = inf the damping term is
+    +0.0, so the factor is the bare phase exp(-i D t) bit for bit, also where D^2 t
+    overflows (|D| ~ 1e154) and D^2 t / inf would be NaN; at finite gamma that
+    overflow gives the exact factor 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        damping = delta * delta * t / (2.0 * gamma)
+    return np.exp(-1j * delta * t - np.where(gamma == math.inf, 0.0, damping))
 
 
 def poisson_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -357,6 +358,8 @@ ENGINES = {"eigen": "evolve_eigenbasis", "poisson": "evolve_poisson", "ode": "ev
 
 def evolve(name: str, block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """The state at each time of req.t from the engine ENGINES names."""
+    if name not in ENGINES:
+        raise ValidationError(f"engine must be one of {tuple(ENGINES)}, got {name!r}")
     return globals()[ENGINES[name]](block, spectrum, req)
 
 
@@ -395,8 +398,10 @@ def closed_form_rho(
     ket_bra = np.einsum("ip,jq->pqij", v, v.conj())  # ket_bra[p, q] = |p><q|, one product per entry
 
     def damp(freq: float):
-        # decay exponent 2 freq^2 t / gamma of the published expression
-        return 2.0 * freq * freq * t / gamma
+        # decay exponent 2 freq^2 t / gamma of the published expression; none where gamma = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent = 2.0 * freq * freq * t / gamma
+        return np.where(gamma == math.inf, 0.0, exponent)
 
     apb = 0.5 * (cap_a + cap_b) ** 2
     amb = 0.5 * (cap_a - cap_b) ** 2

@@ -15,8 +15,6 @@ import numpy as np
 from . import engines, model, observables
 from .errors import ValidationError
 
-ENGINE_NAMES = tuple(engines.ENGINES)
-
 # Published peak probabilities used for side-by-side comparison.  Keys are
 # R = a/gamma; the decoherence-free row is R = 0.
 PUBLISHED_R_VALUES = (0.001, 0.005, 0.01, 0.1)
@@ -27,6 +25,8 @@ PUBLISHED_OMEGA_RAD_S = 8.95e6
 
 def kick_rate(r: float) -> float:
     """gamma = 1/R in scaled units; R = 0 is the decoherence-free gamma = inf."""
+    if not 0.0 <= r < math.inf:
+        raise ValidationError(f"R must be finite and nonnegative, got {r}")
     return math.inf if r == 0.0 else 1.0 / r
 
 
@@ -42,9 +42,9 @@ def scaled_system(
     return block, model.spectrum_analytic(block)
 
 
-def initial_state() -> engines.DensityMatrix:
-    """|g,0,0><g,0,0| in the m = n = 1 block."""
-    return engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
+def initial_state(modes: model.ModeIndices = model.ModeIndices(1, 1)) -> engines.DensityMatrix:
+    """|g,m-1,n-1><g,m-1,n-1| in the (m, n) block: |g,0,0> for m = n = 1."""
+    return engines.DensityMatrix.basis_state(2, modes.basis_order())
 
 
 def _published_rt_grid(t_grid: np.ndarray) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
@@ -58,13 +58,13 @@ class SweepSpec:
     """A (R, T) grid swept with one engine.
 
     t_grid holds scaled times in radians, strictly increasing; targets is a
-    subset of {"minus", "plus"} kept in that fixed order.
+    subset of observables.SIGNS kept in that fixed order.
     """
 
     alpha: float
     r_values: tuple[float, ...]
     t_grid: np.ndarray
-    targets: tuple[str, ...] = ("minus", "plus")
+    targets: tuple[str, ...] = observables.SIGNS
     engine: str = "eigen"
     dt: float | None = None
     tail_tol: float = 1e-12
@@ -72,13 +72,13 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.engine not in ENGINE_NAMES:
-            raise ValidationError(f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}")
+        if self.engine not in engines.ENGINES:
+            raise ValidationError(f"engine must be one of {tuple(engines.ENGINES)}, got {self.engine!r}")
         observables.check_alpha(self.alpha)
         for target in self.targets:
             observables._check_sign(target)
-        if not all(0.0 <= r < math.inf for r in self.r_values):
-            raise ValidationError(f"r values must be finite and nonnegative, got {self.r_values}")
+        for r in self.r_values:
+            kick_rate(r)
         grid = np.asarray(self.t_grid, dtype=float)
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ValidationError("t_grid must be strictly increasing")
@@ -93,7 +93,6 @@ class TimeSeries:
     t_deg: np.ndarray
     probabilities: dict[tuple[float, str], np.ndarray]
     purities: dict[float, np.ndarray]
-    spec: SweepSpec
 
 
 def sweep(spec: SweepSpec) -> TimeSeries:
@@ -115,13 +114,8 @@ def sweep(spec: SweepSpec) -> TimeSeries:
         for sign, target in targets.items():
             probabilities[(r, sign)] = observables.p_ghz(states, target)
         purities[r] = observables.purity(states)
-    return TimeSeries(
-        t_rad=spec.t_grid.copy(),
-        t_deg=np.degrees(spec.t_grid),
-        probabilities=probabilities,
-        purities=purities,
-        spec=spec,
-    )
+    return TimeSeries(t_rad=spec.t_grid.copy(), t_deg=np.degrees(spec.t_grid),
+                      probabilities=probabilities, purities=purities)
 
 
 @dataclass(frozen=True)
@@ -132,9 +126,7 @@ class PeakRecord:
     target: str
     t_peak_rad: float  # 3-point parabolic refinement around the grid maximum
     value: float
-    grid_index: int
-    grid_t_rad: float
-    grid_value: float
+    grid_index: int  # the grid maximum, series.t_rad[grid_index]
 
 
 def _refine(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
@@ -148,7 +140,7 @@ def _refine(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
 
 def find_peaks(series: TimeSeries) -> list[PeakRecord]:
     """Interior strict local maxima of every column; plateau ties resolve to the
-    smallest T, and each peak carries both the refined and the raw grid value."""
+    smallest T, and each peak carries its refined value and its grid index."""
     records = []
     t = series.t_rad
     if t.size < 3:
@@ -165,10 +157,7 @@ def find_peaks(series: TimeSeries) -> list[PeakRecord]:
                         t_peak, value = _refine(t, y, i)
                     else:
                         t_peak, value = float(t[i]), float(y[i])
-                    records.append(PeakRecord(
-                        r=r, target=sign, t_peak_rad=t_peak, value=value,
-                        grid_index=i, grid_t_rad=float(t[i]), grid_value=float(y[i]),
-                    ))
+                    records.append(PeakRecord(r=r, target=sign, t_peak_rad=t_peak, value=value, grid_index=i))
                 i = j + 1
             else:
                 i += 1
@@ -179,8 +168,6 @@ def find_peaks(series: TimeSeries) -> list[PeakRecord]:
 class UnitReport:
     """Scaled results mapped onto laboratory units."""
 
-    omega_rad_s: float
-    alpha: float
     a_rad_s: float
     inv_gamma_ns: dict[float, float]  # r -> 1/gamma in nanoseconds
     t_quarter_us: float  # time reaching T = pi/4, in microseconds
@@ -192,8 +179,8 @@ def physical_units(omega_rad_s: float, alpha: float, r_values) -> UnitReport:
     observables.check_alpha(alpha)
     if not 0.0 < omega_rad_s < math.inf:
         raise ValidationError(f"omega must be finite and positive, got {omega_rad_s}")
-    if not all(0.0 <= r < math.inf for r in r_values):
-        raise ValidationError(f"r values must be finite and nonnegative, got {tuple(r_values)}")
+    for r in r_values:
+        kick_rate(r)
     a = omega_rad_s / math.sqrt(alpha * alpha - 1.0)
     if not 0.0 < a < math.inf:
         raise ValidationError(f"omega = {omega_rad_s} and alpha = {alpha} give a sideband coupling a = {a} rad/s, "
@@ -202,13 +189,7 @@ def physical_units(omega_rad_s: float, alpha: float, r_values) -> UnitReport:
     t_quarter_us = (math.pi / 4.0) / a * 1e6
     if not all(math.isfinite(x) for x in (t_quarter_us, *inv_gamma.values())):
         raise ValidationError(f"the kick periods or t(pi/4) overflow at a = {a} rad/s")
-    return UnitReport(
-        omega_rad_s=omega_rad_s,
-        alpha=alpha,
-        a_rad_s=a,
-        inv_gamma_ns=inv_gamma,
-        t_quarter_us=t_quarter_us,
-    )
+    return UnitReport(a_rad_s=a, inv_gamma_ns=inv_gamma, t_quarter_us=t_quarter_us)
 
 
 @dataclass(frozen=True)

@@ -98,14 +98,9 @@ class HamiltonianBlock:
         return float(self.entries[0, 1])
 
     @property
-    def sideband(self) -> float:
-        """The (1,4) entry g eta_c sqrt(mn) = 2a."""
-        return float(self.entries[0, 3])
-
-    @property
     def a(self) -> float:
-        """Sideband coupling (1/2) g eta_c sqrt(mn), rad/s."""
-        return 0.5 * self.sideband
+        """Sideband coupling (1/2) g eta_c sqrt(mn), rad/s: half the (1,4) entry."""
+        return 0.5 * float(self.entries[0, 3])
 
     @property
     def mu(self) -> float:

@@ -3,7 +3,7 @@
 The targets live in the m = n = 1 block, basis order
 (|g,1,1>, |e,1,1>, |g,0,0>, |e,0,0>):
 
-    |GHZ-/+> = (-1)^p / sqrt(2) * (|g,0,0> -/+ i |e,1,1>)
+    |GHZ-/+> = (|g,0,0> -/+ i |e,1,1>) / sqrt(2)
 
 P(t) = tr(rho(t) |GHZ><GHZ|) is defined through the density matrix.  A
 corrected closed form for P(T) (an exact identity with the reference engine)
@@ -45,25 +45,24 @@ class GHZTarget:
     """One of the two orthogonal maximally entangled targets, as a projector."""
 
     sign: str
-    p_phase: int  # global phase (-1)^p, physically irrelevant, kept for bookkeeping
     vector: np.ndarray
     projector: np.ndarray
     basis_order: tuple[str, str, str, str]
 
 
-def ghz_state(sign: str, p: int = 0) -> GHZTarget:
-    """Build (|g,0,0> -/+ i |e,1,1>) / sqrt(2) and its projector."""
+def ghz_state(sign: str) -> GHZTarget:
+    """Build (|g,0,0> -/+ i |e,1,1>) / sqrt(2) and its projector; a global phase
+    would leave the projector, and so every probability, unchanged."""
     upper = _check_sign(sign)
     vector = np.zeros(4, dtype=complex)
     vector[2] = 1.0 / math.sqrt(2.0)
     vector[1] = -upper * 1j / math.sqrt(2.0)
-    vector = (-1.0) ** p * vector
     projector = np.outer(vector, vector.conj())
     vector.flags.writeable = projector.flags.writeable = False  # GHZ_TARGETS shares them with every caller
-    return GHZTarget(sign=sign, p_phase=p, vector=vector, projector=projector, basis_order=GHZ_BASIS)
+    return GHZTarget(sign=sign, vector=vector, projector=projector, basis_order=GHZ_BASIS)
 
 
-GHZ_TARGETS = {sign: ghz_state(sign) for sign in SIGNS}  # p = 0, built once at import
+GHZ_TARGETS = {sign: ghz_state(sign) for sign in SIGNS}  # built once at import
 
 
 def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:
@@ -80,38 +79,6 @@ def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
     return np.clip(value, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ClosedFormCoefficients:
-    """Coefficients of the corrected closed-form P(T), functions of alpha alone.
-
-    a_coeff and b_coeff are the state-decomposition amplitudes with
-    a_coeff^2 + b_coeff^2 = 1/2.
-    """
-
-    alpha: float
-    c0: float
-    c_mu: float
-    c_plus: float
-    c_minus: float
-    a_coeff: float
-    b_coeff: float
-
-
-def closed_form_coefficients(alpha: float) -> ClosedFormCoefficients:
-    check_alpha(alpha)
-    a2 = alpha * alpha
-    omega_over_a = math.sqrt(a2 - 1.0)  # omega in units of the sideband coupling
-    return ClosedFormCoefficients(
-        alpha=alpha,
-        c0=(a2 + 1.0) / (4.0 * a2),
-        c_mu=(a2 - 1.0) / (4.0 * a2),
-        c_plus=(alpha - 1.0) ** 2 / (8.0 * a2),
-        c_minus=(alpha + 1.0) ** 2 / (8.0 * a2),
-        a_coeff=math.sqrt((alpha + omega_over_a) / (4.0 * alpha)),
-        b_coeff=math.sqrt((alpha - omega_over_a) / (4.0 * alpha)),
-    )
-
-
 def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     """Corrected closed-form target probability as a function of scaled time.
 
@@ -125,14 +92,18 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     upper = _check_sign(sign)
     if r < 0:
         raise ValidationError(f"r must be nonnegative, got {r}")
-    c = closed_form_coefficients(alpha)
+    check_alpha(alpha)
+    a2 = alpha * alpha
+    c_mu = (a2 - 1.0) / (4.0 * a2)
+    c_plus = (alpha - 1.0) ** 2 / (8.0 * a2)
+    c_minus = (alpha + 1.0) ** 2 / (8.0 * a2)
     t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
-        c.c0
-        + c.c_mu * np.exp(-2.0 * alpha * alpha * t_scaled * r) * np.cos(2.0 * alpha * t_scaled)
-        + upper * c.c_mu * np.exp(-2.0 * t_scaled * r) * np.sin(2.0 * t_scaled)
-        + upper * c.c_plus * np.exp(-2.0 * (alpha + 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
-        - upper * c.c_minus * np.exp(-2.0 * (alpha - 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
+        (a2 + 1.0) / (4.0 * a2)
+        + c_mu * np.exp(-2.0 * alpha * alpha * t_scaled * r) * np.cos(2.0 * alpha * t_scaled)
+        + upper * c_mu * np.exp(-2.0 * t_scaled * r) * np.sin(2.0 * t_scaled)
+        + upper * c_plus * np.exp(-2.0 * (alpha + 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
+        - upper * c_minus * np.exp(-2.0 * (alpha - 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
     )
     return value if value.ndim else float(value)
 

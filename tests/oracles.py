@@ -9,9 +9,14 @@ kick_standard_error    the exact standard error of an n-trajectory Monte Carlo
                        eigh of the block; bounds evolve_monte_carlo.
 eigenbasis_coherences  |rho_pq| for p < q in a given eigenbasis.
 pure                   the density matrix |v><v| / <v|v>.
+first_order_gap_bound  the largest gap the first-order engine may show against the
+                       exact kick average, from a dense eigvalsh of the block.
+first_order_generator  the 16x16 first-order generator on vec(rho), from the block.
+first_order_expm       exp(t G) vec(rho) by scipy's expm; checks evolve_ode.
 
 They take from iondeco only its containers, its error classes and the sign
-significance threshold; test_oracles_import_no_code_they_check pins that.
+significance threshold, and from scipy only expm;
+test_oracles_import_no_code_they_check pins that.
 """
 
 import math
@@ -124,3 +129,38 @@ def kick_standard_error(block, rho: DensityMatrix, t: float, gamma: float, n_tra
     mean = np.tensordot(pmf, states, axes=1) / pmf.sum()
     var = np.tensordot(pmf, np.square(np.abs(states - mean)), axes=1) / pmf.sum()
     return np.sqrt(var / n_traj)
+
+
+def first_order_gap_bound(block, t: float, r: float, floor: float) -> float:
+    """Largest max-entry gap the first-order engine may show against the exact
+    kick average, at time t and R = 1/gamma (scaled units).
+
+    Per eigenbasis coherence with gap D = Ep - Eq and d = D R, the exact
+    factor is phi_first * e^z with z = (t/R)(e^{-id} - 1 + id + d^2/2), and
+    |z| <= t |D|^3 R^2 / 6, 0 <= Re z <= t D^4 R^3 / 24.  Hence
+    |phi_first - phi_exact| <= |phi_first| |z| e^{Re z}, with
+    |phi_first| = exp(-D^2 t R / 2).  The largest entry of V X V^T is at most
+    ||X||_F, and with E_pq = phi_first - phi_exact for coherence (p, q),
+    ||rho_eig o E||_F <= max|E_pq| since ||rho||_F <= 1.
+
+    The gaps D come from a dense eigvalsh of the block, never from an engine.
+    """
+    w = np.linalg.eigvalsh(block.entries)
+    d = np.abs(w[:, None] - w[None, :])[~np.eye(len(w), dtype=bool)]
+    per_pair = (np.exp(-d * d * t * r / 2.0) * (t * d**3 * r * r / 6.0)
+                * np.exp(t * d**4 * r**3 / 24.0))
+    return float(per_pair.max()) + floor
+
+
+def first_order_generator(block, gamma: float) -> np.ndarray:
+    """16x16 matrix of rho -> -i[H,rho] - [H,[H,rho]]/(2 gamma) on row-major vec(rho)."""
+    eye = np.eye(4)
+    comm = np.kron(block.entries, eye) - np.kron(eye, block.entries.T)
+    return -1j * comm - (comm @ comm) / (2.0 * gamma)
+
+
+def first_order_expm(block, rho: DensityMatrix, t: float, gamma: float) -> np.ndarray:
+    """rho(t) = exp(t G) vec(rho) for the first-order generator G, by scipy's expm."""
+    from scipy.linalg import expm  # scipy is a test extra; only this oracle needs it
+
+    return (expm(t * first_order_generator(block, gamma)) @ rho.entries.reshape(16)).reshape(4, 4)

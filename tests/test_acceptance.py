@@ -7,7 +7,7 @@ them inline).
 Criterion 5b bounds the gap between the first-order reference engine and the
 exact kick average by the truncation error that the first-order expansion
 itself implies, derived per (R, T) from the eigenvalues of the block (see
-conftest.first_order_gap_bound).  An earlier fixed bound max(1e-3, 40 R^2) has
+oracles.first_order_gap_bound).  An earlier fixed bound max(1e-3, 40 R^2) has
 no source in the package or its documents and is not met by the first-order
 gap: over T in [0, pi] at alpha = 4 the max-entry gap tends to about 128 R^2
 as R -> 0, and even the P_GHZ gap (plus target) is 62 R^2 at R = 0.005 and
@@ -22,8 +22,8 @@ import pytest
 from iondeco import cli, engines, experiments, observables
 from iondeco.experiments import initial_state, scaled_system
 
-from conftest import R_VALUES, T_GRID_PI, first_order_gap_bound
-from oracles import kick_standard_error
+from conftest import R_VALUES, T_GRID_PI
+from oracles import first_order_gap_bound, kick_standard_error
 
 PUBLISHED_QUARTER = {0.001: 0.99, 0.005: 0.94, 0.01: 0.89, 0.1: 0.53}
 PUBLISHED_INV_GAMMA_NS = {0.001: 0.43, 0.005: 2.15, 0.01: 4.32, 0.1: 43.20}

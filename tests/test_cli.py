@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +107,7 @@ ARG_VALUES = st.one_of(
 ARG_CHUNKS = st.one_of(
     st.tuples(FLAG_FORMS, ARG_VALUES).map(list),  # --k v
     st.tuples(FLAG_FORMS, ARG_VALUES).map(lambda kv: ["=".join(kv)]),  # --k=v
-    st.one_of(ARG_VALUES, FLAG_FORMS, st.sampled_from(list(cli.DEFAULT_OUT) + [
+    st.one_of(ARG_VALUES, FLAG_FORMS, st.sampled_from(list(cli.COMMANDS) + [
         "evolv", "frobnicate", "--", "-h", "--help", "--he", "-x", "---"])).map(lambda token: [token]),
 )
 
@@ -125,7 +126,7 @@ def parse_outcome(parse, argv):
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(argv=st.lists(ARG_CHUNKS, max_size=5).map(lambda chunks: sum(chunks, [])),
-       command=st.sampled_from(list(cli.DEFAULT_OUT) + [None]))
+       command=st.sampled_from(list(cli.COMMANDS) + [None]))
 @example(argv=["-h"], command=None)
 @example(argv=["--alpha=-3", "--r", "-0.5,nan", "--", "x"], command="evolve")
 @example(argv=["--t", "1"], command="sweep")  # ambiguous abbreviation
@@ -195,6 +196,16 @@ def test_success_exits_zero(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "sweep" in capsys.readouterr().out
     assert (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command,default_out", [
+    ("sweep", "sweep.csv"), ("table1", "table1.csv"), ("units", "units.csv"), ("audit", "audit.txt"),
+    ("evolve", "evolve.csv"),
+])
+def test_each_command_writes_its_default_output(tmp_path, monkeypatch, capsys, command, default_out):
+    assert run_cli(tmp_path, monkeypatch, [command, "--t-max-deg", "20", "--t-step-deg", "5"]) == 0
+    assert capsys.readouterr().out.startswith(f"{command}: ")
+    assert [p.name for p in tmp_path.iterdir()] == [default_out]
 
 
 # ----------------------------------------------------------------- file output
@@ -375,6 +386,15 @@ def test_evolve_default_r_runs_at_its_first_value(tmp_path, monkeypatch, capsys)
     assert " r=0.001,0.005,0.01,0.1 " in lines[0] and "r,0.001" in lines
 
 
+@pytest.mark.parametrize("command", ["evolve", "sweep", "units"])
+def test_bad_r_error_names_r_as_typed(tmp_path, monkeypatch, capsys, command):
+    """Every command checks R with experiments.kick_rate; evolve no longer reports the
+    gamma = 1/R it derived from it."""
+    assert run_cli(tmp_path, monkeypatch, [command, "--r", "-0.1", "--t-max-deg", "10", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "validation error: R must be finite and nonnegative, got -0.1\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_metadata_reproduces_run(tmp_path, monkeypatch):
     """An output file carries enough configuration to reproduce itself."""
     assert run_cli(tmp_path, monkeypatch, sweep_args("orig.csv")) == 0
@@ -425,6 +445,16 @@ def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     if "--alpha" in argv:
         assert "alpha" in err
     assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("command", ["table1", "audit"])
+def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, command):
+    """At alpha = 5e153 the damping D^2 t / (2 gamma) overflows.  Where gamma = inf (the
+    R = 0 rows) it is no damping, not inf / inf = NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(tmp_path, monkeypatch, [command, "--alpha", "5e153", "--out", "x.out"]) == 0
+    assert "nan" not in (tmp_path / "x.out").read_text()
 
 
 def test_grid_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys):
@@ -554,6 +584,14 @@ def test_emit_csv_equals_per_cell_formatting(tmp_path_factory, columns):
 
 
 # ------------------------------------------------------------ benchmark tracer
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py, the benchmark's own negative tests, exits 0."""
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_benchmark_tracer_sees_every_cli_engine_call(tmp_path, monkeypatch):

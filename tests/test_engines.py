@@ -13,7 +13,7 @@ from iondeco.errors import NumericalError, ValidationError
 from iondeco.experiments import scaled_system
 
 import oracles
-from conftest import T_GRID_PI, first_order_gap_bound
+from conftest import T_GRID_PI
 
 
 def random_state(rng, basis):
@@ -97,6 +97,12 @@ def test_engine_rules(system4, rho0, name):
         assert expected in outcome(t, gamma)
 
 
+def test_evolve_rejects_an_unknown_engine_name(system4, rho0):
+    block, spectrum = system4
+    with pytest.raises(ValidationError, match="engine must be one of .*'bogus'"):
+        engines.evolve("bogus", block, spectrum, engines.EvolutionRequest(rho0, 1.0))
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.0, -1, -math.inf, math.nan, np.array([1.0, 0.0, 5.0])])
 def test_request_and_closed_form_rho_share_the_gamma_check(system4, rho0, bad):
     """Both raise the same ValidationError, before closed_form_rho divides by gamma,
@@ -113,12 +119,17 @@ def test_request_and_closed_form_rho_share_the_gamma_check(system4, rho0, bad):
 
 
 def test_oracles_import_no_code_they_check():
-    """tests/oracles.py takes only containers, error classes and a constant from iondeco."""
+    """tests/oracles.py, the first-order gap bound and the expm reference among its
+    oracles, takes only containers, error classes and a constant from iondeco, and
+    only expm from scipy."""
     tree = ast.parse(Path(oracles.__file__).read_text())
+    assert {"first_order_gap_bound", "first_order_generator", "first_order_expm"} <= {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     imported = {(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported == {("iondeco.engines", "DensityMatrix"), ("iondeco.errors", "NumericalError"),
-                        ("iondeco.model", "_SIGN_SIGNIFICANCE"), ("iondeco.model", "Spectrum")}
+                        ("iondeco.model", "_SIGN_SIGNIFICANCE"), ("iondeco.model", "Spectrum"),
+                        ("scipy.linalg", "expm")}
     assert {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names} == {
         "math", "numpy"}
 
@@ -217,6 +228,23 @@ def test_gamma_inf_is_the_bare_phase_where_the_damping_would_overflow():
     mc = engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho, 6.0, 2.0, n_traj=200, seed=1))
     per_trajectory = per_trajectory_monte_carlo(spectrum, rho, trajectory_kicks(6.0, 2.0, 200, 1), 2.0)
     assert np.abs(mc.entries - per_trajectory).max() <= 1e-13
+
+
+def test_gamma_inf_rule_holds_elementwise_where_the_damping_would_overflow():
+    """An inf entry of a gamma array gives the bare phase as one gamma = inf does, and a
+    finite entry whose damping overflows the factor 0, as one finite gamma does; the
+    published rho(t) drops its decay exponent wherever gamma = inf.  At alpha = 5e153,
+    with no RuntimeWarning (the suite makes them errors) and no NaN."""
+    block, spectrum = scaled_system(5e153)
+    rho = experiments.initial_state()
+    t = np.array([6.0, 6.0, 0.5])
+    gamma = np.array([math.inf, 2.0, math.inf])
+    grid = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho, t, gamma))
+    for j in range(t.size):
+        one = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho, float(t[j]), float(gamma[j])))
+        assert np.array_equal(grid.entries[j], one.entries)
+    assert np.isfinite(engines.closed_form_rho(block, spectrum, t, gamma).entries).all()
+    assert np.isfinite(engines.closed_form_rho(block, spectrum, 6.0, math.inf).entries).all()
 
 
 # --------------------------------------------------------------------- unitary
@@ -341,7 +369,7 @@ def test_poisson_exact_at_tiny_r(system4, rho0, r):
         req = engines.EvolutionRequest(rho0, t=float(t), gamma=1.0 / r)
         gap = np.abs(engines.evolve_poisson(block, spectrum, req).entries
                      - engines.evolve_eigenbasis(block, spectrum, req).entries).max()
-        assert gap <= first_order_gap_bound(block, float(t), r, 1e-13)
+        assert gap <= oracles.first_order_gap_bound(block, float(t), r, 1e-13)
 
 
 # ------------------------------------------------------------------------- ode
@@ -436,22 +464,19 @@ def test_ode_march_within_rk4_error_of_expm(system4):
     n |z|^5 e^|z| / 120 at the largest |z|, in the Frobenius norm
     (||rho0||_F <= 1), which bounds the largest entry.
     """
-    expm = pytest.importorskip("scipy.linalg").expm
+    pytest.importorskip("scipy.linalg")
     block, spectrum = system4
-    eye = np.eye(4)
-    comm = np.kron(block.entries, eye) - np.kron(eye, block.entries.T)
     dt = 2e-3
     grid = np.array([math.pi, 0.0, 0.5, 2.0, 0.5 + 1e-4])
     mixed = random_state(np.random.default_rng(41), spectrum.basis_order)
     for gamma in (10.0, 100.0, math.inf):
-        gen = -1j * comm - (comm @ comm) / (2.0 * gamma)
-        zs = dt * np.linalg.eigvals(gen)
+        zs = dt * np.linalg.eigvals(oracles.first_order_generator(block, gamma))
         assert np.abs(1 + zs + zs**2 / 2 + zs**3 / 6 + zs**4 / 24).max() <= 1.0
         z = np.abs(zs).max()
         for rho in (experiments.initial_state(), mixed):
             march = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
             for j, t in enumerate(grid):
-                exact = (expm(t * gen) @ rho.entries.reshape(16)).reshape(4, 4)
+                exact = oracles.first_order_expm(block, rho, t, gamma)
                 bound = (math.floor(t / dt) + 1) * z**5 * math.exp(z) / 120.0 + 1e-12
                 assert np.abs(march.entries[j] - exact).max() <= bound
 

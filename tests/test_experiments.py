@@ -85,7 +85,7 @@ def test_find_peaks_monotone_series_empty():
     series = experiments.TimeSeries(
         t_rad=grid, t_deg=np.degrees(grid),
         probabilities={(0.0, "minus"): np.linspace(0.2, 0.9, 50)},
-        purities={0.0: np.ones(50)}, spec=small_spec())
+        purities={0.0: np.ones(50)})
     assert experiments.find_peaks(series) == []
 
 
@@ -94,7 +94,7 @@ def test_find_peaks_too_few_points():
     series = experiments.TimeSeries(
         t_rad=grid, t_deg=np.degrees(grid),
         probabilities={(0.0, "minus"): np.array([0.1, 0.2])},
-        purities={0.0: np.ones(2)}, spec=small_spec())
+        purities={0.0: np.ones(2)})
     assert experiments.find_peaks(series) == []
 
 
@@ -104,7 +104,7 @@ def test_find_peaks_plateau_resolves_to_smallest_t():
     series = experiments.TimeSeries(
         t_rad=grid, t_deg=np.degrees(grid),
         probabilities={(0.0, "minus"): y},
-        purities={0.0: np.ones(7)}, spec=small_spec())
+        purities={0.0: np.ones(7)})
     peaks = experiments.find_peaks(series)
     assert [p.grid_index for p in peaks] == [1, 5]
     assert peaks[0].t_peak_rad == pytest.approx(1.0)  # no refinement across a plateau

@@ -170,7 +170,7 @@ def test_fix_signs_equals_the_column_loop(columns, scale):
 def test_overflowing_block_is_a_numerical_error():
     """g * eta_c * sqrt(mn) overflows to inf: the NaN spectrum fails validation."""
     block = model.build_hamiltonian(model.SystemParams(1.0, 1e308, 0.2, 0.1), model.ModeIndices(100, 100))
-    assert math.isinf(block.sideband)
+    assert math.isinf(block.a)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="eigen residual nan"):
         model.spectrum_analytic(block)
 

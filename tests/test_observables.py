@@ -13,7 +13,7 @@ import oracles
 
 
 def test_ghz_minus_vector():
-    target = observables.ghz_state("minus", p=0)
+    target = observables.ghz_state("minus")
     expected = np.array([0.0, -1j, 1.0, 0.0]) / math.sqrt(2.0)
     np.testing.assert_allclose(target.vector, expected, atol=1e-15)
     assert np.linalg.norm(target.vector) == pytest.approx(1.0, abs=1e-15)
@@ -33,16 +33,9 @@ def test_ghz_targets_orthogonal():
     assert abs(np.vdot(plus.vector, minus.vector)) <= 1e-12
 
 
-def test_ghz_global_phase_leaves_projector():
-    a = observables.ghz_state("minus", p=0)
-    b = observables.ghz_state("minus", p=1)
-    np.testing.assert_allclose(a.projector, b.projector, atol=1e-15)
-    np.testing.assert_allclose(b.vector, -a.vector, atol=1e-15)
-
-
 def test_shared_ghz_targets_reject_writes():
     for sign, target in observables.GHZ_TARGETS.items():
-        assert (target.sign, target.p_phase) == (sign, 0)
+        assert target.sign == sign
         np.testing.assert_array_equal(target.projector, observables.ghz_state(sign).projector)
         for array in (target.vector, target.projector):
             with pytest.raises(ValueError, match="read-only"):
@@ -92,20 +85,10 @@ def test_clamp_probability():
     assert observables.clamp_probability(0.25) == 0.25
 
 
-def test_coefficients_identities():
-    for alpha in (2.0, 4.0, 8.0):
-        c = observables.closed_form_coefficients(alpha)
-        assert c.a_coeff**2 + c.b_coeff**2 == pytest.approx(0.5, abs=1e-12)
-        assert c.c0 + c.c_mu == pytest.approx(0.5, abs=1e-12)
-        assert c.c_plus + c.c_minus == pytest.approx(c.c0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        observables.closed_form_coefficients(1.0)
-
-
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1.0])
 def test_closed_forms_reject_alpha_outside_domain(alpha):
     with pytest.raises(ValidationError, match="alpha"):
-        observables.closed_form_coefficients(alpha)
+        observables.closed_form_pghz(math.pi / 4, alpha, 0.0, "minus")
     with pytest.raises(ValidationError, match="alpha"):
         observables.published_pghz(math.pi / 4, alpha, 0.0)
 
