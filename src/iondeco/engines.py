@@ -12,8 +12,9 @@ them apply dephase to a whole grid of times with one of two factors:
   reference; evolve_unitary, it at gamma = inf; evolve_monte_carlo, it at
   t = N / gamma and gamma = inf (U^N) for seed-deterministic Poisson draws of N.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
-evolve_ode marches fixed-step 4th-order Runge-Kutta on the first-order generator
-drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma).  evolve(name, ...) runs the engine
+evolve_ode takes fixed-step 4th-order Runge-Kutta on the first-order generator
+drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma), n steps as a product of the step
+matrix's powers 2^j (binary powering).  evolve(name, ...) runs the engine
 an ENGINES name stands for.  closed_form_rho transcribes the published
 closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 """
@@ -30,7 +31,10 @@ from .model import HamiltonianBlock, Spectrum
 
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
-# Largest Runge-Kutta step count t/dt per call; at about 2 us per step, some 20 s.
+# Largest Runge-Kutta step count t/dt per call.  Binary powering makes the work
+# logarithmic in it (a ladder of at most 24 step powers, and at most 28 matrix-vector
+# products per time), so the budget bounds the rounding, which grows with the step
+# count, not the time.
 MAX_ODE_STEPS = 10_000_000
 # Largest total length of the Poisson CDF tables of one Monte Carlo call, which holds
 # one at a time; at about 33 B and 0.3 us per entry, a peak near 330 MB and some 3 s.
@@ -60,6 +64,8 @@ class DensityMatrix:
         """Invariant violations, empty when the state (every state of a stack) is valid."""
         out = []
         rho = self.entries
+        if not np.isfinite(rho).all():  # no further check, and no eigen solve, is defined on them
+            return ["non-finite entries"]
         rho_h = np.swapaxes(rho, -1, -2).conj()
         herm = np.abs(rho - rho_h).max(initial=0.0)
         if herm > hermitian_tol:
@@ -212,12 +218,14 @@ def _first_order_superoperator(h: np.ndarray, gamma: float) -> np.ndarray:
     return gen
 
 
-def _rk4_step_matrix(gen: np.ndarray, dt: float) -> np.ndarray:
-    # For a linear generator the classical Runge-Kutta update is exactly the
-    # degree-4 Taylor polynomial of the step propagator, so precompute it.
-    eye = np.eye(16, dtype=complex)
-    hg = dt * gen
-    return eye + hg @ (eye + hg @ (eye + hg @ (eye + hg / 4.0) / 3.0) / 2.0)
+def _rk4_step(gen: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """The classical Runge-Kutta step of length h applied to x (a vector, or the
+    identity for the step matrix).  For a linear generator that step is exactly the
+    degree-4 Taylor polynomial of exp(h gen), evaluated here by Horner's rule."""
+    y = x
+    for k in (4.0, 3.0, 2.0, 1.0):
+        y = x + (h / k) * gen.dot(y)
+    return y
 
 
 def default_ode_step(block: HamiltonianBlock) -> float:
@@ -231,9 +239,13 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
     """Fixed-step classical 4th-order Runge-Kutta on the first-order generator; one
     gamma per call, inf included, and no use of the spectrum.
 
-    One march visits the times in ascending order, taking the shortened step to
-    each on a copy, so each gets the products of a run from t = 0.  States but
-    t = 0 are re-Hermitized; a positivity breach below -1e-7 is a NumericalError.
+    n steps of a linear generator are the n-th power of the step matrix, so the call
+    squares it into a ladder, ladder[j] = step^(2^j), up to the largest time.  Each
+    time t on its own applies ladder[j] for every set bit j of n = int(t / dt), then
+    the shortened step of length t - n dt: a pure function of (t, dt, generator,
+    initial state), so a grid gives each time the bits of a call at that time alone.
+    States but t = 0 are re-Hermitized; a non-finite entry or a positivity breach
+    below -1e-7 is a NumericalError.
     """
     _check_basis(block.basis_order, req.initial.basis_order)
     times = np.asarray(req.t, dtype=float).ravel()
@@ -242,20 +254,24 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
     if n_steps > MAX_ODE_STEPS:
         raise ValidationError(f"t / dt = {n_steps:.3g} Runge-Kutta steps exceed the budget of {MAX_ODE_STEPS}")
     gen = _first_order_superoperator(block.entries, _engine_gamma(req.gamma, finite=False, one=True))
-    step = _rk4_step_matrix(gen, dt)
-    vec = req.initial.entries.astype(complex).reshape(16)
+    initial = req.initial.entries.astype(complex).reshape(16)
     out = np.empty((times.size, 16), dtype=complex)
-    advance = step.dot  # bound once: about 0.6 of the per-step cost of `step @ vec`
-    n_done = 0
-    for i in np.argsort(times, kind="stable"):
-        n_full = int(times[i] / dt)
-        for _ in range(n_full - n_done):
-            vec = advance(vec)
-        n_done = n_full
-        remainder = times[i] - n_full * dt
-        out[i] = _rk4_step_matrix(gen, remainder) @ vec if remainder > 1e-15 * times[i] else vec
-    rho = out.reshape(-1, 4, 4)
-    rho = np.where((times == 0.0)[:, None, None], req.initial.entries, 0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is reported by the invariant check below
+        ladder = [_rk4_step(gen, dt, np.eye(16, dtype=complex))]
+        while len(ladder) < int(n_steps).bit_length():
+            ladder.append(ladder[-1] @ ladder[-1])
+        apply = [power.dot for power in ladder]  # bound once: about half the cost of `power @ vec`
+        for i, t in enumerate(times.tolist()):
+            n_full = int(t / dt)
+            vec = initial
+            for j in range(n_full.bit_length()):
+                if n_full >> j & 1:
+                    vec = apply[j](vec)
+            remainder = t - n_full * dt
+            out[i] = _rk4_step(gen, remainder, vec) if remainder > 1e-15 * t else vec
+        rho = out.reshape(-1, 4, 4)
+        rho = np.where((times == 0.0)[:, None, None], req.initial.entries,
+                       0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
     result = DensityMatrix(rho.reshape(np.shape(req.t) + (4, 4)), req.initial.basis_order)
     problems = result.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7)
     if problems:

@@ -25,8 +25,7 @@ PUBLISHED_OMEGA_RAD_S = 8.95e6
 
 def kick_rate(r: float) -> float:
     """gamma = 1/R in scaled units; R = 0 is the decoherence-free gamma = inf."""
-    if not 0.0 <= r < math.inf:
-        raise ValidationError(f"R must be finite and nonnegative, got {r}")
+    observables.check_r(r)
     return math.inf if r == 0.0 else 1.0 / r
 
 

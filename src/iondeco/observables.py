@@ -34,6 +34,13 @@ def check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must be finite, exceed 1 and have a finite square, got {alpha}")
 
 
+def check_r(r: float) -> None:
+    """R = a / gamma, which must be finite and nonnegative; R = 0 is the
+    decoherence-free limit gamma = inf."""
+    if not 0.0 <= r < math.inf:
+        raise ValidationError(f"R must be finite and nonnegative, got {r}")
+
+
 def _check_sign(sign: str) -> float:
     if sign not in SIGNS:
         raise ValidationError(f"sign must be one of {SIGNS}, got {sign!r}")
@@ -90,8 +97,7 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
                - c_minus e^{-2 (a-1)^2 T R} sin(2 (a-1) T)      (a = alpha)
     """
     upper = _check_sign(sign)
-    if r < 0:
-        raise ValidationError(f"r must be nonnegative, got {r}")
+    check_r(r)
     check_alpha(alpha)
     a2 = alpha * alpha
     c_mu = (a2 - 1.0) / (4.0 * a2)
@@ -116,6 +122,7 @@ def published_pghz(t_scaled, alpha: float, r: float):
     deliberately not clamped -- it is not a probability (it reaches 1.2344 at
     T = pi/4 in the decoherence-free limit).
     """
+    check_r(r)
     check_alpha(alpha)
     a2 = alpha * alpha
     lead = (a2 - 1.0) / (2.0 * a2)

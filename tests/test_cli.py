@@ -184,6 +184,19 @@ def test_numerical_error_exits_three(tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--engine", "ode", "--dt", "5", "--r", "1", "--t-max-deg", "57300"],
+    ["sweep", "--engine", "ode", "--dt", "5", "--r", "1", "--t-max-deg", "57300", "--t-step-deg", "5730"],
+], ids=lambda argv: " ".join(argv))
+def test_overflowing_ode_exits_three_without_traceback(tmp_path, monkeypatch, capsys, argv):
+    # the step powers overflow to inf and NaN; the invariant check names them, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical/io error:") and "non-finite entries" in err and "Traceback" not in err
+
+
 def test_io_error_exits_three(tmp_path, monkeypatch):
     code = run_cli(tmp_path, monkeypatch,
                    ["units", "--out", str(tmp_path / "missing_dir" / "units.csv")])
@@ -483,10 +496,10 @@ def test_trajectory_budget_exits_two_without_allocating(tmp_path, monkeypatch, c
     ["sweep", "--engine", "ode", "--alpha", "1e100", "--t-max-deg", "10"],
 ], ids=lambda argv: " ".join(argv))
 def test_ode_step_budget_exits_two_without_stepping(tmp_path, monkeypatch, capsys, argv):
-    # the default sweep at alpha = 100 marches 2 pi / 1e-5, about 6.3e5 steps, and stays inside
+    # the default sweep at alpha = 100 takes 2 pi / 1e-5, about 6.3e5 steps, and stays inside
     block, _ = experiments.scaled_system(100.0)
     assert 2.0 * math.pi / engines.default_ode_step(block) <= engines.MAX_ODE_STEPS
-    monkeypatch.setattr(engines, "_rk4_step_matrix", lambda gen, dt: pytest.fail("step matrix built"))
+    monkeypatch.setattr(engines, "_rk4_step", lambda *args: pytest.fail("step matrix built"))
     assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "steps exceed the budget" in err and "Traceback" not in err

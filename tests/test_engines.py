@@ -143,6 +143,20 @@ def test_density_matrix_validation():
         bad.require_valid()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_state_is_a_validation_error(bad):
+    """A non-finite entry is reported as a violation before any eigen solve, which
+    would raise LinAlgError on it, and before any arithmetic that would warn."""
+    entries = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS).entries
+    entries[1, 3] = bad
+    rho = engines.DensityMatrix(entries, observables.GHZ_BASIS)
+    assert rho.violations() == ["non-finite entries"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            engines.EvolutionRequest(rho, t=1.0)
+
+
 def test_basis_state_equals_pure_bitwise():
     """Signed zeros included: basis_state(i) has the bits of the pure state of e_i."""
     for i in range(4):
@@ -419,36 +433,59 @@ def test_ode_output_state_invariants(system4, rho0):
 
 
 def restart_rk4(block, rho, t, gamma, dt):
-    """Reference: one Runge-Kutta run from t = 0 to t, restarted for each t."""
+    """Reference: one Runge-Kutta run from t = 0 to t, one step matrix product per step."""
     if t == 0.0:
         return rho.entries.astype(complex)
     gen = engines._first_order_superoperator(block.entries, gamma)
     n_full = int(t / dt)
     remainder = t - n_full * dt
-    step = engines._rk4_step_matrix(gen, dt)
+    step = engines._rk4_step(gen, dt, np.eye(16, dtype=complex))
     vec = rho.entries.astype(complex).reshape(16)
     for _ in range(n_full):
         vec = step @ vec
     if remainder > 1e-15 * t:
-        vec = engines._rk4_step_matrix(gen, remainder) @ vec
+        vec = engines._rk4_step(gen, remainder, vec)
     out = vec.reshape(4, 4)
     return 0.5 * (out + out.conj().T)
 
 
 def test_ode_grid_march_equals_restarts(system4):
-    """One march along an unsorted grid, with repeated times and t = 0, gives
-    each time the bits of a run from t = 0."""
+    """An unsorted grid, with repeated times and t = 0, gives each time the bits of a
+    call at that time alone, and each of those is within rounding of a stepwise run.
+
+    Both compute the power step^n, n = int(t / dt), then the same shortened step, on
+    vec(rho0) with ||vec(rho0)||_2 = ||rho0||_F <= 1.  Take the matrix-vector rounding
+    bound: a 16-term complex product A x errs by at most c ||x||_2 with c = 16u,
+    u = 2^-53, when ||A||_2 <= 1 (to first order in u).  The step is normal, so
+    ||step||_2 = max |p(z)| over z = dt x eigenvalue of the generator.  On the
+    imaginary axis |p(z)| <= 1 (gamma = inf) and a damping Re z < 0 lowers it, so
+    no power of the step amplifies an error; evaluating |p(z)| can still read 1 ulp
+    above 1, and the bound carries the growth s^n of the computed s = max(1, |p(z)|).
+    * The stepwise run makes n products: at most n c off step^n x.
+    * The engine's ladder[j] is off step^(2^j) by e_j, where e_0 = 0 and a squaring
+      gives e_(j+1) <= 2 e_j + c, so e_j <= (2^j - 1) c.  Applying it adds
+      e_j + c = 2^j c, and over the set bits of n that sums to n c.
+    * The shortened step is 4 products in each: at most 4 c more in each.
+    Re-Hermitizing does not grow the Frobenius norm, which bounds the largest entry,
+    so the two differ by at most 2 (n + 4) c: 7.1e-12 at n = 2000, against a gap of
+    5.3e-14 there.
+    """
     block, spectrum = system4
+    dt, c = 1e-3, 16.0 * 2.0**-53
     mixed = random_state(np.random.default_rng(31), spectrum.basis_order)
     grid = np.concatenate([np.linspace(0.0, 2.0, 9), [1.3, 0.0, 0.25, 1.3, 2.0 / 3.0]])
-    for rho in (experiments.initial_state(), mixed):
-        for gamma in (10.0, math.inf):
-            march = engines.evolve("ode", block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=1e-3))
-            assert march.entries.shape == (grid.size, 4, 4)
+    for gamma in (10.0, math.inf):
+        zs = dt * np.linalg.eigvals(oracles.first_order_generator(block, gamma))
+        s = max(1.0, np.abs(1 + zs + zs**2 / 2 + zs**3 / 6 + zs**4 / 24).max())
+        for rho in (experiments.initial_state(), mixed):
+            together = engines.evolve("ode", block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
+            assert together.entries.shape == (grid.size, 4, 4)
             for j, t in enumerate(grid):
-                one = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, float(t), gamma, dt=1e-3))
-                assert np.array_equal(one.entries, restart_rk4(block, rho, float(t), gamma, 1e-3))
-                assert np.array_equal(march.entries[j], one.entries)
+                one = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, float(t), gamma, dt=dt))
+                assert np.array_equal(together.entries[j], one.entries)
+                stepwise = restart_rk4(block, rho, float(t), gamma, dt)
+                n = int(t / dt)
+                assert np.abs(one.entries - stepwise).max() <= 2.0 * (n + 4) * c * s**n
     empty = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(mixed, np.array([]), 10.0))
     assert empty.entries.shape == (0, 4, 4)
 
@@ -479,6 +516,37 @@ def test_ode_march_within_rk4_error_of_expm(system4):
                 exact = oracles.first_order_expm(block, rho, t, gamma)
                 bound = (math.floor(t / dt) + 1) * z**5 * math.exp(z) / 120.0 + 1e-12
                 assert np.abs(march.entries[j] - exact).max() <= bound
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), m=st.integers(1, 5), n=st.integers(1, 5),
+       r=st.one_of(st.just(0.0), st.floats(0.001, 0.5)), seed=st.integers(0, 2**32 - 1),
+       t=st.floats(0.0, 2.0 * math.pi), extra=st.integers(0, 2**20), fraction=st.floats(0.0, 1.0))
+@example(alpha=20.0, m=5, n=5, r=0.0, seed=0, t=math.pi, extra=2**20, fraction=0.5)
+def test_ode_within_rk4_error_of_expm_everywhere(alpha, m, n, r, seed, t, extra, fraction):
+    """The bound of test_ode_march_within_rk4_error_of_expm, (floor(t/dt) + 1)
+    |z|^5 e^|z| / 120 + 1e-12 at the largest |z| = dt x |eigenvalue of G|, over
+    random (alpha, m, n), R (gamma = inf included) and mixed states.  The step is
+    chosen so that |z| = 0.02, and a second time lies beyond 2^20 steps, so the
+    ladder of step powers is 21 or 22 levels deep there.  Evaluating |p(z)| can read
+    1 ulp above 1 where it is 1 in exact arithmetic, so the bound carries the growth
+    s^n of the computed s = max(1, |p(z)|): |p^n - e^(nz)| <= n s^(n-1) |p - e^z|.
+    """
+    pytest.importorskip("scipy.linalg")
+    block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
+    gamma = experiments.kick_rate(r)
+    rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
+    eigenvalues = np.linalg.eigvals(oracles.first_order_generator(block, gamma))
+    dt = 0.02 / np.abs(eigenvalues).max()
+    zs = dt * eigenvalues
+    z = np.abs(zs).max()
+    s = max(1.0, np.abs(1 + zs + zs**2 / 2 + zs**3 / 6 + zs**4 / 24).max())
+    grid = np.array([t, (2**20 + extra + fraction) * dt])
+    out = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
+    for j, t_j in enumerate(grid.tolist()):
+        steps = math.floor(t_j / dt)
+        bound = (steps + 1) * z**5 * math.exp(z) / 120.0 * s**steps + 1e-12
+        assert np.abs(out.entries[j] - oracles.first_order_expm(block, rho, t_j, gamma)).max() <= bound
 
 
 # ----------------------------------------------------------------- monte carlo

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,21 @@ def test_closed_forms_reject_alpha_outside_domain(alpha):
         observables.closed_form_pghz(math.pi / 4, alpha, 0.0, "minus")
     with pytest.raises(ValidationError, match="alpha"):
         observables.published_pghz(math.pi / 4, alpha, 0.0)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -1.0, -1e-300])
+def test_closed_forms_and_kick_rate_share_the_r_check(r):
+    """One R rule, with one message, before any arithmetic that would warn."""
+    messages = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: observables.closed_form_pghz(0.5, 4.0, r, "minus"),
+                     lambda: observables.published_pghz(0.5, 4.0, r),
+                     lambda: experiments.kick_rate(r)):
+            with pytest.raises(ValidationError, match="R must be finite and nonnegative") as exc:
+                call()
+            messages.add(str(exc.value))
+    assert messages == {f"R must be finite and nonnegative, got {r}"}
 
 
 def test_closed_form_trivial_points():
