@@ -13,8 +13,8 @@ them apply dephase to a whole grid of times with one of two factors:
   t = N / gamma and gamma = inf (U^N) for seed-deterministic Poisson draws of N.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
 evolve_ode takes fixed-step 4th-order Runge-Kutta on the first-order generator
-drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma), n steps as a product of the step
-matrix's powers 2^j (binary powering).  evolve(name, ...) runs the engine
+drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma): n steps are the step matrix's powers 2^j,
+each applied at once to all times whose n has bit j set.  evolve(name, ...) runs the engine
 an ENGINES name stands for.  closed_form_rho transcribes the published
 closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 """
@@ -32,9 +32,9 @@ from .model import HamiltonianBlock, Spectrum
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
 # Largest Runge-Kutta step count t/dt per call.  Binary powering makes the work
-# logarithmic in it (a ladder of at most 24 step powers, and at most 28 matrix-vector
-# products per time), so the budget bounds the rounding, which grows with the step
-# count, not the time.
+# logarithmic in it (at most 24 levels of step powers, each one batched product over
+# the times whose step count has that bit set, then one batched shortened step), so
+# the budget bounds the rounding, which grows with the step count, not the time.
 MAX_ODE_STEPS = 10_000_000
 # Largest total length of the Poisson CDF tables of one Monte Carlo call, which holds
 # one at a time; at about 33 B and 0.3 us per entry, a peak near 330 MB and some 3 s.
@@ -211,7 +211,7 @@ def evolve_poisson(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRe
 def _first_order_superoperator(h: np.ndarray, gamma: float) -> np.ndarray:
     """16x16 matrix of rho -> -i[H,rho] - [H,[H,rho]]/(2 gamma) on vec(rho)."""
     eye = np.eye(4)
-    comm = np.kron(h, eye) - np.kron(eye, h.T)
+    comm = (np.multiply.outer(h, eye) - np.multiply.outer(eye, h.T)).transpose(0, 2, 1, 3).reshape(16, 16)
     gen = -1j * comm.astype(complex)
     if not math.isinf(gamma):
         gen = gen - (comm @ comm) / (2.0 * gamma)
@@ -219,12 +219,12 @@ def _first_order_superoperator(h: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _rk4_step(gen: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """The classical Runge-Kutta step of length h applied to x (a vector, or the
-    identity for the step matrix).  For a linear generator that step is exactly the
-    degree-4 Taylor polynomial of exp(h gen), evaluated here by Horner's rule."""
+    """The classical Runge-Kutta step of length h applied to x: the identity (for the step
+    matrix), or an (N, 16, 1) stack of vectors with an (N, 1, 1) array of h.  For a linear
+    generator that step is exactly the degree-4 Taylor polynomial of exp(h gen), by Horner's rule."""
     y = x
     for k in (4.0, 3.0, 2.0, 1.0):
-        y = x + (h / k) * gen.dot(y)
+        y = x + (h / k) * (gen @ y)
     return y
 
 
@@ -239,11 +239,12 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
     """Fixed-step classical 4th-order Runge-Kutta on the first-order generator; one
     gamma per call, inf included, and no use of the spectrum.
 
-    n steps of a linear generator are the n-th power of the step matrix, so the call
-    squares it into a ladder, ladder[j] = step^(2^j), up to the largest time.  Each
-    time t on its own applies ladder[j] for every set bit j of n = int(t / dt), then
-    the shortened step of length t - n dt: a pure function of (t, dt, generator,
-    initial state), so a grid gives each time the bits of a call at that time alone.
+    n steps of a linear generator are the n-th power of the step matrix.  The call
+    walks the powers step^(2^j) level by level, up to the largest time, squaring
+    between levels: at level j every time whose n = int(t / dt) has bit j set takes
+    one product with step^(2^j), and at the end every time with t - n dt > 1e-15 t
+    takes the shortened step of that length.  Each time gets the same products in the
+    same order as alone, so a grid gives each time the bits of a call at that time alone.
     States but t = 0 are re-Hermitized; a non-finite entry or a positivity breach
     below -1e-7 is a NumericalError.
     """
@@ -254,22 +255,19 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
     if n_steps > MAX_ODE_STEPS:
         raise ValidationError(f"t / dt = {n_steps:.3g} Runge-Kutta steps exceed the budget of {MAX_ODE_STEPS}")
     gen = _first_order_superoperator(block.entries, _engine_gamma(req.gamma, finite=False, one=True))
-    initial = req.initial.entries.astype(complex).reshape(16)
-    out = np.empty((times.size, 16), dtype=complex)
+    n_full = (times / dt).astype(np.int64)
+    remainder = times - n_full * dt
+    vec = np.tile(req.initial.entries.astype(complex).reshape(16, 1), (times.size, 1, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is reported by the invariant check below
-        ladder = [_rk4_step(gen, dt, np.eye(16, dtype=complex))]
-        while len(ladder) < int(n_steps).bit_length():
-            ladder.append(ladder[-1] @ ladder[-1])
-        apply = [power.dot for power in ladder]  # bound once: about half the cost of `power @ vec`
-        for i, t in enumerate(times.tolist()):
-            n_full = int(t / dt)
-            vec = initial
-            for j in range(n_full.bit_length()):
-                if n_full >> j & 1:
-                    vec = apply[j](vec)
-            remainder = t - n_full * dt
-            out[i] = _rk4_step(gen, remainder, vec) if remainder > 1e-15 * t else vec
-        rho = out.reshape(-1, 4, 4)
+        power = _rk4_step(gen, dt, np.eye(16, dtype=complex))
+        for j in range(int(n_steps).bit_length()):
+            if j:  # step^(2^j), never squared past the last level
+                power = power @ power
+            rows = np.flatnonzero(n_full >> j & 1)
+            vec[rows] = power @ vec[rows]
+        rows = np.flatnonzero(remainder > 1e-15 * times)
+        vec[rows] = _rk4_step(gen, remainder[rows, None, None], vec[rows])
+        rho = vec.reshape(-1, 4, 4)
         rho = np.where((times == 0.0)[:, None, None], req.initial.entries,
                        0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
     result = DensityMatrix(rho.reshape(np.shape(req.t) + (4, 4)), req.initial.basis_order)

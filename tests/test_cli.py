@@ -506,6 +506,32 @@ def test_ode_step_budget_exits_two_without_stepping(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--engine", "ode"],  # one time
+    ["sweep", "--engine", "ode", "--r", "0.01", "--t-max-deg", "180", "--t-step-deg", "2"],  # 91 times
+], ids=lambda argv: " ".join(argv))
+def test_ode_steps_a_grid_without_a_per_time_loop(tmp_path, monkeypatch, argv):
+    # one evolve_ode call builds the base step and takes one batched shortened step, whatever its grid size
+    steps, per_call = [], []
+    rk4_step, evolve_ode = engines._rk4_step, engines.evolve_ode
+
+    def counted_step(*args):
+        steps.append(args)
+        return rk4_step(*args)
+
+    def counted_evolve(*args):
+        before = len(steps)
+        out = evolve_ode(*args)
+        per_call.append((len(steps) - before, out.entries.size // 16))
+        return out
+
+    monkeypatch.setattr(engines, "_rk4_step", counted_step)
+    monkeypatch.setattr(engines, "evolve_ode", counted_evolve)
+    assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
+    assert per_call and all(calls <= 2 for calls, _ in per_call)
+    assert max(times for _, times in per_call) == (1 if argv[0] == "evolve" else 91)
+
+
 def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, capsys):
     # the default sweep --engine mc at every published R, and the mc_grid fixture, stay inside the budget
     config = {key: default for key, (_, default) in cli.CONFIG_SPEC.items()}

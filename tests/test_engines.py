@@ -490,6 +490,34 @@ def test_ode_grid_march_equals_restarts(system4):
     assert empty.entries.shape == (0, 4, 4)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), r=st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+       seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([2.0**-12, 3e-4]),
+       powers=st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 1)), max_size=6),
+       multiples=st.lists(st.integers(1, 5000), max_size=4), others=st.lists(st.floats(0.0, 1.5), max_size=4),
+       repeats=st.integers(0, 3))
+@example(alpha=4.0, r=0.01, seed=0, dt=2.0**-12, powers=[(12, -1), (12, 0), (12, 1), (0, 0)],
+         multiples=[3, 4096], others=[0.3, 1.0 + 2.0**-20], repeats=2)
+def test_ode_grid_gives_each_time_its_lone_bits(alpha, r, seed, dt, powers, multiples, others, repeats):
+    """The bits of test_ode_grid_march_equals_restarts over random grids: each time of
+    an unsorted grid, with repeats and t = 0, reads exactly what a call at that time
+    alone gives, so no time's rows leak into another's as the ladder is walked.  The
+    grid holds step counts 2^k - 1, 2^k and 2^k + 1, whose set bits differ at every
+    level up to k, and, at dt = 2^-12, exact multiples of dt that take no shortened
+    step next to times that take one."""
+    block, spectrum = scaled_system(alpha)
+    gamma = experiments.kick_rate(r)
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, spectrum.basis_order)
+    times = [0.0] + [(2**k + offset) * dt for k, offset in powers] + [k * dt for k in multiples] + others
+    grid = rng.permutation(times + times[:repeats])
+    together = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt)).entries
+    assert together.shape == (grid.size, 4, 4)
+    for j, t in enumerate(grid.tolist()):
+        one = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, t, gamma, dt=dt)).entries
+        assert together[j].tobytes() == one.tobytes()
+
+
 def test_ode_march_within_rk4_error_of_expm(system4):
     """Third oracle for the first-order generator: expm of the 16x16
     superoperator on row-major vec(rho), built here from the block.
