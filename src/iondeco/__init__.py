@@ -9,10 +9,8 @@ from .model import (
     HamiltonianBlock,
     ModeIndices,
     Spectrum,
-    SystemParams,
     build_hamiltonian,
     spectrum_analytic,
-    validate_lamb_dicke,
 )
 from .engines import (
     DensityMatrix,

@@ -295,8 +295,6 @@ _RHO_LABELS = [f"rho[{i}][{j}].{part}" for i in range(4) for j in range(4) for p
 
 
 def _cmd_evolve(config: dict, out: Path) -> str:
-    if config["m"] < 1 or config["n"] < 1:
-        raise ValidationError("evolve requires m >= 1 and n >= 1 (coupled four-state block)")
     modes = model.ModeIndices(config["m"], config["n"])
     # scaled units: sideband coupling 1, so t = T and gamma = 1/R
     block, spectrum = experiments.scaled_system(config["alpha"], modes)

@@ -78,8 +78,8 @@ class DensityMatrix:
             out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
         return out
 
-    def require_valid(self, **tols) -> "DensityMatrix":
-        problems = self.violations(**tols)
+    def require_valid(self) -> "DensityMatrix":
+        problems = self.violations()
         if problems:
             raise ValidationError("invalid density matrix: " + "; ".join(problems))
         return self
@@ -264,7 +264,10 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
             if j:  # step^(2^j), never squared past the last level
                 power = power @ power
             rows = np.flatnonzero(n_full >> j & 1)
-            vec[rows] = power @ vec[rows]
+            if rows.size == times.size:  # every time, as for a one-time call: no gather, no scatter
+                vec = power @ vec
+            elif rows.size:
+                vec[rows] = power @ vec[rows]
         rows = np.flatnonzero(remainder > 1e-15 * times)
         vec[rows] = _rk4_step(gen, remainder[rows, None, None], vec[rows])
         rho = vec.reshape(-1, 4, 4)

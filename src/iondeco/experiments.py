@@ -32,12 +32,11 @@ def kick_rate(r: float) -> float:
 def scaled_system(
     alpha: float, modes: model.ModeIndices = model.ModeIndices(1, 1),
 ) -> tuple[model.HamiltonianBlock, model.Spectrum]:
-    """Block and spectrum of the (m, n) block for sideband coupling a = 1, mu = alpha."""
+    """Block and spectrum of the coupled (m, n) block, m, n >= 1, for sideband coupling a = 1, mu = alpha."""
     observables.check_alpha(alpha)
-    # a = g*eta_c*sqrt(mn)/2 = 1 with eta_c inside the soft Lamb-Dicke bound
-    g = 2.0 / (0.1 * math.sqrt(modes.m * modes.n))
-    params = model.SystemParams(omega=math.sqrt(alpha * alpha - 1.0), g=g, eta_c=0.1, eta_l=0.1)
-    block = model.build_hamiltonian(params, modes)
+    if modes.m < 1 or modes.n < 1:
+        raise ValidationError(f"the coupled four-state block requires m >= 1 and n >= 1, got m={modes.m}, n={modes.n}")
+    block = model.build_hamiltonian(math.sqrt(alpha * alpha - 1.0), 1.0, modes)
     return block, model.spectrum_analytic(block)
 
 

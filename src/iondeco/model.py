@@ -1,55 +1,29 @@
-"""Physical parameters, the four-state interaction block, and its spectrum.
+"""The four-state interaction block of the ion-laser-cavity system, and its spectrum.
 
 The system is a two-level trapped ion driven by a resonant laser (coupling
-``omega``) and coupled to a red-sideband-tuned cavity mode (coupling
-``g * eta_c``).  At lowest order in the Lamb-Dicke parameters the dynamics
-closes on the four states
+``omega``) and coupled to a red-sideband-tuned cavity mode.  At lowest order in
+the Lamb-Dicke parameters the dynamics closes on the four states
 
     |g, m, n>,  |e, m, n>,  |g, m-1, n-1>,  |e, m-1, n-1>
 
 (ion internal state, vibrational quantum number, cavity photon number), so
-everything here is exact 4x4 linear algebra.  hbar = 1 throughout: all
-energies are angular frequencies in rad/s.
+everything here is exact 4x4 linear algebra.  The block depends on two
+couplings only: ``omega`` and the sideband coupling a = g eta_c sqrt(mn) / 2,
+both inputs of build_hamiltonian.  hbar = 1 throughout: all energies are
+angular frequencies in rad/s.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-# Soft Lamb-Dicke bound, inclusive: eta >= 0.3 draws a warning, not an error.
-LAMB_DICKE_SOFT_BOUND = 0.3
-
 # Relative threshold for "significant" eigenvector components when fixing signs.
 _SIGN_SIGNIFICANCE = 1e-8
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Physical couplings of the ion-laser-cavity system.
-
-    omega   laser-ion Rabi coupling (rad/s)
-    g       cavity-ion coupling (rad/s)
-    eta_c   cavity Lamb-Dicke parameter (dimensionless)
-    eta_l   laser Lamb-Dicke parameter (dimensionless, validation only)
-    """
-
-    omega: float
-    g: float
-    eta_c: float
-    eta_l: float
-
-    def __post_init__(self):
-        for name in ("omega", "g", "eta_c", "eta_l"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
-        for msg in validate_lamb_dicke(self):
-            warnings.warn(msg, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -73,19 +47,6 @@ class ModeIndices:
         )
 
 
-def validate_lamb_dicke(params: SystemParams) -> list[str]:
-    """Return warnings for Lamb-Dicke parameters outside the soft regime bound."""
-    msgs = []
-    for name, value in (("eta_c", params.eta_c), ("eta_l", params.eta_l)):
-        if value >= LAMB_DICKE_SOFT_BOUND:
-            msgs.append(
-                f"{name} = {value:g} is outside the Lamb-Dicke regime "
-                f"(soft bound {LAMB_DICKE_SOFT_BOUND}, inclusive); "
-                "the four-state block may not describe the physics"
-            )
-    return msgs
-
-
 @dataclass(frozen=True)
 class HamiltonianBlock:
     """4x4 interaction block in the fixed basis order (real symmetric, hbar = 1)."""
@@ -99,7 +60,7 @@ class HamiltonianBlock:
 
     @property
     def a(self) -> float:
-        """Sideband coupling (1/2) g eta_c sqrt(mn), rad/s: half the (1,4) entry."""
+        """Sideband coupling a, rad/s, as passed to build_hamiltonian: half the (1,4) entry."""
         return 0.5 * float(self.entries[0, 3])
 
     @property
@@ -108,18 +69,21 @@ class HamiltonianBlock:
         return math.hypot(self.a, self.omega)
 
 
-def build_hamiltonian(params: SystemParams, modes: ModeIndices) -> HamiltonianBlock:
-    """Assemble the interaction block.
+def build_hamiltonian(omega: float, a: float, modes: ModeIndices) -> HamiltonianBlock:
+    """Assemble the interaction block from the laser coupling omega and the
+    sideband coupling a, each finite and nonnegative (rad/s).
 
     omega sits on the (1,2)/(2,1) and (3,4)/(4,3) positions, the two-quantum
-    sideband coupling g*eta_c*sqrt(mn) on (1,4)/(4,1); the diagonal vanishes
-    on resonance.  The block maps its own span into itself exactly, so there
-    is no truncation error.
+    sideband coupling 2a on (1,4)/(4,1); the diagonal vanishes on resonance.
+    The block maps its own span into itself exactly, so there is no truncation
+    error.
     """
+    for name, value in (("omega", omega), ("a", a)):
+        if not 0 <= value < math.inf:
+            raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
     h = np.zeros((4, 4))
-    h[0, 1] = h[1, 0] = params.omega
-    h[2, 3] = h[3, 2] = params.omega
-    h[0, 3] = h[3, 0] = params.g * params.eta_c * math.sqrt(modes.m * modes.n)
+    h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = omega
+    h[0, 3] = h[3, 0] = 2.0 * a
     return HamiltonianBlock(entries=h, basis_order=modes.basis_order())
 
 

@@ -304,9 +304,8 @@ def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
 
 
 def test_poisson_zero_block_is_stationary():
-    params = model.SystemParams(0.0, 0.0, 0.1, 0.1)
     modes = model.ModeIndices(1, 1)
-    block = model.build_hamiltonian(params, modes)
+    block = model.build_hamiltonian(0.0, 0.0, modes)
     spectrum = oracles.spectrum_numeric(block)
     rho = engines.DensityMatrix.basis_state(1, modes.basis_order())
     out = engines.evolve_poisson(block, spectrum, engines.EvolutionRequest(rho, t=5.0, gamma=2.0))
@@ -495,21 +494,25 @@ def test_ode_grid_march_equals_restarts(system4):
        seed=st.integers(0, 2**32 - 1), dt=st.sampled_from([2.0**-12, 3e-4]),
        powers=st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 1)), max_size=6),
        multiples=st.lists(st.integers(1, 5000), max_size=4), others=st.lists(st.floats(0.0, 1.5), max_size=4),
-       repeats=st.integers(0, 3))
+       repeats=st.integers(0, 3), zero=st.booleans())
 @example(alpha=4.0, r=0.01, seed=0, dt=2.0**-12, powers=[(12, -1), (12, 0), (12, 1), (0, 0)],
-         multiples=[3, 4096], others=[0.3, 1.0 + 2.0**-20], repeats=2)
-def test_ode_grid_gives_each_time_its_lone_bits(alpha, r, seed, dt, powers, multiples, others, repeats):
+         multiples=[3, 4096], others=[0.3, 1.0 + 2.0**-20], repeats=2, zero=True)
+@example(alpha=4.0, r=0.01, seed=1, dt=3e-4, powers=[(12, 1)], multiples=[], others=[], repeats=0, zero=False)
+@example(alpha=2.5, r=0.0, seed=2, dt=3e-4, powers=[], multiples=[], others=[0.0101, 0.01015], repeats=1,
+         zero=False)
+def test_ode_grid_gives_each_time_its_lone_bits(alpha, r, seed, dt, powers, multiples, others, repeats, zero):
     """The bits of test_ode_grid_march_equals_restarts over random grids: each time of
-    an unsorted grid, with repeats and t = 0, reads exactly what a call at that time
-    alone gives, so no time's rows leak into another's as the ladder is walked.  The
-    grid holds step counts 2^k - 1, 2^k and 2^k + 1, whose set bits differ at every
-    level up to k, and, at dt = 2^-12, exact multiples of dt that take no shortened
-    step next to times that take one."""
+    an unsorted grid, with repeats and (when drawn) t = 0, reads exactly what a call at
+    that time alone gives, so no time's rows leak into another's as the ladder is
+    walked.  The grid holds step counts 2^k - 1, 2^k and 2^k + 1, whose set bits differ
+    at every level up to k, and, at dt = 2^-12, exact multiples of dt that take no
+    shortened step next to times that take one.  A one-time grid, or one whose times
+    share one step count, has every time or none at each level: the examples hold both."""
     block, spectrum = scaled_system(alpha)
     gamma = experiments.kick_rate(r)
     rng = np.random.default_rng(seed)
     rho = random_state(rng, spectrum.basis_order)
-    times = [0.0] + [(2**k + offset) * dt for k, offset in powers] + [k * dt for k in multiples] + others
+    times = [0.0] * zero + [(2**k + offset) * dt for k, offset in powers] + [k * dt for k in multiples] + others
     grid = rng.permutation(times + times[:repeats])
     together = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt)).entries
     assert together.shape == (grid.size, 4, 4)
@@ -592,9 +595,8 @@ def test_monte_carlo_requires_seed_and_trajectories(system4, rho0):
 
 
 def test_monte_carlo_zero_block_exact():
-    params = model.SystemParams(0.0, 0.0, 0.1, 0.1)
     modes = model.ModeIndices(1, 1)
-    block = model.build_hamiltonian(params, modes)
+    block = model.build_hamiltonian(0.0, 0.0, modes)
     spectrum = oracles.spectrum_numeric(block)
     rho = engines.DensityMatrix.basis_state(0, modes.basis_order())
     result = engines.evolve_monte_carlo(
@@ -649,7 +651,7 @@ def test_closed_form_rho_matches_reference_engine(system4, rho0):
 
 def test_closed_form_rho_rejects_degenerate_couplings(system4):
     _, spectrum = system4
-    decoupled = model.build_hamiltonian(model.SystemParams(1.0, 0.0, 0.1, 0.1), model.ModeIndices(1, 1))
+    decoupled = model.build_hamiltonian(1.0, 0.0, model.ModeIndices(1, 1))
     assert (decoupled.a, decoupled.mu) == (0.0, 1.0)
     with pytest.raises(ValidationError):
         engines.closed_form_rho(decoupled, spectrum, 1.0, 10.0)
@@ -763,7 +765,7 @@ def test_signed_zero_difference_keeps_the_bits(engine):
     """At omega = 0 the eigenvalues are (0, -2a, 2a, -0.0), so Ep - Eq holds a -0.0
     beside +0.0 and the gather reuses the +0.0 factor; the bits, signed zeros
     included, are those of the factor over all 16 differences."""
-    block = model.build_hamiltonian(model.SystemParams(0.0, 1.0, 0.1, 0.1), model.ModeIndices(1, 1))
+    block = model.build_hamiltonian(0.0, 0.05, model.ModeIndices(1, 1))
     spectrum = model.spectrum_analytic(block)
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     assert np.signbit(delta[3, 0]) and not np.signbit(delta[0, 3])

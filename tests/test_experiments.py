@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from iondeco import engines, experiments, observables
+from iondeco import engines, experiments, model, observables
 from iondeco.errors import ValidationError
 
 # Engine-oracle values frozen for the published-table comparison.
@@ -227,3 +227,19 @@ def test_sweep_spec_rejects_non_finite(bad):
     # checked where the spec is built, not per grid point
     with pytest.raises(ValidationError):
         small_spec(**bad)
+
+
+@pytest.mark.parametrize("alpha", [1.0001, 4.0, 100.0, 5e153])
+def test_scaled_block_has_sideband_coupling_exactly_one(alpha):
+    """a = 1 is an input of the block, not the product of invented couplings, so
+    every coupled (m, n) block holds 2.0 on (1,4) and reads a = 1.0 exactly."""
+    for m in range(1, 40):
+        for n in range(1, 40):
+            block, _ = experiments.scaled_system(alpha, model.ModeIndices(m, n))
+            assert (block.entries[0, 3], block.a) == (2.0, 1.0), (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+def test_scaled_system_rejects_a_decoupled_block(m, n):
+    with pytest.raises(ValidationError, match="m >= 1 and n >= 1"):
+        experiments.scaled_system(4.0, model.ModeIndices(m, n))

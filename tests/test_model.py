@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,41 +12,22 @@ from iondeco.errors import NumericalError, ValidationError
 import oracles
 
 
-def params_for(omega, g_eta_c, eta_c=0.1):
-    return model.SystemParams(omega=omega, g=g_eta_c / eta_c, eta_c=eta_c, eta_l=0.1)
-
-
-def block_for(omega, g_eta_c, modes):
-    return model.build_hamiltonian(params_for(omega, g_eta_c), modes)
-
-
 def test_block_couplings_direct_substitution():
-    block = block_for(math.sqrt(15.0), 2.0, model.ModeIndices(1, 1))
+    block = model.build_hamiltonian(math.sqrt(15.0), 1.0, model.ModeIndices(1, 1))
     assert block.a == pytest.approx(1.0, abs=1e-12)
     assert block.mu == pytest.approx(4.0, abs=1e-12)
     assert block.mu / block.a == pytest.approx(4.0, abs=1e-12)
 
 
-def test_block_couplings_zero_mode_index():
-    block = block_for(2.5, 2.0, model.ModeIndices(0, 5))
-    assert block.a == 0.0
-    assert block.mu == pytest.approx(2.5)
-
-
-def test_block_couplings_sqrt_mn():
-    block = block_for(1.0, 1.0, model.ModeIndices(4, 9))
-    assert block.a == pytest.approx(3.0, abs=1e-12)
-
-
 def test_block_couplings_consistency():
-    block = block_for(2.0, 3.0, model.ModeIndices(2, 3))
+    block = model.build_hamiltonian(2.0, 1.5 * math.sqrt(6.0), model.ModeIndices(2, 3))
     assert block.mu >= max(block.a, 2.0)
     assert block.mu**2 == pytest.approx(block.a**2 + 2.0**2, rel=1e-15)
     assert block.mu / block.a >= 1.0
 
 
 def test_build_hamiltonian_pattern():
-    block = model.build_hamiltonian(params_for(2.0, 2.0), model.ModeIndices(1, 1))
+    block = model.build_hamiltonian(2.0, 1.0, model.ModeIndices(1, 1))
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = 2.0
     expected[2, 3] = expected[3, 2] = 2.0
@@ -54,7 +36,7 @@ def test_build_hamiltonian_pattern():
 
 
 def test_build_hamiltonian_decoupled_block():
-    block = model.build_hamiltonian(params_for(1.0, 2.0), model.ModeIndices(0, 3))
+    block = model.build_hamiltonian(1.0, 0.0, model.ModeIndices(0, 3))
     assert block.entries[0, 3] == 0.0
     assert block.entries[0, 1] == 1.0
 
@@ -62,9 +44,9 @@ def test_build_hamiltonian_decoupled_block():
 def test_build_hamiltonian_symmetric():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        omega, ge = rng.uniform(0, 5, size=2)
+        omega, a = rng.uniform(0, 5, size=2)
         m, n = rng.integers(0, 4, size=2)
-        block = model.build_hamiltonian(params_for(omega, ge), model.ModeIndices(int(m), int(n)))
+        block = model.build_hamiltonian(omega, a, model.ModeIndices(int(m), int(n)))
         np.testing.assert_array_equal(block.entries, block.entries.T)
 
 
@@ -73,19 +55,29 @@ def test_mode_indices_reject_negative():
         model.ModeIndices(-1, 0)
 
 
-def test_system_params_reject_negative():
-    with pytest.raises(ValidationError):
-        model.SystemParams(omega=-1.0, g=1.0, eta_c=0.1, eta_l=0.1)
-    for name in ("omega", "g", "eta_c", "eta_l"):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValidationError, match=f"{name} must be finite"):
-                model.SystemParams(**{"omega": 1.0, "g": 1.0, "eta_c": 0.1, "eta_l": 0.1, name: bad})
+def test_build_hamiltonian_rejects_bad_couplings():
+    for name in ("omega", "a"):
+        for bad in (-1.0, -5e-324, -math.inf, math.nan, math.inf):
+            couplings = {"omega": 1.0, "a": 1.0, name: bad}
+            with pytest.raises(ValidationError, match=f"{name} must be finite and nonnegative"):
+                model.build_hamiltonian(couplings["omega"], couplings["a"], model.ModeIndices(1, 1))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(omega=st.floats(0.0, allow_subnormal=True, allow_infinity=False),
+       a=st.floats(0.0, sys.float_info.max / 2.0, allow_subnormal=True),
+       m=st.integers(0, 50), n=st.integers(0, 50))
+@example(omega=5e-324, a=sys.float_info.max / 2.0, m=0, n=0)
+@example(omega=sys.float_info.max, a=5e-324, m=1, n=3)
+def test_build_hamiltonian_reads_its_couplings_back(omega, a, m, n):
+    """omega and a come back bit for bit, whatever m and n: 2a and its half are exact below the overflow."""
+    block = model.build_hamiltonian(omega, a, model.ModeIndices(m, n))
+    assert (block.omega.hex(), block.a.hex()) == (omega.hex(), a.hex())
 
 
 def spectra_for(omega, a):
-    params = params_for(omega, 2.0 * a) if a > 0 else model.SystemParams(omega=omega, g=0.0, eta_c=0.1, eta_l=0.1)
     modes = model.ModeIndices(1, 1)
-    block = model.build_hamiltonian(params, modes)
+    block = model.build_hamiltonian(omega, a, modes)
     return block, model.spectrum_analytic(block), oracles.spectrum_numeric(block)
 
 
@@ -107,7 +99,7 @@ def test_spectrum_degenerate_zero_omega():
 
 
 def test_spectrum_numeric_zero_block():
-    block = model.build_hamiltonian(model.SystemParams(0.0, 0.0, 0.1, 0.1), model.ModeIndices(1, 1))
+    block = model.build_hamiltonian(0.0, 0.0, model.ModeIndices(1, 1))
     spec = oracles.spectrum_numeric(block)
     np.testing.assert_array_equal(spec.eigenvalues, np.zeros(4))
 
@@ -168,19 +160,9 @@ def test_fix_signs_equals_the_column_loop(columns, scale):
 
 
 def test_overflowing_block_is_a_numerical_error():
-    """g * eta_c * sqrt(mn) overflows to inf: the NaN spectrum fails validation."""
-    block = model.build_hamiltonian(model.SystemParams(1.0, 1e308, 0.2, 0.1), model.ModeIndices(100, 100))
+    """2a overflows to inf: the NaN spectrum fails validation."""
+    block = model.build_hamiltonian(1.0, 1e308, model.ModeIndices(100, 100))
     assert math.isinf(block.a)
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="eigen residual nan"):
         model.spectrum_analytic(block)
 
-
-def test_lamb_dicke_warnings():
-    quiet = model.SystemParams(1.0, 1.0, eta_c=0.05, eta_l=0.05)
-    assert model.validate_lamb_dicke(quiet) == []
-    with pytest.warns(UserWarning, match="eta_c"):
-        loud = model.SystemParams(1.0, 1.0, eta_c=0.5, eta_l=0.05)
-    assert any("eta_c" in msg for msg in model.validate_lamb_dicke(loud))
-    with pytest.warns(UserWarning):
-        boundary = model.SystemParams(1.0, 1.0, eta_c=0.3, eta_l=0.05)
-    assert model.validate_lamb_dicke(boundary)  # bound is inclusive
