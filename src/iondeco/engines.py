@@ -12,6 +12,7 @@ them apply dephase to a whole grid of times with one of two factors:
   reference; evolve_unitary, it at gamma = inf; evolve_monte_carlo, it at
   t = N / gamma and gamma = inf (U^N) for seed-deterministic Poisson draws of N.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
+Each is taken once per distinct |D| (5 of the 16 here); a negative D takes the conjugate.
 evolve_ode takes fixed-step 4th-order Runge-Kutta on the first-order generator
 drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma): n steps are the step matrix's powers 2^j,
 each applied at once to all times whose n has bit j set.  evolve(name, ...) runs the engine
@@ -150,14 +151,15 @@ def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.n
     """The kick average V (rho_eig * phi[k]) V^T for each of the N factors in
     phi (N, 4, 4); phi[k][p, q] is the characteristic function of the kick
     count at (Ep - Eq)/gamma, the one thing in which the engines differ.
-    Returns an (N, 4, 4) stack."""
+    Returns an (N, 4, 4) stack: a strided view of a buffer laid out [i, k, j]."""
     _check_basis(spectrum.basis_order, initial.basis_order)
     v = spectrum.eigenvectors
-    x = (v.T @ initial.entries @ v) * phi
-    n = len(x)
-    # two GEMMs over the whole stack: V [X_0 | X_1 | ...], then [V X_0; V X_1; ...] V^T
-    vx = (v @ x.transpose(1, 0, 2).reshape(4, 4 * n)).reshape(4, n, 4).transpose(1, 0, 2)
-    return (vx.reshape(4 * n, 4) @ v.T).reshape(x.shape)
+    n = len(phi)
+    x = np.empty((4, n, 4), dtype=complex)  # X_k = rho_eig * phi[k], written straight in [p, k, q] order
+    np.multiply(v.T @ initial.entries @ v, phi, out=x.transpose(1, 0, 2))
+    # two GEMMs over the whole stack, no layout copy: V [X_0 | X_1 | ...], its rows in (i, k) order times V^T
+    vx = v @ x.reshape(4, 4 * n)
+    return (vx.reshape(4 * n, 4) @ v.T).reshape(4, n, 4).transpose(1, 0, 2)
 
 
 def first_order_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -180,15 +182,17 @@ def poisson_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) 
 
 def _dephased(spectrum: Spectrum, initial: DensityMatrix, t, gamma, phi) -> DensityMatrix:
     """dephase with phi(delta, t, gamma) at every time of t (with its gamma, when gamma is an array),
-    evaluated once per distinct delta = Ep - Eq (9 of the 16 here) and gathered; entries have shape
-    np.shape(t) + (4, 4)."""
+    evaluated once per distinct |delta| = |Ep - Eq| (5 of the 16 here) and gathered, a negative delta's
+    entries then conjugated, since phi(-D) = conj(phi(D)); entries have shape np.shape(t) + (4, 4)."""
     t = np.asarray(t, dtype=float)
     gamma = gamma.reshape(-1, 1) if isinstance(gamma, np.ndarray) else gamma
     e = spectrum.eigenvalues.tolist()
     index = {}
-    # Python floats subtract as numpy does; a -0.0 shares +0.0's entry, which neither factor tells apart
-    gather = [index.setdefault(p - q, len(index)) for p in e for q in e]
+    # Python floats subtract as numpy does, and |fl(p - q)| = fl(q - p); a -0.0 shares +0.0's entry, which
+    # neither factor tells apart.  A negative delta's entry conj(phi(|D|)) has its imaginary part negated.
+    gather = [index.setdefault(abs(p - q), len(index)) for p in e for q in e]
     factor = phi(np.array(list(index)), t.reshape(-1, 1), gamma).take(gather, axis=1).reshape(-1, 4, 4)
+    factor.imag *= [[1.0 if p >= q else -1.0 for q in e] for p in e]
     return DensityMatrix(dephase(spectrum, initial, factor).reshape(t.shape + (4, 4)), initial.basis_order)
 
 

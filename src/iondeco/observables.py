@@ -86,6 +86,11 @@ def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
     return np.clip(value, 0.0, 1.0)
 
 
+def _decay(rate: float, t_scaled: np.ndarray, r: float) -> np.ndarray | float:
+    """exp(rate * T * R), exactly 1.0 at R = 0, also where rate * T overflows and inf * 0 would be NaN."""
+    return np.exp(rate * t_scaled * r) if r else 1.0
+
+
 def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     """Corrected closed-form target probability as a function of scaled time.
 
@@ -106,10 +111,10 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
         (a2 + 1.0) / (4.0 * a2)
-        + c_mu * np.exp(-2.0 * alpha * alpha * t_scaled * r) * np.cos(2.0 * alpha * t_scaled)
-        + upper * c_mu * np.exp(-2.0 * t_scaled * r) * np.sin(2.0 * t_scaled)
-        + upper * c_plus * np.exp(-2.0 * (alpha + 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
-        - upper * c_minus * np.exp(-2.0 * (alpha - 1.0) ** 2 * t_scaled * r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
+        + c_mu * _decay(-2.0 * alpha * alpha, t_scaled, r) * np.cos(2.0 * alpha * t_scaled)
+        + upper * c_mu * _decay(-2.0, t_scaled, r) * np.sin(2.0 * t_scaled)
+        + upper * c_plus * _decay(-2.0 * (alpha + 1.0) ** 2, t_scaled, r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
+        - upper * c_minus * _decay(-2.0 * (alpha - 1.0) ** 2, t_scaled, r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
     )
     return value if value.ndim else float(value)
 
@@ -131,10 +136,10 @@ def published_pghz(t_scaled, alpha: float, r: float):
     t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
         0.5
-        + lead * np.exp(-2.0 * a2 * t_scaled * r) * np.cos(2.0 * alpha * t_scaled)
-        + lead * (np.exp(-2.0 * t_scaled * r) * np.sin(2.0 * t_scaled) - 1.0)
-        + c_plus * np.exp(-2.0 * (alpha + 1.0) * t_scaled * r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
-        - c_minus * np.exp(-2.0 * (alpha - 1.0) * t_scaled * r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
+        + lead * _decay(-2.0 * a2, t_scaled, r) * np.cos(2.0 * alpha * t_scaled)
+        + lead * (_decay(-2.0, t_scaled, r) * np.sin(2.0 * t_scaled) - 1.0)
+        + c_plus * _decay(-2.0 * (alpha + 1.0), t_scaled, r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
+        - c_minus * _decay(-2.0 * (alpha - 1.0), t_scaled, r) * np.sin(2.0 * (alpha - 1.0) * t_scaled)
     )
     return value if value.ndim else float(value)
 

@@ -779,23 +779,79 @@ def test_signed_zero_difference_keeps_the_bits(engine):
                 assert batched.entries[j].view(np.uint64).tolist() == one.view(np.uint64).tolist()
 
 
+def local_first_order_factor(delta, t, gamma):
+    return np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
+
+
+def one_finite_gamma(r):
+    return 3.0 + r
+
+
+def per_time_gamma(r):
+    """One gamma for each of the 11 times, inf among them at R = 0."""
+    return np.repeat([experiments.kick_rate(r), 3.0], [6, 5])
+
+
+def per_time_finite_gamma(r):
+    return np.repeat([experiments.kick_rate(r + 1e-3), 3.0], [6, 5])
+
+
+@pytest.mark.parametrize("phi, gamma_of", [
+    (local_first_order_factor, per_time_gamma),
+    (engines.first_order_factor, one_finite_gamma),
+    (engines.first_order_factor, lambda r: math.inf),
+    (engines.first_order_factor, per_time_gamma),
+    (engines.poisson_factor, one_finite_gamma),
+    (engines.poisson_factor, per_time_finite_gamma),
+], ids=["local", "first_order-finite", "first_order-inf", "first_order-per_time", "poisson-finite",
+        "poisson-per_time"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(alpha=st.floats(1.0, 20.0, exclude_min=True), m=st.integers(1, 5), n=st.integers(1, 5),
        r=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
 @example(alpha=1.0000000000000002, m=1, n=3, r=0.01, seed=0)  # omega ~ 2e-8: near-degenerate differences
-def test_factor_from_distinct_differences_equals_full_factor(alpha, m, n, r, seed):
-    """_dephased evaluates phi once per distinct Ep - Eq and gathers; that has
-    the bits of phi over all 16 differences."""
+def test_factor_from_distinct_differences_equals_full_factor(phi, gamma_of, alpha, m, n, r, seed):
+    """_dephased evaluates phi once per distinct |Ep - Eq|, gathers, and conjugates the
+    entries of a negative one; that has the bits of phi over all 16 differences."""
     block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
     rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
     t = np.linspace(0.0, 7.0, 11)
-    gamma = np.repeat([experiments.kick_rate(r), 3.0], [6, 5])
-    def phi(delta, t, gamma):
-        return np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
+    gamma = gamma_of(r)
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    full = engines.dephase(spectrum, rho, phi(delta, t[:, None, None], gamma[:, None, None]))
+    full = engines.dephase(spectrum, rho, phi(delta, t[:, None, None], np.reshape(gamma, (-1, 1, 1))))
     gathered = engines._dephased(spectrum, rho, t, gamma, phi)
-    assert np.array_equal(gathered.entries, full)
+    assert gathered.entries.view(np.uint64).tolist() == full.view(np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(factor=st.sampled_from([engines.first_order_factor, engines.poisson_factor]),
+       log_excess=st.floats(-8.0, 3.0), m=st.integers(1, 5), n=st.integers(1, 5),
+       t=st.lists(st.floats(0.0, 1e5), min_size=1, max_size=20),
+       gamma=st.one_of(st.floats(1e-3, 1e9), st.just(math.inf)), per_time=st.booleans())
+@example(factor=engines.first_order_factor, log_excess=-8.0, m=1, n=3, t=[0.0, 1e5], gamma=math.inf,
+         per_time=False)
+@example(factor=engines.poisson_factor, log_excess=3.0, m=5, n=5, t=[0.0, 1.0, 1e5], gamma=1e9, per_time=True)
+def test_factor_of_negated_difference_is_conjugate_bit_for_bit(factor, log_excess, m, n, t, gamma, per_time):
+    """phi(-D) = conj(phi(D)) on raw bits for both factors, the identity by which
+    _dephased conjugates the entries of a negative difference; and fl(q - p) =
+    -fl(p - q), by which such a D shares the entry of |D| = fl(q - p).  One zero is
+    left out: where D t is 0 (t = 0, or D t underflows), the first-order factor is
+    (x, +0.0) at D and at -D alike, so its conjugate carries -0.0; the engines'
+    states keep their bits there (test_signed_zero_difference_keeps_the_bits)."""
+    if factor is engines.poisson_factor and math.isinf(gamma):
+        gamma = 1e9  # the Poisson factor takes finite gamma only
+    _, spectrum = scaled_system(1.0 + 10.0**log_excess, model.ModeIndices(m, n))
+    e = spectrum.eigenvalues.tolist()
+    assert all((q - p).hex() == (-(p - q)).hex() for p in e for q in e if p != q)
+    delta = np.array([p - q for p in e for q in e if p - q > 0])
+    t = np.array(t).reshape(-1, 1)
+    gamma = np.full(t.shape, gamma) if per_time else gamma
+    with np.errstate(over="ignore", under="ignore"):
+        negated, conj = factor(-delta, t, gamma), factor(delta, t, gamma).conj()
+    assert np.array_equal(negated, conj)
+    same_bits = (negated.view(np.uint64) == conj.view(np.uint64)).reshape(negated.shape + (2,)).all(axis=-1)
+    zero_phase = (delta * t == 0.0) & (factor is engines.first_order_factor)
+    assert same_bits[~zero_phase].all()
+    assert np.signbit(conj.imag[zero_phase]).all() and not np.signbit(negated.imag[zero_phase]).any()
 
 
 def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):
@@ -834,21 +890,25 @@ def per_trajectory_monte_carlo(spectrum, rho, kicks, gamma):
     return states.mean(axis=0)
 
 
-def assert_grouped_stack_equals_per_state(spectrum, rho, kicks, gamma):
-    """dephase of the distinct kick counts, the stack the Monte Carlo engine
-    averages, equals V X V^T taken one state at a time."""
+def assert_stack_equals_per_state(spectrum, rho, phi, counts):
+    """dephase of a stack of factors equals V X_k V^T taken one state at a time, bit
+    for bit, and the engine's weighted sum over the stack, a strided view, has the
+    bits of that sum over a contiguous copy."""
     v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    phi = np.exp(-1j * delta * (np.unique(kicks)[:, None, None] / gamma))
     stack = engines.dephase(spectrum, rho, phi)
     assert stack.shape == phi.shape
-    for x, state in zip((v.T @ rho.entries @ v) * phi, stack):
-        assert np.array_equal(state, v @ x @ v.T)
+    per_state = np.array([v @ x @ v.T for x in (v.T @ rho.entries @ v) * phi]).reshape(phi.shape)
+    assert stack.view(np.uint64).tolist() == per_state.view(np.uint64).tolist()
+    n_traj = max(int(counts.sum()), 1)
+    strided = (counts[:, None, None] * stack).sum(axis=0) / n_traj
+    contiguous = (counts[:, None, None] * np.ascontiguousarray(stack)).sum(axis=0) / n_traj
+    assert strided.view(np.uint64).tolist() == contiguous.view(np.uint64).tolist()
 
 
 def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
     block, spectrum = system4
     mixed = random_state(np.random.default_rng(23), spectrum.basis_order)
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     n = 5000
     for r, t, rho, seed in ((0.001, math.pi, rho0, 0), (0.01, math.pi / 4, rho0, 7), (0.1, 2.0, mixed, 99)):
         req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
@@ -856,11 +916,26 @@ def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
         kicks = trajectory_kicks(t, 1.0 / r, n, seed)
         assert np.abs(result.entries - per_trajectory_monte_carlo(spectrum, rho, kicks, 1.0 / r)).max() <= 1e-13
         for stack_kicks in (kicks, kicks[:1], kicks[:0]):  # many distinct counts, one (N = 1), none (N = 0)
-            assert_grouped_stack_equals_per_state(spectrum, rho, stack_kicks, 1.0 / r)
+            distinct, counts = np.unique(stack_kicks, return_counts=True)
+            phi = np.exp(-1j * delta * (distinct[:, None, None] / (1.0 / r)))
+            assert_stack_equals_per_state(spectrum, rho, phi, counts)
     single = engines.evolve_monte_carlo(
         block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
     one_kick_count = per_trajectory_monte_carlo(spectrum, rho0, trajectory_kicks(1.0, 100.0, 1, 3), 100.0)
     assert np.abs(single.entries - one_kick_count).max() <= 1e-13
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 255, 256, 257, 1441, 5764])
+def test_dephase_stack_equals_per_state(size):
+    """Stack sizes about where the threaded GEMM splits its work, and those of the
+    default sweep column (1441) and of the whole default grid (5764)."""
+    rng = np.random.default_rng(size)
+    _, spectrum = scaled_system(1.0 + 10.0 ** rng.uniform(-8, 3), model.ModeIndices(*rng.integers(1, 6, 2)))
+    rho = random_state(rng, spectrum.basis_order)
+    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    t = np.sort(rng.uniform(0.0, 100.0, size))[:, None, None]
+    assert_stack_equals_per_state(spectrum, rho, engines.first_order_factor(delta, t, 50.0),
+                                  rng.integers(1, 1000, size))
 
 
 def test_monte_carlo_grid_equals_per_point(system4, rho0):
