@@ -269,12 +269,13 @@ def _cmd_units(config: dict, out: Path) -> str:
 
 def _cmd_audit(config: dict, out: Path) -> str:
     report = experiments.audit(config["alpha"])
+    quarter, three_quarter = report.published_formula_quarter, report.published_formula_three_quarter
     body = [
         "published closed-form P(T), decoherence-free limit:",
-        f"  T = pi/4  : {report.published_formula_quarter:.9g}"
-        "  (exceeds 1: inconsistent with probability bounds and the published peak value 1.0)",
-        f"  T = 3pi/4 : {report.published_formula_three_quarter:.9g}"
-        "  (negative: inconsistent with probability bounds)",
+        f"  T = pi/4  : {quarter:.9g}" + ("  (exceeds 1: inconsistent with probability bounds and the published"
+                                        " peak value 1.0)" if quarter > 1.0 else ""),
+        f"  T = 3pi/4 : {three_quarter:.9g}"
+        + ("  (negative: inconsistent with probability bounds)" if three_quarter < 0.0 else ""),
         f"  gap to the corrected closed form at T = pi/4: {report.closed_form_gap_quarter:.9g}",
         "",
         "published rho(t) expression vs reference engine:",

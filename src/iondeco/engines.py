@@ -6,13 +6,13 @@ as a Poisson process of mean frequency gamma (Milburn, Phys. Rev. A 44, 5401
 eigenbasis coherence (p,q) by a kick-count factor of D = Ep - Eq and leaves
 eigenbasis populations untouched.
 
-Five engines, each evolve_*(block, spectrum, req) -> DensityMatrix.  Four of
-them apply dephase to a whole grid of times with one of two factors:
-* first_order_factor exp(-i D t - D^2 t / (2 gamma)): evolve_eigenbasis, the
-  reference; evolve_unitary, it at gamma = inf; evolve_monte_carlo, it at
-  t = N / gamma and gamma = inf (U^N) for seed-deterministic Poisson draws of N.
+Five engines, each evolve_*(block, spectrum, req) -> DensityMatrix.  Four are one _dephased
+call over a grid of times, each with its kick-count factor, taken once per distinct |D|:
+* first_order_factor exp(-i D t - D^2 t / (2 gamma)): evolve_eigenbasis, the reference;
+  evolve_unitary, it at gamma = inf.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
-Each is taken once per distinct |D| (5 of the 16 here); a negative D takes the conjugate.
+* sum_k (c_k / n) exp(-i D k / gamma), the empirical characteristic function of n seeded
+  Poisson draws of N, c_k of them k: evolve_monte_carlo.
 evolve_ode takes fixed-step 4th-order Runge-Kutta on the first-order generator
 drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma): n steps are the step matrix's powers 2^j,
 each applied at once to all times whose n has bit j set.  evolve(name, ...) runs the engine
@@ -163,13 +163,13 @@ def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.n
 
 
 def first_order_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """exp(-i D t - D^2 t / (2 gamma)).  Wherever gamma = inf the damping term is
-    +0.0, so the factor is the bare phase exp(-i D t) bit for bit, also where D^2 t
-    overflows (|D| ~ 1e154) and D^2 t / inf would be NaN; at finite gamma that
-    overflow gives the exact factor 0."""
+    """exp(-i D t - D^2 t / (2 gamma)).  Wherever gamma = inf or t = 0 the damping term
+    is +0.0, so the factor is the bare phase exp(-i D t) bit for bit, also where D^2
+    overflows (|D| ~ 1e154) and D^2 t / inf or inf * 0 would be NaN; at finite gamma
+    and t > 0 that overflow gives the exact factor 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         damping = delta * delta * t / (2.0 * gamma)
-    return np.exp(-1j * delta * t - np.where(gamma == math.inf, 0.0, damping))
+    return np.exp(-1j * delta * t - np.where((gamma == math.inf) | (t == 0.0), 0.0, damping))
 
 
 def poisson_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -335,23 +335,20 @@ def _poisson_cdf(lam: float, k_max: int, log_factorial: np.ndarray) -> np.ndarra
 
 
 def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
-    """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory;
-    finite gamma, one per call.
+    """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory; one finite gamma.
 
-    Trajectory i maps one uniform, the splitmix64 mix of (seed, i), through the
-    inverse Poisson CDF, so results are bit-identical for a given seed.  The
-    trajectories that drew the same N share one state, the first-order factor at
-    t = N / gamma and gamma = inf, weighted by their count (a few hundred distinct
-    N for 1e5 trajectories).  Every time of req.t reuses the uniforms, sorted once:
-    those in [cdf[N-1], cdf[N]) drew N kicks.  Each time's CDF is built when that
-    time is reached; the tables of one call hold at most MAX_KICK_TABLE entries.
+    Trajectory i maps one uniform, the splitmix64 mix of (seed, i), through the inverse
+    Poisson CDF, so results are bit-identical for a given seed.  Every time reuses the
+    uniforms, sorted once: c_k of them lie in [cdf[k-1], cdf[k]).  The mean is one _dephased
+    call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma),
+    one numpy pairwise sum over the contiguous k of each D, no BLAS.  Each time's CDF is
+    built when reached; the tables of one call hold at most MAX_KICK_TABLE entries.
     """
     gamma = _engine_gamma(req.gamma, finite=True, one=True)
     if req.seed is None or req.n_traj is None:
         raise ValidationError(f"Monte Carlo engine requires a seed and n_traj, got {req.seed} and {req.n_traj}")
     n = req.n_traj
-    t = np.asarray(req.t, dtype=float)
-    lams = [gamma * t_i for t_i in t.ravel().tolist()]
+    lams = [gamma * t_i for t_i in np.asarray(req.t, dtype=float).ravel().tolist()]
     # a cut is at least its mean, so a mean at the budget is charged the budget without seeking its cut
     k_maxes = [0 if lam == 0.0 else _poisson_cutoff(lam, req.tail_tol) if lam < MAX_KICK_TABLE else MAX_KICK_TABLE
                for lam in lams]
@@ -361,14 +358,16 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
     log_factorial = np.fromiter(map(math.lgamma, range(1, max(k_maxes, default=0) + 2)), dtype=float)
     uniforms = _trajectory_uniforms(req.seed, n)
     uniforms.sort()
-    mean = np.empty(t.shape + (4, 4), dtype=complex)
-    for i, lam, k_max in zip(np.ndindex(t.shape), lams, k_maxes):
-        cdf = _poisson_cdf(lam, k_max, log_factorial)
-        counts = np.diff(np.concatenate(([0], np.searchsorted(uniforms, cdf, side="left"), [n])))
-        kicks = np.flatnonzero(counts)
-        states = _dephased(spectrum, req.initial, kicks / gamma, math.inf, first_order_factor).entries
-        mean[i] = (counts[kicks, None, None] * states).sum(axis=0) / n
-    return DensityMatrix(mean, req.initial.basis_order)
+
+    def empirical_factor(delta, *_):  # phi at each time of t; float weights c_k / n make it 1 at t = 0
+        phi = np.empty((len(lams), delta.size), dtype=complex)
+        for row, lam, k_max in zip(phi, lams, k_maxes):
+            cdf = _poisson_cdf(lam, k_max, log_factorial)
+            counts = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0, append=n)
+            kicks = np.flatnonzero(counts)
+            row[:] = (counts[kicks] / n * first_order_factor(delta[:, None], kicks / gamma, math.inf)).sum(axis=1)
+        return phi
+    return _dephased(spectrum, req.initial, req.t, math.inf, empirical_factor)
 
 
 # Engine name -> its function's name here; evolve looks it up at each call, so a

@@ -364,6 +364,16 @@ def test_audit_command(tmp_path, monkeypatch):
     assert first == (tmp_path / "a.txt").read_bytes()
 
 
+def test_audit_labels_only_the_bounds_a_published_value_breaks(tmp_path, monkeypatch):
+    # at alpha = 1.5 the published P(pi/4) lies in [0, 1] and only P(3 pi/4) is negative
+    assert run_cli(tmp_path, monkeypatch, ["audit", "--alpha", "1.5", "--out", "a.txt"]) == 0
+    lines = (tmp_path / "a.txt").read_text().splitlines()
+    quarter, three_quarter = (next(line for line in lines if line.startswith(f"  T = {t}")) for t in ("pi/4", "3pi/4"))
+    assert 0.0 <= float(quarter.split(":")[1]) <= 1.0 and "exceeds 1" not in quarter
+    assert float(three_quarter.split(":")[1].split()[0]) < 0.0 and three_quarter.endswith(
+        "(negative: inconsistent with probability bounds)")
+
+
 def test_evolve_command_reports_state(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch,
                    ["evolve", "--r", "0", "--t-max-deg", "45", "--out", "e.csv"]) == 0
@@ -460,15 +470,22 @@ def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "x.out").exists()
 
 
-@pytest.mark.parametrize("command, alpha", [("table1", "5e153"), ("audit", "5e153"), ("audit", "6.5e153")],
-                         ids=["table1", "audit", "audit-6.5e153"])
-def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, command, alpha):
+@pytest.mark.parametrize("argv", [
+    ["table1", "--alpha", "5e153"],
+    ["audit", "--alpha", "5e153"],
+    ["audit", "--alpha", "6.5e153"],
+    ["audit", "--alpha", "7e153"],
+    ["sweep", "--alpha", "7e153", "--t-max-deg", "1"],
+    ["evolve", "--alpha", "7e153", "--t-max-deg", "0"],
+], ids=["table1", "audit", "audit-6.5e153", "audit-7e153", "sweep-7e153", "evolve-7e153"])
+def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, argv):
     """At alpha = 5e153 the damping D^2 t / (2 gamma) overflows.  Where gamma = inf (the
     R = 0 rows) it is no damping, not inf / inf = NaN.  From about 6.2e153 the published
-    P(T)'s exponent 2 alpha^2 T overflows too; at R = 0 its decay is 1, not inf * 0 = NaN."""
+    P(T)'s exponent 2 alpha^2 T overflows too; at R = 0 its decay is 1, not inf * 0 = NaN.
+    From about 6.7e153 D^2 itself overflows; at t = 0 the damping is 0, not inf * 0 = NaN."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run_cli(tmp_path, monkeypatch, [command, "--alpha", alpha, "--out", "x.out"]) == 0
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
     assert "nan" not in (tmp_path / "x.out").read_text()
 
 
@@ -534,6 +551,42 @@ def test_ode_steps_a_grid_without_a_per_time_loop(tmp_path, monkeypatch, argv):
     assert max(times for _, times in per_call) == (1 if argv[0] == "evolve" else 91)
 
 
+def test_monte_carlo_dephases_a_grid_in_one_call(tmp_path, monkeypatch):
+    # every time's empirical characteristic function goes through one dephase, whatever the grid size
+    calls, per_call = [], []
+    dephase, evolve_monte_carlo = engines.dephase, engines.evolve_monte_carlo
+
+    def counted_dephase(*args):
+        calls.append(args)
+        return dephase(*args)
+
+    def counted_evolve(*args):
+        before = len(calls)
+        out = evolve_monte_carlo(*args)
+        per_call.append((len(calls) - before, out.entries.size // 16))
+        return out
+
+    monkeypatch.setattr(engines, "dephase", counted_dephase)
+    monkeypatch.setattr(engines, "evolve_monte_carlo", counted_evolve)
+    argv = ["sweep", "--engine", "mc", "--r", "0.01", "--t-max-deg", "20", "--t-step-deg", "5", "--out", "x.out"]
+    assert run_cli(tmp_path, monkeypatch, argv) == 0
+    assert per_call == [(1, 5)]
+
+
+def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the kick-count sums run in numpy, not BLAS; one child is pinned to one OpenBLAS thread
+    src = str(Path(iondeco.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["sweep", "--engine", "mc", "--n-traj", "2000", "--seed", "3", "--t-max-deg", "90"]
+    children = [subprocess.Popen([sys.executable, "-m", "iondeco.cli"] + argv + ["--out", f"{name}.csv"],
+                                 cwd=tmp_path, env=dict(env, **extra), stdout=subprocess.DEVNULL)
+                for name, extra in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"}))]
+    assert [child.wait(timeout=60) for child in children] == [0, 0]
+    default, one = ((tmp_path / f"{name}.csv").read_bytes().split(b"\n", 1)[1] for name in ("default", "one"))
+    assert default.count(b"\n") == 362 and default == one
+
+
 def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, capsys):
     # the default sweep --engine mc at every published R, and the mc_grid fixture, stay inside the budget
     config = {key: default for key, (_, default) in cli.CONFIG_SPEC.items()}
@@ -566,7 +619,9 @@ GOLDEN_SHA256 = {
     "sweep --engine unitary": "889f5d8938024157e7891548cd444cc2acfc1068b72465abaf2274428560c557",
     "evolve --engine unitary": "6ddddc62807c04e2b256b0ed7136163d51dbb5b949b745027f66afd6dd8b36f6",
     "evolve --engine poisson": "f884985dd64f32bb11a61e6d1e49be08b455d68ef1c7dd9dfcc4c237a1720096",
-    "evolve --engine mc --n-traj 2000 --seed 7": "b2a625cfc6addc7be6cc7821d8f42ed4dd120adcbda35770a551b3eff7b143e0",
+    # re-pinned when the engine became one dephase with the empirical characteristic function:
+    # only the 16 rho cells that are zero in exact arithmetic moved, each below 3e-17 in magnitude
+    "evolve --engine mc --n-traj 2000 --seed 7": "7f2fe8825b7ed8fa32278faa0e3851d8cf1c165add212df947d6b8cca49c058d",
     # outside the m = n = 1 block (no p_ghz rows); hashed before evolve wrote one value column
     "evolve --engine eigen --m 3 --n 2 --r 0.05 --t-max-deg 77":
         "bfa9c74ea4108e787caa776f0e090d2a9883d7cc51017cc23440666e9c102bfc",

@@ -856,6 +856,8 @@ def test_factor_of_negated_difference_is_conjugate_bit_for_bit(factor, log_exces
 
 def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):
     """Kick count of each trajectory, each drawn by inverting the Poisson CDF."""
+    if gamma * t == 0.0:
+        return np.zeros(n, dtype=np.int64)
     k_max = engines._poisson_cutoff(gamma * t, tail_tol)
     cdf = engines._poisson_cdf(gamma * t, k_max, np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)]))
     return np.searchsorted(cdf, engines._trajectory_uniforms(seed, n), side="right")
@@ -890,19 +892,13 @@ def per_trajectory_monte_carlo(spectrum, rho, kicks, gamma):
     return states.mean(axis=0)
 
 
-def assert_stack_equals_per_state(spectrum, rho, phi, counts):
-    """dephase of a stack of factors equals V X_k V^T taken one state at a time, bit
-    for bit, and the engine's weighted sum over the stack, a strided view, has the
-    bits of that sum over a contiguous copy."""
+def assert_stack_equals_per_state(spectrum, rho, phi):
+    """dephase of a stack of factors equals V X_k V^T taken one state at a time, bit for bit."""
     v = spectrum.eigenvectors
     stack = engines.dephase(spectrum, rho, phi)
     assert stack.shape == phi.shape
     per_state = np.array([v @ x @ v.T for x in (v.T @ rho.entries @ v) * phi]).reshape(phi.shape)
     assert stack.view(np.uint64).tolist() == per_state.view(np.uint64).tolist()
-    n_traj = max(int(counts.sum()), 1)
-    strided = (counts[:, None, None] * stack).sum(axis=0) / n_traj
-    contiguous = (counts[:, None, None] * np.ascontiguousarray(stack)).sum(axis=0) / n_traj
-    assert strided.view(np.uint64).tolist() == contiguous.view(np.uint64).tolist()
 
 
 def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
@@ -916,9 +912,8 @@ def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
         kicks = trajectory_kicks(t, 1.0 / r, n, seed)
         assert np.abs(result.entries - per_trajectory_monte_carlo(spectrum, rho, kicks, 1.0 / r)).max() <= 1e-13
         for stack_kicks in (kicks, kicks[:1], kicks[:0]):  # many distinct counts, one (N = 1), none (N = 0)
-            distinct, counts = np.unique(stack_kicks, return_counts=True)
-            phi = np.exp(-1j * delta * (distinct[:, None, None] / (1.0 / r)))
-            assert_stack_equals_per_state(spectrum, rho, phi, counts)
+            phi = np.exp(-1j * delta * (np.unique(stack_kicks)[:, None, None] / (1.0 / r)))
+            assert_stack_equals_per_state(spectrum, rho, phi)
     single = engines.evolve_monte_carlo(
         block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
     one_kick_count = per_trajectory_monte_carlo(spectrum, rho0, trajectory_kicks(1.0, 100.0, 1, 3), 100.0)
@@ -934,8 +929,7 @@ def test_dephase_stack_equals_per_state(size):
     rho = random_state(rng, spectrum.basis_order)
     delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
     t = np.sort(rng.uniform(0.0, 100.0, size))[:, None, None]
-    assert_stack_equals_per_state(spectrum, rho, engines.first_order_factor(delta, t, 50.0),
-                                  rng.integers(1, 1000, size))
+    assert_stack_equals_per_state(spectrum, rho, engines.first_order_factor(delta, t, 50.0))
 
 
 def test_monte_carlo_grid_equals_per_point(system4, rho0):
@@ -949,6 +943,39 @@ def test_monte_carlo_grid_equals_per_point(system4, rho0):
             one = engines.evolve_monte_carlo(
                 block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
             assert np.array_equal(batched.entries[j], one.entries)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(log_excess=st.floats(-6.0, 2.0), m=st.integers(1, 5), n=st.integers(1, 5), state_seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(1e-3, 1e6), n_traj=st.integers(1, 3000), seed=st.integers(0, 2**64 - 1))
+@example(log_excess=0.0, m=1, n=1, state_seed=0, gamma=100.0, n_traj=3, seed=0)
+def test_monte_carlo_at_t_zero_is_the_unitary_state_bit_for_bit(log_excess, m, n, state_seed, gamma, n_traj, seed):
+    """At t = 0 every trajectory drew N = 0, so the empirical factor is the float weight n/n = 1
+    times exp(-i D 0): the factor of the unitary engine at t = 0, the same bits through dephase."""
+    block, spectrum = scaled_system(1.0 + 10.0 ** log_excess, model.ModeIndices(m, n))
+    rho = random_state(np.random.default_rng(state_seed), spectrum.basis_order)
+    mc = engines.evolve_monte_carlo(
+        block, spectrum, engines.EvolutionRequest(rho, t=0.0, gamma=gamma, n_traj=n_traj, seed=seed))
+    unitary = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho, t=0.0))
+    assert np.array_equal(mc.entries, unitary.entries)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), m=st.integers(1, 5), n=st.integers(1, 5),
+       state_seed=st.integers(0, 2**32 - 1), r=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1),
+       times=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4),
+       n_traj=st.one_of(st.just(1), st.integers(1, 2000)))
+@example(alpha=4.0, m=1, n=1, state_seed=0, r=0.01, seed=7, times=[math.pi], n_traj=1)
+def test_monte_carlo_equals_per_trajectory_mean(alpha, m, n, state_seed, r, seed, times, n_traj):
+    """Each time of a grid holding t = 0 and a repeated time is the mean of one state per trajectory."""
+    block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
+    rho = random_state(np.random.default_rng(state_seed), spectrum.basis_order)
+    grid = np.array([0.0] + times + times[:1])
+    result = engines.evolve_monte_carlo(
+        block, spectrum, engines.EvolutionRequest(rho, t=grid, gamma=1.0 / r, n_traj=n_traj, seed=seed))
+    for t, entries in zip(grid.tolist(), result.entries):
+        per_trajectory = per_trajectory_monte_carlo(spectrum, rho, trajectory_kicks(t, 1.0 / r, n_traj, seed), 1.0 / r)
+        assert np.abs(entries - per_trajectory).max() <= 1e-13
 
 
 def test_violations_cover_every_state_of_a_stack(system4, rho0):
