@@ -151,6 +151,8 @@ def _reject_duplicate_flags(argv: list[str]) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):  # first: most cells are labels
+        return value
     if value is None:
         return "-"
     if isinstance(value, float):

@@ -52,9 +52,8 @@ class DensityMatrix:
 
     @classmethod
     def basis_state(cls, index: int, basis_order: tuple[str, str, str, str]) -> "DensityMatrix":
-        entries = np.zeros((4, 4), dtype=complex)
-        entries[index, index] = 1.0
-        return cls(entries, basis_order)
+        """|e_index><e_index| on shared read-only entries, valid for good: EvolutionRequest trusts them."""
+        return cls(_BASIS_STATES[index], basis_order)
 
     def violations(
         self,
@@ -86,6 +85,12 @@ class DensityMatrix:
         return self
 
 
+_BASIS_STACK = np.zeros((4, 4, 4), dtype=complex)  # [i] = |e_i><e_i|, built once
+_BASIS_STACK[range(4), range(4), range(4)] = 1.0
+_BASIS_STACK.flags.writeable = False
+_BASIS_STATES = tuple(_BASIS_STACK)  # views of a read-only array, which no caller can make writable
+
+
 def _positive_gamma(gamma: float | np.ndarray, t: np.ndarray) -> float | np.ndarray:
     """gamma as given, or as a float array of one value per time of t; each positive or inf."""
     scalar = isinstance(gamma, (int, float))  # one gamma, checked without numpy
@@ -99,7 +104,8 @@ def _positive_gamma(gamma: float | np.ndarray, t: np.ndarray) -> float | np.ndar
 class EvolutionRequest:
     """Inputs common to all engines plus engine-specific controls.
 
-    initial   state at t = 0, one valid 4x4 density matrix
+    initial   state at t = 0, one valid 4x4 density matrix; require_valid checks all but the
+              very entries of a basis_state, valid by construction (a copy of them is checked)
     t         evolution duration (s), or a 1-D array of them
     gamma     kick frequency (1/s); math.inf = decoherence-free; or one per time
               of t, kept as a float array (eigen, poisson and unitary only)
@@ -120,7 +126,8 @@ class EvolutionRequest:
     def __post_init__(self):
         if np.shape(self.initial.entries) != (4, 4):
             raise ValidationError(f"initial must be one 4x4 density matrix, got shape {np.shape(self.initial.entries)}")
-        self.initial.require_valid()
+        if not any(self.initial.entries is state for state in _BASIS_STATES):
+            self.initial.require_valid()
         t = np.asarray(self.t, dtype=float)
         if t.ndim > 1 or not np.all(np.isfinite(t) & (t >= 0)):
             raise ValidationError(f"t must be finite and nonnegative (a scalar or a 1-D array), got {self.t}")

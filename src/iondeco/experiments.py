@@ -246,7 +246,6 @@ class AuditReport:
 
     published_formula_quarter: float
     published_formula_three_quarter: float
-    exceeds_probability_bounds: bool
     closed_form_gap_quarter: float
     transcription_max_dev: float
     transcription_grid: str
@@ -269,7 +268,6 @@ def audit(alpha: float = 4.0) -> AuditReport:
     return AuditReport(
         published_formula_quarter=pub_q,
         published_formula_three_quarter=pub_tq,
-        exceeds_probability_bounds=(pub_q > 1.0 or pub_tq < 0.0),
         closed_form_gap_quarter=gap,
         transcription_max_dev=worst,
         transcription_grid=f"alpha={alpha:g}, R in {r_grid}, 64 T points on [0, 2*pi]",

@@ -123,11 +123,6 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(vectors[first, np.arange(vectors.shape[1])] < 0, -vectors, vectors)
 
 
-# (e1+e4, e2+e3, e1-e4, e2-e3) / sqrt2: the swap-symmetric pair, then the antisymmetric one
-_SWAP_BASIS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
-                        [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
-
-
 def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
     """Closed-form spectral decomposition of the interaction block.
 
@@ -144,16 +139,14 @@ def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
     if mu == 0.0:
         return Spectrum(np.zeros(4), np.eye(4), block.basis_order)
 
-    s1, s2, d1, d2 = _SWAP_BASIS
-    # antisymmetric block [[-2a, omega], [omega, 0]]: eigenvalues mu-a, -(mu+a)
-    # symmetric block     [[+2a, omega], [omega, 0]]: eigenvalues mu+a, -(mu-a)
-    raw = [
-        omega * d1 + (mu + a) * d2,
-        -(mu + a) * d1 + omega * d2,
-        (mu + a) * s1 + omega * s2,
-        omega * s1 - (mu + a) * s2,
-    ]
-    vectors = np.stack([v / np.linalg.norm(v) for v in raw], axis=1)
+    c = 1.0 / math.sqrt(2.0)  # the swap basis (s1, s2, d1, d2) = (e1+e4, e2+e3, e1-e4, e2-e3) c has entries 0, +-c
+    w, m = omega * c, (mu + a) * c
+    # rows: omega d1 + (mu+a) d2 and -(mu+a) d1 + omega d2 of the antisymmetric block [[-2a, omega], [omega, 0]]
+    # (eigenvalues mu-a, -(mu+a)), (mu+a) s1 + omega s2 and omega s1 - (mu+a) s2 of the symmetric block
+    # [[+2a, omega], [omega, 0]] (mu+a, -(mu-a)); 0.0 - w keeps the +0.0 of the first sum where omega = 0
+    raw = np.array([[w, m, -m, 0.0 - w], [-m, w, -w, m], [m, w, w, m], [w, -m, -m, w]])
+    vectors = np.empty((4, 4))  # eigenvectors as columns: each row of raw over its norm, as np.linalg.norm takes it
+    np.divide(raw, [[math.sqrt(v.dot(v))] for v in raw], out=vectors.T)
     spectrum = Spectrum(eigenvalues, _fix_signs(vectors), block.basis_order)
     spectrum.validate(block)
     return spectrum

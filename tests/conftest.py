@@ -22,6 +22,15 @@ def rho0():
     return initial_state()
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.eigvalsh call during the test."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ghz_minus():
     return observables.ghz_state("minus")

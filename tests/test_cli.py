@@ -169,6 +169,14 @@ def test_missing_config_file_exits_one(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch, ["sweep", "--config", "nope.cfg"]) == 1
 
 
+@pytest.mark.parametrize("engine", ["eigen", "poisson", "unitary"])
+def test_evolve_solves_no_eigen_problem(tmp_path, monkeypatch, eigvalsh_calls, engine):
+    """The initial state evolve builds is a shared read-only basis state, valid by
+    construction, so no eigvalsh runs to check it again."""
+    assert run_cli(tmp_path, monkeypatch, ["evolve", "--engine", engine, "--r", "0.05"]) == 0
+    assert eigvalsh_calls == []
+
+
 def test_validation_error_exits_two(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch, ["sweep", "--alpha", "0.5", "--t-max-deg", "10"]) == 2
     assert run_cli(tmp_path, monkeypatch, ["evolve", "--m", "0"]) == 2

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -147,7 +148,7 @@ def test_density_matrix_validation():
 def test_non_finite_initial_state_is_a_validation_error(bad):
     """A non-finite entry is reported as a violation before any eigen solve, which
     would raise LinAlgError on it, and before any arithmetic that would warn."""
-    entries = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS).entries
+    entries = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS).entries.copy()
     entries[1, 3] = bad
     rho = engines.DensityMatrix(entries, observables.GHZ_BASIS)
     assert rho.violations() == ["non-finite entries"]
@@ -155,6 +156,23 @@ def test_non_finite_initial_state_is_a_validation_error(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite entries"):
             engines.EvolutionRequest(rho, t=1.0)
+
+
+def test_request_checks_every_state_but_the_shared_basis_arrays(eigvalsh_calls):
+    """Only the very read-only arrays of basis_state skip require_valid: a writable copy
+    with the same values is checked with one eigen solve, and bad states keep their messages."""
+    rho = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
+    with pytest.raises(ValueError):  # read-only for good: a view of a read-only array
+        rho.entries.flags.writeable = True
+    engines.EvolutionRequest(rho, t=1.0)
+    assert eigvalsh_calls == []
+    engines.EvolutionRequest(engines.DensityMatrix(rho.entries.copy(), rho.basis_order), t=1.0)
+    assert eigvalsh_calls == [1]
+    nan = rho.entries.copy()
+    nan[0, 0] = math.nan
+    for entries, message in ((2.0 * rho.entries, "trace deviates from 1 by 1.000e+00"), (nan, "non-finite entries")):
+        with pytest.raises(ValidationError, match=re.escape(f"invalid density matrix: {message}") + "$"):
+            engines.EvolutionRequest(engines.DensityMatrix(entries, rho.basis_order), t=1.0)
 
 
 def test_basis_state_equals_pure_bitwise():

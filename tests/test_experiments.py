@@ -167,7 +167,7 @@ def test_audit_report_contents():
     report = experiments.audit()
     assert report.published_formula_quarter == pytest.approx(158.0 / 128.0, abs=1e-9)
     assert report.published_formula_three_quarter == pytest.approx(-15.0 / 64.0, abs=1e-9)
-    assert report.exceeds_probability_bounds
+    assert report.published_formula_quarter > 1.0 or report.published_formula_three_quarter < 0.0
     assert report.closed_form_gap_quarter == pytest.approx(0.234375, abs=1e-9)
     assert report.transcription_max_dev <= 1e-9
     assert len(report.three_quarter_rows) == 4

@@ -81,6 +81,27 @@ def spectra_for(omega, a):
     return block, model.spectrum_analytic(block), oracles.spectrum_numeric(block)
 
 
+def assert_spectrum_bits_equal(block):
+    got, want = model.spectrum_analytic(block), oracles.spectrum_per_vector(block)
+    assert got.eigenvectors.flags.c_contiguous  # the layout the engines' BLAS products read
+    for x, y in ((got.eigenvalues, want.eigenvalues), (got.eigenvectors, want.eigenvectors)):
+        assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(alpha=st.floats(-15.0, 9.0).map(lambda e: 1.0 + 10.0**e), m=st.integers(1, 5), n=st.integers(1, 5))
+@example(alpha=1.0 + 2.0**-52, m=1, n=1)
+@example(alpha=9e153, m=5, n=5)
+def test_spectrum_analytic_bits_equal_per_vector_norms(alpha, m, n):
+    """The one-array closed form has the bits of the per-vector np.linalg.norm form, signed zeros included."""
+    assert_spectrum_bits_equal(model.build_hamiltonian(math.sqrt(alpha * alpha - 1.0), 1.0, model.ModeIndices(m, n)))
+
+
+@pytest.mark.parametrize("omega,a", [(0.0, 1.7), (5e-324, 1.0), (0.3, 0.0), (0.0, 0.0)])
+def test_spectrum_analytic_bits_at_the_degenerate_limits(omega, a):
+    assert_spectrum_bits_equal(model.build_hamiltonian(omega, a, model.ModeIndices(1, 1)))
+
+
 def test_spectrum_analytic_convention_order():
     _, spec, _ = spectra_for(math.sqrt(15.0), 1.0)
     np.testing.assert_allclose(spec.eigenvalues, [3.0, -5.0, 5.0, -3.0], atol=1e-12)
