@@ -179,7 +179,7 @@ def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int
 
 
 def _emit_text(metadata: str, body: list[str], dest: Path) -> int:
-    data = ("\n".join([metadata] + body) + "\n").encode("utf-8")
+    data = "\n".join([metadata, *body, ""]).encode("utf-8")
     # Overwrite in place and cut only a longer old file: on ext4 an O_TRUNC of an existing file
     # frees its blocks and (auto_da_alloc) flushes it at close, far slower than the write itself.
     # Not atomic, as before, and a system crash may leave old and new bytes mixed.  A failed write

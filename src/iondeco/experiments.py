@@ -7,6 +7,7 @@ results onto laboratory numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,14 +30,24 @@ def kick_rate(r: float) -> float:
     return math.inf if r == 0.0 else 1.0 / r
 
 
+MAX_SCALED_SYSTEMS = 128  # kept by scaled_system per process, least recently used out first; about 1.5 KB each
+
+
 def scaled_system(
     alpha: float, modes: model.ModeIndices = model.ModeIndices(1, 1),
 ) -> tuple[model.HamiltonianBlock, model.Spectrum]:
-    """Block and spectrum of the coupled (m, n) block, m, n >= 1, for sideband coupling a = 1, mu = alpha."""
+    """Block and spectrum of the coupled (m, n) block, m, n >= 1, for sideband coupling a = 1, mu = alpha.
+
+    Built once per (alpha, m, n) and their types, then shared read-only; a 0-d array alpha keys as its scalar."""
+    return _scaled_system(alpha[()] if isinstance(alpha, np.ndarray) else alpha, modes.m, modes.n)
+
+
+@functools.lru_cache(maxsize=MAX_SCALED_SYSTEMS, typed=True)
+def _scaled_system(alpha: float, m: int, n: int) -> tuple[model.HamiltonianBlock, model.Spectrum]:
     observables.check_alpha(alpha)
-    if modes.m < 1 or modes.n < 1:
-        raise ValidationError(f"the coupled four-state block requires m >= 1 and n >= 1, got m={modes.m}, n={modes.n}")
-    block = model.build_hamiltonian(math.sqrt(alpha * alpha - 1.0), 1.0, modes)
+    if m < 1 or n < 1:
+        raise ValidationError(f"the coupled four-state block requires m >= 1 and n >= 1, got m={m}, n={n}")
+    block = model.build_hamiltonian(math.sqrt(alpha * alpha - 1.0), 1.0, model.ModeIndices(m, n))
     return block, model.spectrum_analytic(block)
 
 

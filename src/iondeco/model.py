@@ -84,6 +84,7 @@ def build_hamiltonian(omega: float, a: float, modes: ModeIndices) -> Hamiltonian
     h = np.zeros((4, 4))
     h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = omega
     h[0, 3] = h[3, 0] = 2.0 * a
+    h.flags.writeable = False  # experiments.scaled_system hands the same block to every later call with its key
     return HamiltonianBlock(entries=h, basis_order=modes.basis_order())
 
 
@@ -137,16 +138,18 @@ def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
 
     eigenvalues = np.array([mu - a, -(mu + a), mu + a, -(mu - a)])
     if mu == 0.0:
-        return Spectrum(np.zeros(4), np.eye(4), block.basis_order)
-
-    c = 1.0 / math.sqrt(2.0)  # the swap basis (s1, s2, d1, d2) = (e1+e4, e2+e3, e1-e4, e2-e3) c has entries 0, +-c
-    w, m = omega * c, (mu + a) * c
-    # rows: omega d1 + (mu+a) d2 and -(mu+a) d1 + omega d2 of the antisymmetric block [[-2a, omega], [omega, 0]]
-    # (eigenvalues mu-a, -(mu+a)), (mu+a) s1 + omega s2 and omega s1 - (mu+a) s2 of the symmetric block
-    # [[+2a, omega], [omega, 0]] (mu+a, -(mu-a)); 0.0 - w keeps the +0.0 of the first sum where omega = 0
-    raw = np.array([[w, m, -m, 0.0 - w], [-m, w, -w, m], [m, w, w, m], [w, -m, -m, w]])
-    vectors = np.empty((4, 4))  # eigenvectors as columns: each row of raw over its norm, as np.linalg.norm takes it
-    np.divide(raw, [[math.sqrt(v.dot(v))] for v in raw], out=vectors.T)
-    spectrum = Spectrum(eigenvalues, _fix_signs(vectors), block.basis_order)
-    spectrum.validate(block)
+        spectrum = Spectrum(np.zeros(4), np.eye(4), block.basis_order)
+    else:
+        c = 1.0 / math.sqrt(2.0)  # the swap basis (s1, s2, d1, d2) = (e1+e4, e2+e3, e1-e4, e2-e3) c has entries 0, +-c
+        w, m = omega * c, (mu + a) * c
+        # rows: omega d1 + (mu+a) d2 and -(mu+a) d1 + omega d2 of the antisymmetric block [[-2a, omega], [omega, 0]]
+        # (eigenvalues mu-a, -(mu+a)), (mu+a) s1 + omega s2 and omega s1 - (mu+a) s2 of the symmetric block
+        # [[+2a, omega], [omega, 0]] (mu+a, -(mu-a)); 0.0 - w keeps the +0.0 of the first sum where omega = 0
+        raw = np.array([[w, m, -m, 0.0 - w], [-m, w, -w, m], [m, w, w, m], [w, -m, -m, w]])
+        vectors = np.empty((4, 4))  # eigenvectors as columns: each row of raw over its norm, as np.linalg.norm takes it
+        np.divide(raw, [[math.sqrt(v.dot(v))] for v in raw], out=vectors.T)
+        spectrum = Spectrum(eigenvalues, _fix_signs(vectors), block.basis_order)
+        spectrum.validate(block)
+    # experiments.scaled_system hands the same spectrum to every later call with its key
+    spectrum.eigenvalues.flags.writeable = spectrum.eigenvectors.flags.writeable = False
     return spectrum

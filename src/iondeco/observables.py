@@ -26,12 +26,14 @@ GHZ_BASIS = ModeIndices(1, 1).basis_order()
 
 SIGNS = ("minus", "plus")
 
+MAX_ALPHA = 9.48e153  # the scaled block's squared eigenvector norms, about 2 alpha^2, overflow from 9.4807e153
+
 
 def check_alpha(alpha: float) -> None:
-    """alpha = mu / a, which must exceed 1 (omega > 0) and have a finite
-    square, since omega = sqrt(alpha^2 - 1) in units of a."""
-    if not 1.0 < alpha < math.inf or math.isinf(alpha * alpha):
-        raise ValidationError(f"alpha must be finite, exceed 1 and have a finite square, got {alpha}")
+    """alpha = mu / a in (1, MAX_ALPHA]: omega = sqrt(alpha^2 - 1) in units of a
+    must be positive, and the spectrum's squared norms finite."""
+    if not 1.0 < alpha <= MAX_ALPHA:
+        raise ValidationError(f"alpha must exceed 1 and be at most {MAX_ALPHA:g}, got {alpha}")
 
 
 def check_r(r: float) -> None:

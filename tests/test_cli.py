@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import iondeco
 from iondeco import cli, engines, experiments, model, observables
-from iondeco.errors import ConfigError
+from iondeco.errors import ConfigError, ValidationError
 
 
 def run_cli(tmp_path, monkeypatch, argv):
@@ -94,6 +94,44 @@ def test_parser_is_not_built_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True).stdout.strip() == "0"
+
+
+def test_cached_system_carries_nothing_between_calls(tmp_path, monkeypatch):
+    """scaled_system builds each (alpha, m, n) once and hands the same read-only
+    block and spectrum to every later call; a rejected input is never kept."""
+    block, spectrum = experiments.scaled_system(4.0)
+    assert all(x is y for x, y in zip(experiments.scaled_system(4.0), (block, spectrum)))
+    for alpha in (4, np.float64(4.0), np.array(4.0)):  # typed keys, a 0-d array as its scalar
+        other_block, other = experiments.scaled_system(alpha)
+        assert other_block is not block
+        for x, y in ((other_block.entries, block.entries), (other.eigenvalues, spectrum.eigenvalues),
+                     (other.eigenvectors, spectrum.eigenvectors)):
+            assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
+    for array in (block.entries, spectrum.eigenvalues, spectrum.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    for m, n in ((2, 3), (1, 1), (1.0, 1.0)):  # equal ModeIndices of another type keep their own labels
+        modes = model.ModeIndices(m, n)
+        for _ in range(2):
+            assert experiments.scaled_system(4.0, modes)[0].basis_order == modes.basis_order()
+            assert experiments.scaled_system(4.0, modes)[1].basis_order == modes.basis_order()
+    for alpha in (1.0, math.nan, float(np.nextafter(observables.MAX_ALPHA, math.inf))):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="alpha"):
+                experiments.scaled_system(alpha)
+
+    def evolve_body(m, n):
+        argv = ["evolve", "--m", str(m), "--n", str(n), "--r", "0.05", "--t-max-deg", "30", "--out", "e.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 0
+        return (tmp_path / "e.csv").read_text().split("\n", 1)[1]
+
+    order = ((2, 3), (1, 1), (2, 3))
+    warm = [evolve_body(m, n) for m, n in order]
+    cold = []
+    for m, n in order:
+        experiments._scaled_system.cache_clear()
+        cold.append(evolve_body(m, n))
+    assert warm == cold and warm[0] != warm[1]
 
 
 FLAGS = ["--config"] + ["--" + key.replace("_", "-") for key in cli.CONFIG_SPEC]
@@ -485,7 +523,9 @@ def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     ["audit", "--alpha", "7e153"],
     ["sweep", "--alpha", "7e153", "--t-max-deg", "1"],
     ["evolve", "--alpha", "7e153", "--t-max-deg", "0"],
-], ids=["table1", "audit", "audit-6.5e153", "audit-7e153", "sweep-7e153", "evolve-7e153"])
+    *([command, "--alpha", "9.48e153", "--t-max-deg", "1"] for command in ("sweep", "table1", "audit", "evolve")),
+], ids=["table1", "audit", "audit-6.5e153", "audit-7e153", "sweep-7e153", "evolve-7e153",
+        "sweep-largest", "table1-largest", "audit-largest", "evolve-largest"])
 def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, argv):
     """At alpha = 5e153 the damping D^2 t / (2 gamma) overflows.  Where gamma = inf (the
     R = 0 rows) it is no damping, not inf / inf = NaN.  From about 6.2e153 the published
@@ -495,6 +535,18 @@ def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, argv):
         warnings.simplefilter("error", RuntimeWarning)
         assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
     assert "nan" not in (tmp_path / "x.out").read_text()
+
+
+@pytest.mark.parametrize("alpha", ["1e154", "1.3e154"])
+@pytest.mark.parametrize("command", ["sweep", "table1", "audit", "evolve", "units"])
+def test_alpha_above_the_largest_exits_two_without_a_warning(tmp_path, monkeypatch, capsys, command, alpha):
+    """From sqrt(DBL_MAX / 2) = 9.4807e153 on, the spectrum's squared eigenvector norms
+    overflow; check_alpha refuses such an alpha before numpy can warn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(tmp_path, monkeypatch, [command, "--alpha", alpha, "--t-max-deg", "1", "--out", "x.out"])
+    assert (code, [str(w.message) for w in caught]) == (2, [])
+    assert capsys.readouterr().err.startswith("validation error: alpha must exceed 1 and be at most 9.48e+153")
 
 
 def test_grid_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,13 @@
 import contextlib
 import io
+import math
 import re
 from pathlib import Path
 
-from iondeco import cli, engines
+import pytest
+
+from iondeco import cli, engines, experiments, observables
+from iondeco.errors import ValidationError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,9 +25,20 @@ def test_readme_quick_start_runs_and_prints_what_it_says():
 
 def test_readme_budgets_equal_the_constants():
     """README quotes each budget as `module.NAME` followed by its value in parentheses."""
-    quotes = re.findall(r"`(cli|engines)\.(MAX_\w+)`\s*\(([\d,]+)", README.read_text())
+    quotes = re.findall(r"`(cli|engines|experiments)\.(MAX_\w+)`\s*\(([\d,]+)", README.read_text())
     assert {(module, name) for module, name, _ in quotes} == {
         ("engines", "MAX_ODE_STEPS"), ("engines", "MAX_TRAJECTORIES"), ("engines", "MAX_KICK_TABLE"),
-        ("cli", "MAX_GRID_POINTS")}
+        ("cli", "MAX_GRID_POINTS"), ("experiments", "MAX_SCALED_SYSTEMS")}
+    modules = {"cli": cli, "engines": engines, "experiments": experiments}
     for module, name, number in quotes:
-        assert int(number.replace(",", "")) == getattr({"cli": cli, "engines": engines}[module], name), name
+        assert int(number.replace(",", "")) == getattr(modules[module], name), name
+
+
+def test_readme_largest_alpha_is_the_checked_one():
+    """Every place README names the largest alpha quotes the last float check_alpha accepts."""
+    quotes = re.findall(r"largest allowed alpha,?\s+([\d.]+e\d+)", README.read_text())
+    assert quotes
+    for largest in map(float, quotes):
+        observables.check_alpha(largest)
+        with pytest.raises(ValidationError):
+            observables.check_alpha(math.nextafter(largest, math.inf))

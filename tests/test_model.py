@@ -84,6 +84,8 @@ def spectra_for(omega, a):
 def assert_spectrum_bits_equal(block):
     got, want = model.spectrum_analytic(block), oracles.spectrum_per_vector(block)
     assert got.eigenvectors.flags.c_contiguous  # the layout the engines' BLAS products read
+    # shared by experiments.scaled_system's memo, the mu = 0 branch too
+    assert not any(x.flags.writeable for x in (block.entries, got.eigenvalues, got.eigenvectors))
     for x, y in ((got.eigenvalues, want.eigenvalues), (got.eigenvectors, want.eigenvectors)):
         assert x.view(np.uint64).tolist() == y.view(np.uint64).tolist()
 
