@@ -35,13 +35,11 @@ from .observables import (
 )
 from .experiments import (
     AuditReport,
-    PeakRecord,
     SweepSpec,
     Table1Row,
     TimeSeries,
     UnitReport,
     audit,
-    find_peaks,
     physical_units,
     sweep,
     table1,

@@ -73,6 +73,11 @@ CONFIG_SPEC = {
     "out": (str, None),
 }
 
+# each flag, spelled in full -> its namespace key and its parser, which argparse calls too
+_FLAGS = {"--config": ("config", str)} | {"--" + key.replace("_", "-"): (key, parse)
+                                          for key, (parse, _) in CONFIG_SPEC.items()}
+_UNSET = {key: None for key, _ in _FLAGS.values()}
+
 # Largest sweep grid (T points x R values).  The batched engines peak at about
 # 1,280 B per T point of one R column (tracemalloc); a one-R sweep at the cap peaks near 345 MB RSS.
 MAX_GRID_POINTS = 250_000
@@ -120,9 +125,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and its subparsers by command name."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, metavar="PATH")
-    for key, (parse, _) in CONFIG_SPEC.items():
-        common.add_argument("--" + key.replace("_", "-"), type=parse)
+    for flag, (_, parse) in _FLAGS.items():
+        common.add_argument(flag, type=parse, metavar="PATH" if flag == "--config" else None)
     parser = _Parser(prog="iondeco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     return parser, {name: sub.add_parser(name, parents=[common], help=text)
@@ -130,8 +134,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The top-level parse_args; a leading command name goes straight to its
-    subparser with the rest of argv, which is all the top-level pass does."""
+    """The top-level parse_args.  A command and exact `--key value` pairs with no value
+    starting with '-' skip argparse, which would make the same parser calls into the
+    same namespace; any other leading command name goes straight to its subparser
+    with the rest of argv, which is all the top-level pass does."""
+    pairs = list(zip(argv[1::2], argv[2::2]))
+    if len(argv) % 2 and argv[0] in COMMANDS and all(f in _FLAGS and not t.startswith("-") for f, t in pairs):
+        try:
+            return argparse.Namespace(command=argv[0], **(_UNSET | {_FLAGS[f][0]: _FLAGS[f][1](t) for f, t in pairs}))
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            pass  # argparse reports the bad value
     parser, commands = _build_parser()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
@@ -151,7 +163,7 @@ def _reject_duplicate_flags(argv: list[str]) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, str):  # first: most cells are labels
+    if isinstance(value, str):
         return value
     if value is None:
         return "-"
@@ -162,9 +174,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# key, default and "key=default" text, reused for every key still holding its default object
+_DEFAULT_PARTS = [(key, default, f"{key}={_fmt(default)}") for key, (_, default) in CONFIG_SPEC.items()]
+
+
 def _metadata_line(command: str, config: dict) -> str:
     parts = [f"command={command}", f"version={__version__}"]
-    parts += [f"{key}={_fmt(config[key])}" for key in CONFIG_SPEC]
+    parts += [text if config[k] is default else f"{k}={_fmt(config[k])}" for k, default, text in _DEFAULT_PARTS]
     return "# " + " ".join(parts)
 
 
@@ -174,7 +190,8 @@ def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int
     Each row is one %-format: a float array column takes %.9g over tolist(),
     any other column its _fmt strings.  Returns bytes written."""
     row_format = ",".join("%.9g" if isinstance(col, np.ndarray) else "%s" for col in columns)
-    cells = [col.tolist() if isinstance(col, np.ndarray) else [_fmt(v) for v in col] for col in columns]
+    cells = [col.tolist() if isinstance(col, np.ndarray) else [v if v.__class__ is str else _fmt(v) for v in col]
+             for col in columns]
     return _emit_text(metadata, [",".join(header)] + [row_format % row for row in zip(*cells)], dest)
 
 

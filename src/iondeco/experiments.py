@@ -1,4 +1,4 @@
-"""Parameter sweeps, peak finding, unit conversion, and the published-value audit.
+"""Parameter sweeps, unit conversion, and the published-value audit.
 
 Probabilities depend only on (alpha, R, T), so sweeps run in scaled units
 with the sideband coupling set to 1; physical_units maps the dimensionless
@@ -125,52 +125,6 @@ def sweep(spec: SweepSpec) -> TimeSeries:
         purities[r] = observables.purity(states)
     return TimeSeries(t_rad=spec.t_grid.copy(), t_deg=np.degrees(spec.t_grid),
                       probabilities=probabilities, purities=purities)
-
-
-@dataclass(frozen=True)
-class PeakRecord:
-    """An interior local maximum of one probability column."""
-
-    r: float
-    target: str
-    t_peak_rad: float  # 3-point parabolic refinement around the grid maximum
-    value: float
-    grid_index: int  # the grid maximum, series.t_rad[grid_index]
-
-
-def _refine(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom == 0.0:
-        return float(t[i]), float(y[i])
-    shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-    step = t[i + 1] - t[i]
-    return float(t[i] + shift * step), float(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift)
-
-
-def find_peaks(series: TimeSeries) -> list[PeakRecord]:
-    """Interior strict local maxima of every column; plateau ties resolve to the
-    smallest T, and each peak carries its refined value and its grid index."""
-    records = []
-    t = series.t_rad
-    if t.size < 3:
-        return records
-    for (r, sign), y in series.probabilities.items():
-        i = 1
-        while i < y.size - 1:
-            if y[i] > y[i - 1]:
-                j = i
-                while j + 1 < y.size and y[j + 1] == y[j]:
-                    j += 1
-                if j < y.size - 1 and y[j + 1] < y[j]:
-                    if i == j:
-                        t_peak, value = _refine(t, y, i)
-                    else:
-                        t_peak, value = float(t[i]), float(y[i])
-                    records.append(PeakRecord(r=r, target=sign, t_peak_rad=t_peak, value=value, grid_index=i))
-                i = j + 1
-            else:
-                i += 1
-    return records
 
 
 @dataclass(frozen=True)

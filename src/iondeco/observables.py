@@ -107,12 +107,12 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     check_r(r)
     check_alpha(alpha)
     a2 = alpha * alpha
-    c_mu = (a2 - 1.0) / (4.0 * a2)
-    c_plus = (alpha - 1.0) ** 2 / (8.0 * a2)
-    c_minus = (alpha + 1.0) ** 2 / (8.0 * a2)
+    c_mu = (a2 - 1.0) / a2 / 4.0  # over a2 first: 8.0 * a2 overflows from alpha = 4.74e153
+    c_plus = (alpha - 1.0) ** 2 / a2 / 8.0
+    c_minus = (alpha + 1.0) ** 2 / a2 / 8.0
     t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
-        (a2 + 1.0) / (4.0 * a2)
+        (a2 + 1.0) / a2 / 4.0
         + c_mu * _decay(-2.0 * alpha * alpha, t_scaled, r) * np.cos(2.0 * alpha * t_scaled)
         + upper * c_mu * _decay(-2.0, t_scaled, r) * np.sin(2.0 * t_scaled)
         + upper * c_plus * _decay(-2.0 * (alpha + 1.0) ** 2, t_scaled, r) * np.sin(2.0 * (alpha + 1.0) * t_scaled)
@@ -132,9 +132,9 @@ def published_pghz(t_scaled, alpha: float, r: float):
     check_r(r)
     check_alpha(alpha)
     a2 = alpha * alpha
-    lead = (a2 - 1.0) / (2.0 * a2)
-    c_plus = (alpha - 1.0) ** 2 / (8.0 * a2)
-    c_minus = (alpha + 1.0) ** 2 / (8.0 * a2)
+    lead = (a2 - 1.0) / a2 / 2.0
+    c_plus = (alpha - 1.0) ** 2 / a2 / 8.0
+    c_minus = (alpha + 1.0) ** 2 / a2 / 8.0
     t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
         0.5

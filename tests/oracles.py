@@ -16,6 +16,9 @@ first_order_gap_bound  the largest gap the first-order engine may show against t
                        exact kick average, from a dense eigvalsh of the block.
 first_order_generator  the 16x16 first-order generator on vec(rho), from the block.
 first_order_expm       exp(t G) vec(rho) by scipy's expm; checks evolve_ode.
+find_peaks             the interior local maxima of each probability column of a
+                       sweep, with a 3-point parabolic refinement; reads the
+                       peak structure of criterion 7.
 
 They take from iondeco only its containers, its error classes and the sign
 significance threshold, and from scipy only expm;
@@ -23,6 +26,7 @@ test_oracles_import_no_code_they_check pins that.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,3 +192,50 @@ def first_order_expm(block, rho: DensityMatrix, t: float, gamma: float) -> np.nd
     from scipy.linalg import expm  # scipy is a test extra; only this oracle needs it
 
     return (expm(t * first_order_generator(block, gamma)) @ rho.entries.reshape(16)).reshape(4, 4)
+
+
+@dataclass(frozen=True)
+class PeakRecord:
+    """An interior local maximum of one probability column."""
+
+    r: float
+    target: str
+    t_peak_rad: float  # 3-point parabolic refinement around the grid maximum
+    value: float
+    grid_index: int  # the grid maximum, series.t_rad[grid_index]
+
+
+def _refine(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
+    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+    if denom == 0.0:
+        return float(t[i]), float(y[i])
+    shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+    step = t[i + 1] - t[i]
+    return float(t[i] + shift * step), float(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift)
+
+
+def find_peaks(series) -> list[PeakRecord]:
+    """Interior strict local maxima of every column of an experiments.TimeSeries;
+    plateau ties resolve to the smallest T, and each peak carries its refined
+    value and its grid index."""
+    records = []
+    t = series.t_rad
+    if t.size < 3:
+        return records
+    for (r, sign), y in series.probabilities.items():
+        i = 1
+        while i < y.size - 1:
+            if y[i] > y[i - 1]:
+                j = i
+                while j + 1 < y.size and y[j + 1] == y[j]:
+                    j += 1
+                if j < y.size - 1 and y[j + 1] < y[j]:
+                    if i == j:
+                        t_peak, value = _refine(t, y, i)
+                    else:
+                        t_peak, value = float(t[i]), float(y[i])
+                    records.append(PeakRecord(r=r, target=sign, t_peak_rad=t_peak, value=value, grid_index=i))
+                i = j + 1
+            else:
+                i += 1
+    return records

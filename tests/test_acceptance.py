@@ -23,7 +23,7 @@ from iondeco import cli, engines, experiments, observables
 from iondeco.experiments import initial_state, scaled_system
 
 from conftest import R_VALUES, T_GRID_PI
-from oracles import first_order_gap_bound, kick_standard_error
+from oracles import find_peaks, first_order_gap_bound, kick_standard_error
 
 PUBLISHED_QUARTER = {0.001: 0.99, 0.005: 0.94, 0.01: 0.89, 0.1: 0.53}
 PUBLISHED_INV_GAMMA_NS = {0.001: 0.43, 0.005: 2.15, 0.01: 4.32, 0.1: 43.20}
@@ -198,7 +198,7 @@ def test_criterion_7_peak_structure():
     grid = np.radians(np.arange(0, 1441, dtype=float) * 0.25)
     spec = experiments.SweepSpec(alpha=4.0, r_values=(0.0, 0.001, 0.005, 0.01, 0.1),
                                  t_grid=grid, targets=("minus", "plus"), engine="eigen")
-    peaks = experiments.find_peaks(experiments.sweep(spec))
+    peaks = find_peaks(experiments.sweep(spec))
     expected = {"minus": (45.0, 225.0), "plus": (135.0, 315.0)}
     ok = True
     details = []

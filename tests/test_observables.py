@@ -153,6 +153,24 @@ def test_closed_form_equals_reference_engine(alpha, r, t, sign):
     assert abs(p - observables.closed_form_pghz(t, alpha, r, sign)) <= 1e-9
 
 
+@pytest.mark.parametrize("alpha", [7e153, 9e153])
+def test_closed_form_keeps_its_coefficients_near_the_largest_alpha(alpha):
+    """8 alpha^2 overflows from alpha = 4.74e153 and 4 alpha^2 from 6.7e153, which read
+    P(T) as 0.0; each coefficient is a ratio over alpha^2 first.  Above about 2^53 the
+    block's eigenvalues mu -/+ a both round to mu, so the engine loses the slow term
+    -/+ e^{-2 T R} sin(2 T) / 4 of the closed form; with it added back they agree.  At
+    R > 0, T stays below 1: from about 1.1 at 9e153, -2 alpha^2 T overflows in _decay."""
+    block, spectrum = scaled_system(alpha)
+    for r, t in ((0.0, np.linspace(0.0, 2.0 * math.pi, 33)), (0.01, np.linspace(0.0, 1.0, 17)),
+                 (0.1, np.linspace(0.0, 1.0, 17))):
+        rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(
+            initial_state(), t=t, gamma=experiments.kick_rate(r)))
+        for sign, upper in (("minus", 1.0), ("plus", -1.0)):
+            slow = upper * np.exp(-2.0 * t * r) * np.sin(2.0 * t) / 4.0
+            p = observables.p_ghz(rho, observables.GHZ_TARGETS[sign])
+            assert np.abs(p + slow - observables.closed_form_pghz(t, alpha, r, sign)).max() <= 1e-14
+
+
 def test_published_formula_values():
     assert observables.published_pghz(0.0, 4.0, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert observables.published_pghz(math.pi / 4, 4.0, 0.0) == pytest.approx(158.0 / 128.0, abs=1e-9)
