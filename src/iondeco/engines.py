@@ -23,6 +23,8 @@ closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,10 @@ MAX_TRAJECTORIES = 10_000_000
 # the times whose step count has that bit set, then one batched shortened step), so
 # the budget bounds the rounding, which grows with the step count, not the time.
 MAX_ODE_STEPS = 10_000_000
-# Largest total length of the Poisson CDF tables of one Monte Carlo call, which holds
-# one at a time; at about 33 B and 0.3 us per entry, a peak near 330 MB and some 3 s.
+# Largest total length of the Poisson CDF tables of one Monte Carlo call.  It builds one
+# at a time, at about 33 B and 0.3 us per entry, a peak near 330 MB and some 3 s, and keeps
+# of each only the entries between the least and the greatest uniform (12-36% of them on the
+# default grid with 1e5 trajectories).
 MAX_KICK_TABLE = 10_000_000
 
 
@@ -297,10 +301,19 @@ _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
+# Trajectory count from which a call draws and sorts its uniforms in two chunks at once, on
+# two worker threads, where the process may run on more than one CPU.
+_SPLIT_FROM = 1 << 16
+# Entries of the process's cached table of log(k!), 512 KB; a call past it extends a copy.
+_LOG_FACTORIAL_CAP = 1 << 16
+_log_factorial = np.zeros(0)  # read-only, replaced by a longer table, never written
+_worker = None  # the two-thread pool that draws the chunks, started by the first call that splits
+_worker_lock = threading.Lock()
 
-def _trajectory_uniforms(seed: int, n: int) -> np.ndarray:
-    """One uniform in [0,1) per trajectory, a pure function of (seed, index)."""
-    z = np.arange(1, n + 1, dtype=np.uint64)  # every pass in place on one buffer
+
+def _trajectory_uniforms(seed: int, hi: int, lo: int = 0) -> np.ndarray:
+    """One uniform in [0,1) per trajectory of index lo..hi-1, a pure function of (seed, index)."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64)  # every pass in place on one buffer
     z *= _SM64_GAMMA
     z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     z ^= z >> np.uint64(30)
@@ -310,6 +323,72 @@ def _trajectory_uniforms(seed: int, n: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
     return z.astype(np.float64) * 2.0**-53
+
+
+def _chunk_count(n: int) -> int:
+    """Chunks n trajectories are drawn in: two from _SPLIT_FROM of them where more than one CPU is available."""
+    if n < _SPLIT_FROM:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 2 if cpus > 1 else 1
+
+
+def _pool():
+    """The two-thread pool that draws the chunks, started by the first call that splits."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor  # here, not at import: a process that never splits needs none
+
+            _worker = ThreadPoolExecutor(max_workers=2, thread_name_prefix="iondeco-mc")
+        return _worker
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has none of its parent's threads, let the first split start a new pool."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _sorted_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The uniforms of trajectories lo..hi-1, sorted; numpy releases the interpreter lock to draw and sort them."""
+    uniforms = _trajectory_uniforms(seed, hi, lo)
+    uniforms.sort()
+    return uniforms
+
+
+def _sorted_chunks(seed: int, n: int) -> list[np.ndarray]:
+    """The n trajectory uniforms in _chunk_count(n) sorted chunks of consecutive indices, none
+    empty.  A single chunk is drawn on this thread; two or more are drawn at once on the worker
+    threads while this thread waits: the fresh arrays of a calling thread page-fault on every
+    call where a worker thread's memory arena keeps its pages."""
+    chunks = min(_chunk_count(n), n)
+    if chunks == 1:
+        return [_sorted_uniforms(seed, 0, n)]
+    cuts = [n * j // chunks for j in range(chunks + 1)]
+    pool = _pool()
+    jobs = [pool.submit(_sorted_uniforms, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return [job.result() for job in jobs]
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """Read-only log(k!) = math.lgamma(k + 1) for k below at least size.  The process keeps
+    one table, grown to powers of two up to _LOG_FACTORIAL_CAP entries; a larger size gets
+    a copy extended for that call alone.  Two threads growing it at once each build a
+    whole table of the same bits, so either may be kept."""
+    global _log_factorial
+    table = _log_factorial
+    if size > table.size:
+        grown = 1 << (size - 1).bit_length() if size <= _LOG_FACTORIAL_CAP else size
+        table = np.concatenate((table, np.fromiter(map(math.lgamma, range(table.size + 1, grown + 1)), dtype=float)))
+        table.flags.writeable = False
+        if grown <= _LOG_FACTORIAL_CAP:
+            _log_factorial = table
+    return table
 
 
 def _log_poisson_pmf(k: float, lam: float) -> float:
@@ -341,15 +420,47 @@ def _poisson_cdf(lam: float, k_max: int, log_factorial: np.ndarray) -> np.ndarra
     return np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0))
 
 
+def _kick_counts(chunks: list[np.ndarray], lams: list[float], k_maxes: list[int],
+                 log_factorial: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each time's histogram of kick counts: c_k trajectories drew k kicks where c_k uniforms of the
+    sorted chunks lie in [cdf[k-1], cdf[k]) of that time's Poisson CDF on 0..K (K + 1 past it).
+    Returns every k with c_k > 0, ascending within each time, those c_k, and the offsets at which
+    each time's run of them starts, with the end last.  The CDFs of all times lie end to end in one
+    table, which each chunk is searched in once; the counts are integers, so they do not depend on
+    how the uniforms were split."""
+    least, greatest = min(chunk[0] for chunk in chunks), max(chunk[-1] for chunk in chunks)
+    # No uniform lies below a CDF entry up to the least, and all lie below one past the greatest, so
+    # time j keeps only its entries k = a..b-1 between, then 1.0 for k = b; c_k = 0 outside a..b.
+    # Its slots are table[bounds[j]:bounds[j + 1]], and slot i holds k = i - shifts[j].
+    parts, bounds, shifts = [], [0], []
+    for lam, k_max in zip(lams, k_maxes):
+        cdf = _poisson_cdf(lam, k_max, log_factorial)
+        a, b = np.searchsorted(cdf, (least, greatest), side="right").tolist()
+        parts += (cdf[a:b].copy(), (1.0,))  # a copy, so that the whole CDF is freed
+        shifts.append(bounds[-1] - a)
+        bounds.append(bounds[-1] + b - a + 1)
+    table = np.concatenate(parts or [np.zeros(0)])
+    below = sum(np.searchsorted(chunk, table, side="left") for chunk in chunks)
+    counts = np.diff(below, prepend=0)
+    counts[bounds[1:-1]] = below[bounds[1:-1]]
+    slots = np.flatnonzero(counts)
+    firsts = np.searchsorted(slots, bounds)
+    return slots - np.repeat(shifts, np.diff(firsts)), counts[slots], firsts.tolist()
+
+
 def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory; one finite gamma.
 
     Trajectory i maps one uniform, the splitmix64 mix of (seed, i), through the inverse
-    Poisson CDF, so results are bit-identical for a given seed.  Every time reuses the
-    uniforms, sorted once: c_k of them lie in [cdf[k-1], cdf[k]).  The mean is one _dephased
-    call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma),
-    one numpy pairwise sum over the contiguous k of each D, no BLAS.  Each time's CDF is
-    built when reached; the tables of one call hold at most MAX_KICK_TABLE entries.
+    Poisson CDF, so results are bit-identical for a given seed.  The uniforms are drawn and
+    sorted once per call: from _SPLIT_FROM trajectories, where more than one CPU is available,
+    in two chunks at once on two worker threads that the first such call starts.  _kick_counts
+    then searches each chunk once in the CDFs of all times, laid end to end, and sums the
+    integer counts, so the bytes do not depend on the split or on the CPU count.  The CDFs take
+    log(k!) from a table kept for the process.  The mean is one _dephased call with the
+    empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma), its phases taken
+    once for each k drawn at any time, summed by numpy pairwise over the ascending k of each
+    time and D, no BLAS.  The CDFs of one call hold at most MAX_KICK_TABLE entries.
     """
     gamma = _engine_gamma(req.gamma, finite=True, one=True)
     if req.seed is None or req.n_traj is None:
@@ -362,17 +473,16 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
     if sum(k_maxes) + len(k_maxes) > MAX_KICK_TABLE:
         raise ValidationError(f"the Poisson kick tables of {len(lams)} times up to gamma*t = {max(lams):.3g} exceed "
                               f"the budget of {MAX_KICK_TABLE} entries; raise R or take fewer, shorter times")
-    log_factorial = np.fromiter(map(math.lgamma, range(1, max(k_maxes, default=0) + 2)), dtype=float)
-    uniforms = _trajectory_uniforms(req.seed, n)
-    uniforms.sort()
+    log_factorial = _log_factorials(max(k_maxes, default=0) + 1)
+    drawn, counts, firsts = _kick_counts(_sorted_chunks(req.seed, n), lams, k_maxes, log_factorial)
+    weights = counts / n
+    kicks, rows = np.unique(drawn, return_inverse=True)
 
     def empirical_factor(delta, *_):  # phi at each time of t; float weights c_k / n make it 1 at t = 0
+        phase = first_order_factor(delta[:, None], kicks / gamma, math.inf)  # one column per k drawn at any time
         phi = np.empty((len(lams), delta.size), dtype=complex)
-        for row, lam, k_max in zip(phi, lams, k_maxes):
-            cdf = _poisson_cdf(lam, k_max, log_factorial)
-            counts = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0, append=n)
-            kicks = np.flatnonzero(counts)
-            row[:] = (counts[kicks] / n * first_order_factor(delta[:, None], kicks / gamma, math.inf)).sum(axis=1)
+        for row, lo, hi in zip(phi, firsts, firsts[1:]):  # take, not [:, rows]: a C-ordered product, summed pairwise
+            row[:] = (weights[lo:hi] * phase.take(rows[lo:hi], axis=1)).sum(axis=1)
         return phi
     return _dephased(spectrum, req.initial, req.t, math.inf, empirical_factor)
 

@@ -89,8 +89,13 @@ def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
 
 
 def _decay(rate: float, t_scaled: np.ndarray, r: float) -> np.ndarray | float:
-    """exp(rate * T * R), exactly 1.0 at R = 0, also where rate * T overflows and inf * 0 would be NaN."""
-    return np.exp(rate * t_scaled * r) if r else 1.0
+    """exp(rate * T * R) for a rate of magnitude at least 2, exactly 1.0 at R = 0.  T R is formed
+    first, so the exponent overflows only where the exact one is below -DBL_MAX, and the factor
+    is then exactly 0.0; rate * T first would overflow near MAX_ALPHA whatever R."""
+    if not r:
+        return 1.0
+    with np.errstate(over="ignore"):
+        return np.exp(rate * (t_scaled * r))
 
 
 def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):

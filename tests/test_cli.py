@@ -719,6 +719,37 @@ def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert default.count(b"\n") == 362 and default == one
 
 
+def test_units_starts_no_thread_and_monte_carlo_reruns_byte_identical(tmp_path):
+    # set-up stays single-threaded: the Monte Carlo workers and their module load at the first call
+    # that splits; a rerun on the started workers and the cached log(k!) table, a run drawn in one
+    # chunk or in two, and a run in a child forked after the workers started (it has none of them,
+    # so its split starts a pool of its own) all write the same bytes
+    src = str(Path(iondeco.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import os, sys, threading
+from iondeco import cli, engines
+assert cli.main(["units", "--out", "units.csv"]) == 0
+assert threading.active_count() == 1 and "concurrent.futures" not in sys.modules, threading.enumerate()
+argv = ["evolve", "--engine", "mc", "--n-traj", "100000", "--seed", "11", "--r", "0.001", "--out", "mc.csv"]
+runs, split = [], engines._chunk_count(100000) > 1
+for chunk_count in (engines._chunk_count, engines._chunk_count, lambda n: 1, lambda n: 2):
+    assert ("concurrent.futures" in sys.modules) == (split and bool(runs))
+    engines._chunk_count = chunk_count
+    assert cli.main(argv) == 0
+    runs.append(open("mc.csv", "rb").read())
+assert runs.count(runs[0]) == 4
+if hasattr(os, "fork"):
+    os.remove("mc.csv")
+    pid = os.fork()
+    if pid == 0:
+        sys.exit(cli.main(argv))
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and open("mc.csv", "rb").read() == runs[0]
+"""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, capsys):
     # the default sweep --engine mc at every published R, and the mc_grid fixture, stay inside the budget
     config = {key: default for key, (_, default) in cli.CONFIG_SPEC.items()}

@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import re
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -961,6 +964,122 @@ def test_monte_carlo_grid_equals_per_point(system4, rho0):
             one = engines.evolve_monte_carlo(
                 block, spectrum, engines.EvolutionRequest(rho0, t=float(t), gamma=100.0, n_traj=3000, seed=5))
             assert np.array_equal(batched.entries[j], one.entries)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.one_of(st.integers(0, 1500).map(lambda k: 2 * k + 1), st.integers(-3, 3).map(lambda d: engines._SPLIT_FROM + d)),
+       seed=st.integers(0, 2**64 - 1), r=st.floats(1e-3, 1.0),
+       times=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=0, max_size=4))
+@example(n=1, seed=0, r=0.01, times=[math.pi])
+@example(n=engines._SPLIT_FROM + 1, seed=7, r=0.001, times=[math.pi, 0.5])
+def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r, times):
+    """Drawn in 1, 2 or 3 chunks, a call finds at each time of a grid holding t = 0 the histogram of
+    kick counts of one whole array of per-trajectory draws, and returns the same bits for every split."""
+    block, spectrum = system4
+    grid = np.array([0.0] + times)
+    lams = (grid / r).tolist()
+    k_maxes = [0 if lam == 0.0 else engines._poisson_cutoff(lam, 1e-12) for lam in lams]
+    log_factorial = engines._log_factorials(max(k_maxes) + 1)
+    req = engines.EvolutionRequest(rho0, t=grid, gamma=1.0 / r, n_traj=n, seed=seed)
+    whole = [np.unique(trajectory_kicks(t, 1.0 / r, n, seed), return_counts=True) for t in grid.tolist()]
+    results = []
+    for chunks in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engines, "_chunk_count", lambda n: chunks)
+            uniforms = engines._sorted_chunks(seed, n)
+            results.append(engines.evolve_monte_carlo(block, spectrum, req).entries)
+        assert len(uniforms) == min(chunks, n)
+        kicks, counts, firsts = engines._kick_counts(uniforms, lams, k_maxes, log_factorial)
+        for (k, c), lo, hi in zip(whole, firsts, firsts[1:]):
+            assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (k.tolist(), c.tolist())
+    assert all(entries.view(np.uint64).tolist() == results[0].view(np.uint64).tolist() for entries in results[1:])
+    assert engines._chunk_count(engines._SPLIT_FROM - 1) == 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert engines._chunk_count(engines._SPLIT_FROM) == (2 if cpus > 1 else 1)
+
+
+def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it():
+    """A uniform equal to cdf[k] draws k + 1 kicks, as searchsorted(cdf, u, side="right") gives, also
+    where it is the least or the greatest uniform, which trim each time's CDF; in one chunk or two."""
+    lam = 3.0
+    k_max = engines._poisson_cutoff(lam, 1e-12)
+    log_factorial = engines._log_factorials(k_max + 1)
+    cdf = engines._poisson_cdf(lam, k_max, log_factorial)
+    uniforms = np.array([cdf[1], cdf[2], 0.5 * (cdf[2] + cdf[3]), cdf[4]])
+    expected = [[2, 3, 5], [1, 2, 1], [0, 3]]
+    for chunks in ([uniforms], [uniforms[:2], uniforms[2:]], [uniforms[1:3], uniforms[::3]]):
+        kicks, counts, firsts = engines._kick_counts(chunks, [lam], [k_max], log_factorial)
+        assert [kicks.tolist(), counts.tolist(), firsts] == expected
+
+
+def test_monte_carlo_threads_get_serial_bits_from_a_shared_pool_and_table(system4, rho0, monkeypatch):
+    """Six threads, more than the cores, at a short switch interval: each starts or shares the worker
+    pool, splits its calls and grows the process's log(k!) table, emptied before each of 10 rounds so
+    that all grow it at once; every call returns the bits it returns alone, and every table handed out,
+    and the one kept, holds math.lgamma's bits."""
+    block, spectrum = system4
+    monkeypatch.setattr(engines, "_chunk_count", lambda n: 2)
+    reqs = [engines.EvolutionRequest(rho0, t=np.array([0.0, 0.3 * (j + 1)]), gamma=10.0 ** (j % 3 + 1),
+                                     n_traj=3001 + j, seed=j) for j in range(6)]
+    serial = [engines.evolve_monte_carlo(block, spectrum, req).entries.tobytes() for req in reqs]
+    lgamma = np.array([math.lgamma(k + 1) for k in range(4096)]).view(np.uint64)
+    monkeypatch.setattr(engines, "_log_factorial", np.zeros(0))
+    monkeypatch.setattr(engines, "_worker", None)
+    failures = []
+    rounds = threading.Barrier(6, action=lambda: setattr(engines, "_log_factorial", np.zeros(0)), timeout=60)
+
+    def work(j):
+        try:
+            for i in range(10):
+                rounds.wait()
+                size = 1 + 97 * (j + 1) * (i + 1) % 4096
+                table = engines._log_factorials(size)
+                assert table.size >= size and (table[:size].view(np.uint64) == lgamma[:size]).all()
+                k = (j + i) % len(reqs)
+                assert engines.evolve_monte_carlo(block, spectrum, reqs[k]).entries.tobytes() == serial[k]
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+            rounds.abort()
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        if engines._worker is not None:
+            engines._worker.shutdown()
+    assert not any(thread.is_alive() for thread in threads) and not failures, failures
+    cached = engines._log_factorial
+    assert cached.size <= engines._LOG_FACTORIAL_CAP and (cached.view(np.uint64) == lgamma[:cached.size]).all()
+
+
+def test_log_factorial_table_is_cached_read_only_and_capped(monkeypatch):
+    """One read-only table of log(k!) per process, the bits of math.lgamma(k + 1), grown to powers of two
+    and never past its cap; a longer table is a copy for that call, which gives the same CDF."""
+    cap = engines._LOG_FACTORIAL_CAP
+    monkeypatch.setattr(engines, "_log_factorial", np.zeros(0))
+    for size in (1, 2, 3, 1000, 1025, cap - 1, cap, 5):
+        table = engines._log_factorials(size)
+        assert engines._log_factorial is table and size <= table.size <= cap and not table.flags.writeable
+        fresh = np.array([math.lgamma(k + 1) for k in range(table.size)])
+        assert table.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
+    cached = engines._log_factorial
+    assert cached.size == cap
+    lam = 1.5 * cap  # its cut lies past the cap
+    k_max = engines._poisson_cutoff(lam, 1e-12)
+    longer = engines._log_factorials(k_max + 1)
+    assert engines._log_factorial is cached and longer.size == k_max + 1 and not longer.flags.writeable
+    fresh = np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
+    assert engines._poisson_cdf(lam, k_max, longer).tolist() == engines._poisson_cdf(lam, k_max, fresh).tolist()
+    block, spectrum = scaled_system(4.0)
+    rho = engines.DensityMatrix.basis_state(2, spectrum.basis_order)
+    engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho, t=lam, gamma=1.0, n_traj=10, seed=1))
+    assert engines._log_factorial is cached and not cached.flags.writeable
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

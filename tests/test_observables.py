@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -158,17 +159,36 @@ def test_closed_form_keeps_its_coefficients_near_the_largest_alpha(alpha):
     """8 alpha^2 overflows from alpha = 4.74e153 and 4 alpha^2 from 6.7e153, which read
     P(T) as 0.0; each coefficient is a ratio over alpha^2 first.  Above about 2^53 the
     block's eigenvalues mu -/+ a both round to mu, so the engine loses the slow term
-    -/+ e^{-2 T R} sin(2 T) / 4 of the closed form; with it added back they agree.  At
-    R > 0, T stays below 1: from about 1.1 at 9e153, -2 alpha^2 T overflows in _decay."""
+    -/+ e^{-2 T R} sin(2 T) / 4 of the closed form; with it added back they agree.  From
+    T of about 1.1 at 9e153, -2 alpha^2 T alone would overflow, so _decay forms T R first."""
     block, spectrum = scaled_system(alpha)
-    for r, t in ((0.0, np.linspace(0.0, 2.0 * math.pi, 33)), (0.01, np.linspace(0.0, 1.0, 17)),
-                 (0.1, np.linspace(0.0, 1.0, 17))):
+    t = np.linspace(0.0, 2.0 * math.pi, 33)
+    for r in (0.0, 0.01, 0.1):
         rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(
             initial_state(), t=t, gamma=experiments.kick_rate(r)))
         for sign, upper in (("minus", 1.0), ("plus", -1.0)):
             slow = upper * np.exp(-2.0 * t * r) * np.sin(2.0 * t) / 4.0
             p = observables.p_ghz(rho, observables.GHZ_TARGETS[sign])
             assert np.abs(p + slow - observables.closed_form_pghz(t, alpha, r, sign)).max() <= 1e-14
+        assert np.isfinite(observables.published_pghz(t, alpha, r)).all()
+
+
+@pytest.mark.parametrize("alpha", [7e153, 9e153, observables.MAX_ALPHA])
+def test_decay_overflows_only_where_its_exponent_does(alpha):
+    """Each decay factor of both closed forms is exp of the exact rate * T * R, rounded, with no
+    warning: 0.0 where that exponent is below -DBL_MAX, and not 0.0 where a tiny R keeps it small
+    although rate * T alone overflows (e^-32.4 at alpha = 9e153, T = 2, R = 1e-307)."""
+    rates = (-2.0 * alpha * alpha, -2.0 * (alpha + 1.0) ** 2, -2.0 * (alpha - 1.0) ** 2, -2.0 * (alpha + 1.0), -2.0)
+    t = np.array([0.0, 0.5, 1.1, 2.0, 2.0 * math.pi, 1e3, 1e300])
+    for r in (1e-307, 1e-300, 0.01, 0.1, 1e300):
+        for rate in rates:
+            exponents = [Fraction(rate) * Fraction(t_i) * Fraction(r) for t_i in t.tolist()]
+            exact = [math.exp(x) if x > -800 else 0.0 for x in exponents]
+            np.testing.assert_allclose(observables._decay(rate, t, r), exact, rtol=1e-13, atol=0.0)
+        t_grid = np.linspace(0.0, 2.0 * math.pi, 33)
+        assert np.isfinite(observables.closed_form_pghz(t_grid, alpha, r, "minus")).all()
+        assert np.isfinite(observables.published_pghz(t_grid, alpha, r)).all()
+    assert observables._decay(rates[0], np.array(2.0), 1e-307) > 0.0
 
 
 def test_published_formula_values():
