@@ -122,34 +122,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache  # built on the first call, then shared by every main() of the process
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser and its subparsers by command name."""
+def _build_parser() -> _Parser:
+    """The top-level parser, one subparser per command."""
     common = argparse.ArgumentParser(add_help=False)
     for flag, (_, parse) in _FLAGS.items():
         common.add_argument(flag, type=parse, metavar="PATH" if flag == "--config" else None)
     parser = _Parser(prog="iondeco", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    return parser, {name: sub.add_parser(name, parents=[common], help=text)
-                    for name, (_, _, text) in COMMANDS.items()}
+    for name, (_, _, text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
+    return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The top-level parse_args.  A command and exact `--key value` pairs with no value
     starting with '-' skip argparse, which would make the same parser calls into the
-    same namespace; any other leading command name goes straight to its subparser
-    with the rest of argv, which is all the top-level pass does."""
+    same namespace; any other argv goes to argparse."""
     pairs = list(zip(argv[1::2], argv[2::2]))
     if len(argv) % 2 and argv[0] in COMMANDS and all(f in _FLAGS and not t.startswith("-") for f, t in pairs):
         try:
             return argparse.Namespace(command=argv[0], **(_UNSET | {_FLAGS[f][0]: _FLAGS[f][1](t) for f, t in pairs}))
         except (argparse.ArgumentTypeError, TypeError, ValueError):
             pass  # argparse reports the bad value
-    parser, commands = _build_parser()
-    if not argv or argv[0] not in commands:
-        return parser.parse_args(argv)
-    args = commands[argv[0]].parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    return _build_parser().parse_args(argv)
 
 
 def _reject_duplicate_flags(argv: list[str]) -> None:
@@ -352,7 +347,12 @@ COMMANDS = {
 
 
 def run(command: str, config: dict) -> str:
-    """Dispatch a command with a fully merged config; returns the summary line."""
+    """Dispatch a command with a fully merged config; returns the summary line.  A non-finite
+    number is a ValidationError in any key, also one the command does not read."""
+    for key, value in config.items():
+        if (isinstance(value, float) and not math.isfinite(value)
+                or isinstance(value, tuple) and not all(map(math.isfinite, value))):
+            raise ValidationError(f"{key} must be finite, got {_fmt(value)}")
     function, default_out, _ = COMMANDS[command]
     return function(config, Path(config["out"] or default_out))
 
@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(_build_parser()[0].format_usage().rstrip(), file=sys.stderr)
+        print(_build_parser().format_usage().rstrip(), file=sys.stderr)
         return 1
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

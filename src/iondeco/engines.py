@@ -194,7 +194,8 @@ def poisson_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) 
 def _dephased(spectrum: Spectrum, initial: DensityMatrix, t, gamma, phi) -> DensityMatrix:
     """dephase with phi(delta, t, gamma) at every time of t (with its gamma, when gamma is an array),
     evaluated once per distinct |delta| = |Ep - Eq| (5 of the 16 here) and gathered, a negative delta's
-    entries then conjugated, since phi(-D) = conj(phi(D)); entries have shape np.shape(t) + (4, 4)."""
+    entries then conjugated, since phi(-D) = conj(phi(D)); entries have shape np.shape(t) + (4, 4).
+    A factor that a phase past DBL_MAX makes non-finite is a ValidationError, with no warning."""
     t = np.asarray(t, dtype=float)
     gamma = gamma.reshape(-1, 1) if isinstance(gamma, np.ndarray) else gamma
     e = spectrum.eigenvalues.tolist()
@@ -202,7 +203,12 @@ def _dephased(spectrum: Spectrum, initial: DensityMatrix, t, gamma, phi) -> Dens
     # Python floats subtract as numpy does, and |fl(p - q)| = fl(q - p); a -0.0 shares +0.0's entry, which
     # neither factor tells apart.  A negative delta's entry conj(phi(|D|)) has its imaginary part negated.
     gather = [index.setdefault(abs(p - q), len(index)) for p in e for q in e]
-    factor = phi(np.array(list(index)), t.reshape(-1, 1), gamma).take(gather, axis=1).reshape(-1, 4, 4)
+    with np.errstate(all="ignore"):
+        factor = phi(np.array(list(index)), t.reshape(-1, 1), gamma)
+    if not np.isfinite(factor).all():
+        raise ValidationError(f"the kick-count factor at |D| up to {max(index):.4g} is not finite: a phase |D| t, "
+                              "|D| / gamma or |D| k / gamma, or gamma t, exceeds DBL_MAX = 1.798e308")
+    factor = factor.take(gather, axis=1).reshape(-1, 4, 4)
     factor.imag *= [[1.0 if p >= q else -1.0 for q in e] for p in e]
     return DensityMatrix(dephase(spectrum, initial, factor).reshape(t.shape + (4, 4)), initial.basis_order)
 
@@ -301,8 +307,7 @@ _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Trajectory count from which a call draws and sorts its uniforms in two chunks at once, on
-# two worker threads, where the process may run on more than one CPU.
+# Trajectory count from which a call draws and sorts its uniforms in two chunks, on two worker threads.
 _SPLIT_FROM = 1 << 16
 # Entries of the process's cached table of log(k!), 512 KB; a call past it extends a copy.
 _LOG_FACTORIAL_CAP = 1 << 16
@@ -326,11 +331,8 @@ def _trajectory_uniforms(seed: int, hi: int, lo: int = 0) -> np.ndarray:
 
 
 def _chunk_count(n: int) -> int:
-    """Chunks n trajectories are drawn in: two from _SPLIT_FROM of them where more than one CPU is available."""
-    if n < _SPLIT_FROM:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return 2 if cpus > 1 else 1
+    """Chunks n trajectories are drawn in: two from _SPLIT_FROM of them, on any number of CPUs."""
+    return 1 if n < _SPLIT_FROM else 2
 
 
 def _pool():
@@ -453,14 +455,14 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
 
     Trajectory i maps one uniform, the splitmix64 mix of (seed, i), through the inverse
     Poisson CDF, so results are bit-identical for a given seed.  The uniforms are drawn and
-    sorted once per call: from _SPLIT_FROM trajectories, where more than one CPU is available,
-    in two chunks at once on two worker threads that the first such call starts.  _kick_counts
-    then searches each chunk once in the CDFs of all times, laid end to end, and sums the
-    integer counts, so the bytes do not depend on the split or on the CPU count.  The CDFs take
-    log(k!) from a table kept for the process.  The mean is one _dephased call with the
-    empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma), its phases taken
-    once for each k drawn at any time, summed by numpy pairwise over the ascending k of each
-    time and D, no BLAS.  The CDFs of one call hold at most MAX_KICK_TABLE entries.
+    sorted once per call: from _SPLIT_FROM trajectories in two chunks at once on two worker
+    threads that the first such call starts.  _kick_counts then searches each chunk once in the
+    CDFs of all times, laid end to end, and sums the integer counts, so the bytes do not depend
+    on the split or on the CPU count.  The CDFs take log(k!) from a table kept for the
+    process.  The mean is one _dephased call with the empirical characteristic function
+    sum_k (c_k / n) exp(-i D k / gamma), its phases taken once for each k drawn at any time,
+    summed by numpy pairwise over the ascending k of each time and D, no BLAS.  The CDFs of
+    one call hold at most MAX_KICK_TABLE entries.
     """
     gamma = _engine_gamma(req.gamma, finite=True, one=True)
     if req.seed is None or req.n_traj is None:

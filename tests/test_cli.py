@@ -5,8 +5,10 @@ import importlib.util
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -205,7 +207,7 @@ def test_command_parse_equals_top_level_parse(argv, command):
     """main parses a leading command with its subparser alone; the namespace,
     the error text or the exit is what the top-level parser gives."""
     argv = ([command] if command else []) + argv
-    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser()[0].parse_args, argv)
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser().parse_args, argv)
 
 
 VALID_VALUES = {"--config": ["run.cfg"], "--r": ["0.05", "0.01,0.1", "0"], "--target": ["minus", "plus", "both"],
@@ -228,7 +230,7 @@ def test_exact_flag_pairs_parse_as_argparse_does(command, pairs):
     unless a value starts with '-' or fails to parse; the namespace, the error text
     or the exit is what the top-level parser gives."""
     argv = [command] + pairs
-    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser()[0].parse_args, argv)
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._build_parser().parse_args, argv)
 
 
 # ------------------------------------------------------------------ exit codes
@@ -562,6 +564,10 @@ def test_metadata_reproduces_run(tmp_path, monkeypatch):
     ["units", "--omega-rad-s", "1e308", "--alpha", "1.0000000000000002"],  # a overflows
     ["units", "--omega-rad-s", "1e-320"],  # t(pi/4) = (pi/4) / a overflows
     ["units", "--omega-rad-s", "1e-300", "--r", "0.1"],  # 1/gamma = R / a overflows
+    # keys the command does not read
+    ["audit", "--r", "nan"],
+    ["units", "--t-max-deg", "inf"],
+    ["table1", "--tail-tol", "nan"],
 ], ids=lambda argv: " ".join(argv))
 def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
@@ -569,7 +575,45 @@ def test_non_finite_input_exits_two(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("validation error:") and "Traceback" not in err
     if "--alpha" in argv:
         assert "alpha" in err
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if "nan" in value or "inf" in value:  # refused by the key's name, whether the command reads it or not
+            assert err.startswith(f"validation error: {flag[2:].replace('-', '_')} must be finite, got ")
     assert not (tmp_path / "x.out").exists()
+
+
+def test_non_finite_config_file_value_exits_two(tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.cfg").write_text("omega_rad_s = -inf\n")
+    assert run_cli(tmp_path, monkeypatch, ["audit", "--config", "run.cfg", "--out", "x.out"]) == 2
+    assert capsys.readouterr().err == "validation error: omega_rad_s must be finite, got -inf\n"
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--alpha", "1e10", "--t-max-deg", "1e300", "--r", "0"],  # D t overflows at gamma = inf
+    ["evolve", "--engine", "unitary", "--alpha", "1e10", "--t-max-deg", "1e300", "--r", "0.01"],
+    ["evolve", "--engine", "poisson", "--alpha", "1e10", "--r", "1e300", "--t-max-deg", "1"],  # D / gamma
+    ["evolve", "--engine", "mc", "--n-traj", "1000", "--alpha", "1e10", "--r", "1e300", "--t-max-deg", "1e300"],
+    ["evolve", "--engine", "poisson", "--r", "1e-308", "--t-max-deg", "1e300"],  # gamma t = inf, inf * 0
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_kick_count_factor_exits_two_with_no_warning(tmp_path, monkeypatch, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: the kick-count factor") and "DBL_MAX" in err
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_overflowing_phase_under_damping_writes_zero_coherences_with_no_warning(tmp_path, monkeypatch):
+    """At finite gamma the damping D^2 t / (2 gamma) overflows with the phase D t, so each
+    eigenbasis coherence is exactly 0 and the output finite, not a ValidationError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, monkeypatch, ["evolve", "--alpha", "1e10", "--t-max-deg", "1e300", "--r", "0.01",
+                                               "--out", "x.out"]) == 0
+    values = dict(line.split(",") for line in (tmp_path / "x.out").read_text().splitlines()[2:])
+    assert all(math.isfinite(float(v)) for v in values.values())
+    assert float(values["purity"]) < 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -765,6 +809,51 @@ def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, cap
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "exceed the budget" in err and "Traceback" not in err
         assert not (tmp_path / "x.out").exists()
+
+
+# the edge values of the domain: +-0, a subnormal, huge, non-finite, near and past the largest alpha,
+# 2^63, negatives, and a few ordinary values
+EDGE_NUMBERS = ["0", "-0", "5e-324", "1e300", "inf", "-inf", "nan", "1e8", "1e16", "4.74e153", "7e153",
+                repr(observables.MAX_ALPHA), "1e154", str(2**63), "-1", "-0.5", "0.05", "1", "45"]
+EDGE_INTEGERS = ["0", "-1", "1", "2", "3", str(2**63), "1e3", "70000"]
+FUZZ_VALUES = {flag: EDGE_NUMBERS for flag, (_, parse) in cli._FLAGS.items() if parse is cli._parse_float} | {
+    "--r": EDGE_NUMBERS + ["0.01,0.1", "0.05,nan", "0,1e16"], "--dt": EDGE_NUMBERS + ["none"],
+    "--target": ["minus", "plus", "both"], "--engine": list(engines.ENGINES),
+    "--m": EDGE_INTEGERS, "--n": EDGE_INTEGERS, "--seed": EDGE_INTEGERS, "--n-traj": EDGE_INTEGERS,
+    "--config": ["ok.cfg", "nan.cfg", "missing.cfg"]}
+# a small grid and trajectory count unless the argv sets them
+SMALL = {"--t-max-deg": "2", "--t-step-deg": "1", "--n-traj": "300"}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(list(cli.COMMANDS)),
+       pairs=st.lists(st.sampled_from(sorted(FUZZ_VALUES)), min_size=1, max_size=5, unique=True).flatmap(
+           lambda flags: st.tuples(*(st.tuples(st.just(f), st.sampled_from(FUZZ_VALUES[f])) for f in flags))))
+@example(command="evolve", pairs=(("--alpha", "1e16"), ("--t-max-deg", "1e300"), ("--r", "0")))
+@example(command="audit", pairs=(("--r", "nan"), ("--t-max-deg", "nan")))
+@example(command="sweep", pairs=(("--engine", "ode"), ("--dt", "1e8")))
+def test_every_command_exits_cleanly_on_edge_values(command, pairs):
+    """Each command with 1-5 flags drawn from the domain's edges, on a small grid: the exit
+    code is 0, 1, 2 or 3, no warning escapes, and an exit-0 run writes finite numbers only."""
+    with tempfile.TemporaryDirectory() as work, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        work = Path(work)
+        (work / "ok.cfg").write_text("alpha = 6\nr = 0.05\n")
+        (work / "nan.cfg").write_text("omega_rad_s = nan\n")
+        out = work / "x.out"
+        flags = SMALL | dict(pairs) | {"--out": str(out)}
+        if "--config" in flags:
+            flags["--config"] = str(work / flags["--config"])
+        argv = [command] + [token for flag, value in flags.items() for token in (flag, value)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert [str(w.message) for w in caught] == [], argv
+        assert "Traceback" not in err.getvalue()
+        if code == 0:  # every number below the metadata line is finite
+            for token in re.split(r"[\s,=:()\[\]|]+", out.read_text().split("\n", 1)[1]):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(token)), (argv, token)
 
 
 # ---------------------------------------------------------------- golden bytes

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from iondeco import cli, engines, experiments, observables
+from iondeco import cli, engines, experiments, model, observables
 from iondeco.errors import ValidationError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,3 +42,11 @@ def test_readme_largest_alpha_is_the_checked_one():
         observables.check_alpha(largest)
         with pytest.raises(ValidationError):
             observables.check_alpha(math.nextafter(largest, math.inf))
+
+
+def test_readme_names_exist_in_their_modules():
+    """Every `module.name` README cites, for the package's five modules, is an attribute of that module."""
+    modules = {"cli": cli, "engines": engines, "experiments": experiments, "observables": observables, "model": model}
+    cited = set(re.findall(r"`(cli|engines|experiments|observables|model)\.(\w+)", README.read_text()))
+    assert len(cited) >= 20
+    assert [f"{module}.{name}" for module, name in sorted(cited) if not hasattr(modules[module], name)] == []

@@ -993,9 +993,10 @@ def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r,
         for (k, c), lo, hi in zip(whole, firsts, firsts[1:]):
             assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (k.tolist(), c.tolist())
     assert all(entries.view(np.uint64).tolist() == results[0].view(np.uint64).tolist() for entries in results[1:])
-    assert engines._chunk_count(engines._SPLIT_FROM - 1) == 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    assert engines._chunk_count(engines._SPLIT_FROM) == (2 if cpus > 1 else 1)
+    with pytest.MonkeyPatch.context() as patch:  # two chunks from _SPLIT_FROM, whatever the CPU count
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        patch.setattr(os, "cpu_count", lambda: 1)
+        assert [engines._chunk_count(engines._SPLIT_FROM + d) for d in (-1, 0, 1)] == [1, 2, 2]
 
 
 def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it():
