@@ -59,20 +59,16 @@ class DensityMatrix:
         """|e_index><e_index| on shared read-only entries, valid for good: EvolutionRequest trusts them."""
         return cls(_BASIS_STATES[index], basis_order)
 
-    def violations(
-        self,
-        hermitian_tol: float = 1e-12,
-        trace_tol: float = 1e-12,
-        psd_floor: float = -1e-10,
-    ) -> list[str]:
-        """Invariant violations, empty when the state (every state of a stack) is valid."""
+    def violations(self, trace_tol: float = 1e-12, psd_floor: float = -1e-10) -> list[str]:
+        """Invariant violations, empty when the state (every state of a stack) is valid;
+        hermiticity is held to 1e-12."""
         out = []
         rho = self.entries
         if not np.isfinite(rho).all():  # no further check, and no eigen solve, is defined on them
             return ["non-finite entries"]
         rho_h = np.swapaxes(rho, -1, -2).conj()
         herm = np.abs(rho - rho_h).max(initial=0.0)
-        if herm > hermitian_tol:
+        if herm > 1e-12:
             out.append(f"hermiticity violated by {herm:.3e}")
         tr_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
         if tr_err > trace_tol:
@@ -285,17 +281,14 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
             if j:  # step^(2^j), never squared past the last level
                 power = power @ power
             rows = np.flatnonzero(n_full >> j & 1)
-            if rows.size == times.size:  # every time, as for a one-time call: no gather, no scatter
-                vec = power @ vec
-            elif rows.size:
-                vec[rows] = power @ vec[rows]
+            vec[rows] = power @ vec[rows]
         rows = np.flatnonzero(remainder > 1e-15 * times)
         vec[rows] = _rk4_step(gen, remainder[rows, None, None], vec[rows])
         rho = vec.reshape(-1, 4, 4)
         rho = np.where((times == 0.0)[:, None, None], req.initial.entries,
                        0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
     result = DensityMatrix(rho.reshape(np.shape(req.t) + (4, 4)), req.initial.basis_order)
-    problems = result.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7)
+    problems = result.violations(trace_tol=1e-9, psd_floor=-1e-7)
     if problems:
         raise NumericalError("Runge-Kutta output invalid: " + "; ".join(problems))
     return result
@@ -307,12 +300,10 @@ _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
-# Trajectory count from which a call draws and sorts its uniforms in two chunks, on two worker threads.
-_SPLIT_FROM = 1 << 16
 # Entries of the process's cached table of log(k!), 512 KB; a call past it extends a copy.
 _LOG_FACTORIAL_CAP = 1 << 16
 _log_factorial = np.zeros(0)  # read-only, replaced by a longer table, never written
-_worker = None  # the two-thread pool that draws the chunks, started by the first call that splits
+_worker = None  # the two-thread pool that draws the chunks, started by the first Monte Carlo call
 _worker_lock = threading.Lock()
 
 
@@ -331,23 +322,23 @@ def _trajectory_uniforms(seed: int, hi: int, lo: int = 0) -> np.ndarray:
 
 
 def _chunk_count(n: int) -> int:
-    """Chunks n trajectories are drawn in: two from _SPLIT_FROM of them, on any number of CPUs."""
-    return 1 if n < _SPLIT_FROM else 2
+    """Chunks the n trajectories are drawn in (at most n): two, on any number of CPUs."""
+    return 2
 
 
 def _pool():
-    """The two-thread pool that draws the chunks, started by the first call that splits."""
+    """The two-thread pool that draws the chunks, started by the first Monte Carlo call."""
     global _worker
     with _worker_lock:
         if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor  # here, not at import: a process that never splits needs none
+            from concurrent.futures import ThreadPoolExecutor  # here, not at import: a process with no draw needs none
 
             _worker = ThreadPoolExecutor(max_workers=2, thread_name_prefix="iondeco-mc")
         return _worker
 
 
 def _forget_pool() -> None:
-    """In a forked child, which has none of its parent's threads, let the first split start a new pool."""
+    """In a forked child, which has none of its parent's threads, let its first draw start a new pool."""
     global _worker, _worker_lock
     _worker, _worker_lock = None, threading.Lock()
 
@@ -365,12 +356,9 @@ def _sorted_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
 
 def _sorted_chunks(seed: int, n: int) -> list[np.ndarray]:
     """The n trajectory uniforms in _chunk_count(n) sorted chunks of consecutive indices, none
-    empty.  A single chunk is drawn on this thread; two or more are drawn at once on the worker
-    threads while this thread waits: the fresh arrays of a calling thread page-fault on every
-    call where a worker thread's memory arena keeps its pages."""
+    empty, drawn at once on the worker threads while this thread waits: the fresh arrays of a
+    calling thread page-fault on every call where a worker thread's memory arena keeps its pages."""
     chunks = min(_chunk_count(n), n)
-    if chunks == 1:
-        return [_sorted_uniforms(seed, 0, n)]
     cuts = [n * j // chunks for j in range(chunks + 1)]
     pool = _pool()
     jobs = [pool.submit(_sorted_uniforms, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -455,14 +443,13 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
 
     Trajectory i maps one uniform, the splitmix64 mix of (seed, i), through the inverse
     Poisson CDF, so results are bit-identical for a given seed.  The uniforms are drawn and
-    sorted once per call: from _SPLIT_FROM trajectories in two chunks at once on two worker
-    threads that the first such call starts.  _kick_counts then searches each chunk once in the
-    CDFs of all times, laid end to end, and sums the integer counts, so the bytes do not depend
-    on the split or on the CPU count.  The CDFs take log(k!) from a table kept for the
-    process.  The mean is one _dephased call with the empirical characteristic function
-    sum_k (c_k / n) exp(-i D k / gamma), its phases taken once for each k drawn at any time,
-    summed by numpy pairwise over the ascending k of each time and D, no BLAS.  The CDFs of
-    one call hold at most MAX_KICK_TABLE entries.
+    sorted once per call, in two chunks at once on two worker threads that the first call
+    starts.  _kick_counts then searches each chunk once in the CDFs of all times, laid end to
+    end, and sums the integer counts, so the bytes do not depend on the split or on the CPU
+    count.  The CDFs take log(k!) from a table kept for the process.  The mean is one _dephased
+    call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma), its
+    phases taken once for each k drawn at any time, summed by numpy pairwise over the ascending
+    k of each time and D, no BLAS.  The CDFs of one call hold at most MAX_KICK_TABLE entries.
     """
     gamma = _engine_gamma(req.gamma, finite=True, one=True)
     if req.seed is None or req.n_traj is None:
@@ -527,7 +514,7 @@ def closed_form_rho(
         raise ValidationError("transcription requires a > 0 and omega > 0")
     gamma = _positive_gamma(gamma, np.asarray(t, dtype=float))
     cap_a = math.sqrt((mu + omega) / (4.0 * mu))
-    cap_b = math.sqrt((mu - omega) / (4.0 * mu))
+    cap_b = a / math.sqrt(4.0 * mu * (mu + omega))  # B^2 = (mu - omega) / (4 mu) without the cancellation
 
     v = spectrum.eigenvectors.astype(complex)
     v[:, 0] = -v[:, 0]

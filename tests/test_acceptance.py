@@ -178,7 +178,7 @@ def test_criterion_6_state_invariant_suite(system4, rho0, ode_grid, mc_grid):
                 "mc": mc_grid[(r, j)],
             }
             for name, state in outputs.items():
-                for violation in state.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7):
+                for violation in state.violations(trace_tol=1e-9, psd_floor=-1e-7):
                     problems.append(f"{name} R={r} T={t:.3f}: {violation}")
                 pops = np.diag(spectrum.eigenvectors.T @ state.entries @ spectrum.eigenvectors).real
                 if np.abs(pops - eig_pops0).max() > 1e-10:

@@ -449,7 +449,7 @@ def test_ode_diverging_step_reports_numerical_failure(system4, rho0):
 def test_ode_output_state_invariants(system4, rho0):
     block, spectrum = system4
     out = engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=2.0, gamma=10.0))
-    assert out.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7) == []
+    assert out.violations(trace_tol=1e-9, psd_floor=-1e-7) == []
 
 
 def restart_rk4(block, rho, t, gamma, dt):
@@ -528,7 +528,8 @@ def test_ode_grid_gives_each_time_its_lone_bits(alpha, r, seed, dt, powers, mult
     walked.  The grid holds step counts 2^k - 1, 2^k and 2^k + 1, whose set bits differ
     at every level up to k, and, at dt = 2^-12, exact multiples of dt that take no
     shortened step next to times that take one.  A one-time grid, or one whose times
-    share one step count, has every time or none at each level: the examples hold both."""
+    share one step count, gathers every time or none at each level, through the same
+    product statement as any other grid: the examples hold both."""
     block, spectrum = scaled_system(alpha)
     gamma = experiments.kick_rate(r)
     rng = np.random.default_rng(seed)
@@ -691,7 +692,7 @@ def test_all_engines_agree_at_reference_point(system4, rho0):
     # exact kick average differs from the first-order engine only at O(R^2)
     assert np.abs(eig.entries - poi.entries).max() <= 5e-3
     for state in (eig, ode, poi):
-        assert state.violations(hermitian_tol=1e-12, trace_tol=1e-9, psd_floor=-1e-7) == []
+        assert state.violations(trace_tol=1e-9, psd_floor=-1e-7) == []
 
 
 # ------------------------------------------------------ batched dephasing kernel
@@ -967,14 +968,15 @@ def test_monte_carlo_grid_equals_per_point(system4, rho0):
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
-@given(n=st.one_of(st.integers(0, 1500).map(lambda k: 2 * k + 1), st.integers(-3, 3).map(lambda d: engines._SPLIT_FROM + d)),
+@given(n=st.one_of(st.integers(0, 1500).map(lambda k: 2 * k + 1), st.integers(-3, 3).map(lambda d: 65536 + d)),
        seed=st.integers(0, 2**64 - 1), r=st.floats(1e-3, 1.0),
        times=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=0, max_size=4))
 @example(n=1, seed=0, r=0.01, times=[math.pi])
-@example(n=engines._SPLIT_FROM + 1, seed=7, r=0.001, times=[math.pi, 0.5])
+@example(n=65537, seed=7, r=0.001, times=[math.pi, 0.5])
 def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r, times):
     """Drawn in 1, 2 or 3 chunks, a call finds at each time of a grid holding t = 0 the histogram of
-    kick counts of one whole array of per-trajectory draws, and returns the same bits for every split."""
+    kick counts of one whole array of per-trajectory draws, and returns the same bits for every split; n
+    lies on both sides of 65,536, below which calls were once drawn whole on the calling thread."""
     block, spectrum = system4
     grid = np.array([0.0] + times)
     lams = (grid / r).tolist()
@@ -993,10 +995,10 @@ def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r,
         for (k, c), lo, hi in zip(whole, firsts, firsts[1:]):
             assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (k.tolist(), c.tolist())
     assert all(entries.view(np.uint64).tolist() == results[0].view(np.uint64).tolist() for entries in results[1:])
-    with pytest.MonkeyPatch.context() as patch:  # two chunks from _SPLIT_FROM, whatever the CPU count
+    with pytest.MonkeyPatch.context() as patch:  # two chunks from 2 trajectories up, whatever the CPU count
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         patch.setattr(os, "cpu_count", lambda: 1)
-        assert [engines._chunk_count(engines._SPLIT_FROM + d) for d in (-1, 0, 1)] == [1, 2, 2]
+        assert [len(engines._sorted_chunks(seed, k)) for k in (1, 2, 3, 65535, 65536, 65537)] == [1, 2, 2, 2, 2, 2]
 
 
 def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it():

@@ -179,6 +179,13 @@ def test_audit_report_contents():
         assert 0.02 <= dev <= 0.11  # unresolved column, reported side by side
 
 
+@pytest.mark.parametrize("alpha", [1e3, 1e8, 1e12])
+def test_audit_transcription_stays_at_rounding_level_at_large_alpha(alpha):
+    """closed_form_rho takes B = a / sqrt(4 mu (mu + omega)), not sqrt((mu - omega) / (4 mu)),
+    whose cancelling mu - omega put the transcription 5e-9 off the reference engine at alpha = 1e8."""
+    assert experiments.audit(alpha).transcription_max_dev <= 1e-15
+
+
 def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
