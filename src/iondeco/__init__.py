@@ -35,7 +35,6 @@ from .observables import (
 )
 from .experiments import (
     AuditReport,
-    SweepSpec,
     Table1Row,
     TimeSeries,
     UnitReport,

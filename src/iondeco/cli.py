@@ -228,10 +228,6 @@ def _t_grid_rad(config: dict) -> np.ndarray:
     return np.radians(np.arange(round(t_max / step) + 1, dtype=float) * step)
 
 
-def _targets(config: dict) -> tuple[str, ...]:
-    return observables.SIGNS if config["target"] == "both" else (config["target"],)
-
-
 def _require_unit_block(config: dict, command: str) -> None:
     if (config["m"], config["n"]) != (1, 1):
         raise ValidationError(f"{command} is defined on the m=1, n=1 block; got m={config['m']}, n={config['n']}")
@@ -239,21 +235,19 @@ def _require_unit_block(config: dict, command: str) -> None:
 
 def _cmd_sweep(config: dict, out: Path) -> str:
     _require_unit_block(config, "sweep")
-    spec = experiments.SweepSpec(
-        alpha=config["alpha"], r_values=tuple(config["r"]), t_grid=_t_grid_rad(config),
-        targets=_targets(config), engine=config["engine"], dt=config["dt"],
-        tail_tol=config["tail_tol"], n_traj=config["n_traj"], seed=config["seed"],
-    )
-    series = experiments.sweep(spec)
+    series = experiments.sweep(config["alpha"], config["r"], _t_grid_rad(config), config["engine"],
+                               dt=config["dt"], tail_tol=config["tail_tol"], n_traj=config["n_traj"],
+                               seed=config["seed"])
+    targets = observables.SIGNS if config["target"] == "both" else (config["target"],)
     header = ["t_rad", "t_deg"]
-    columns = [series.t_rad, series.t_deg]
-    for r in spec.r_values:
-        header += [f"p_{sign}_r{_fmt(r)}" for sign in spec.targets]
+    columns = [series.t_rad, np.degrees(series.t_rad)]
+    for r in config["r"]:
+        header += [f"p_{sign}_r{_fmt(r)}" for sign in targets]
         header.append(f"purity_r{_fmt(r)}")
-        columns += [observables.clamp_probability(series.probabilities[(r, sign)]) for sign in spec.targets]
+        columns += [observables.clamp_probability(series.probabilities[(r, sign)]) for sign in targets]
         columns.append(series.purities[r])
     n = emit_csv(_metadata_line("sweep", config), header, columns, out)
-    return f"sweep: {series.t_rad.size} grid points x {len(spec.r_values)} R values -> {out} ({n} bytes)"
+    return f"sweep: {series.t_rad.size} grid points x {len(config['r'])} R values -> {out} ({n} bytes)"
 
 
 def _cmd_table1(config: dict, out: Path) -> str:

@@ -62,69 +62,40 @@ def _published_rt_grid(t_grid: np.ndarray) -> tuple[tuple[float, ...], np.ndarra
     return r_values, np.tile(t_grid, len(r_values)), np.repeat([kick_rate(r) for r in r_values], len(t_grid))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A (R, T) grid swept with one engine.
-
-    t_grid holds scaled times in radians, strictly increasing; targets is a
-    subset of observables.SIGNS kept in that fixed order.
-    """
-
-    alpha: float
-    r_values: tuple[float, ...]
-    t_grid: np.ndarray
-    targets: tuple[str, ...] = observables.SIGNS
-    engine: str = "eigen"
-    dt: float | None = None
-    tail_tol: float = 1e-12
-    n_traj: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.engine not in engines.ENGINES:
-            raise ValidationError(f"engine must be one of {tuple(engines.ENGINES)}, got {self.engine!r}")
-        observables.check_alpha(self.alpha)
-        for target in self.targets:
-            observables._check_sign(target)
-        for r in self.r_values:
-            kick_rate(r)
-        grid = np.asarray(self.t_grid, dtype=float)
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValidationError("t_grid must be strictly increasing")
-        object.__setattr__(self, "t_grid", grid)
-
-
 @dataclass
 class TimeSeries:
     """Sweep output: one probability column per (R, target) plus purity per R."""
 
     t_rad: np.ndarray
-    t_deg: np.ndarray
     probabilities: dict[tuple[float, str], np.ndarray]
     purities: dict[float, np.ndarray]
 
 
-def sweep(spec: SweepSpec) -> TimeSeries:
-    """Evaluate the target probabilities over the (R, T) grid.
+def sweep(alpha: float, r_values, t_grid, engine: str, **controls) -> TimeSeries:
+    """Both GHZ targets' probabilities and the purity over the (R, T) grid.
 
-    Each R value is one engine call over the whole T grid; columns follow
-    the given r order and ascending T, so the output layout is deterministic.
+    t_grid holds scaled times in radians, strictly increasing; controls are
+    EvolutionRequest's dt, tail_tol, n_traj and seed.  Every input but the
+    controls is checked before the first engine call.  Each R value is one
+    engine call over the whole T grid; columns follow the given r order and
+    ascending T, so the output layout is deterministic.
     """
-    block, spectrum = scaled_system(spec.alpha)
-    targets = {sign: observables.GHZ_TARGETS[sign] for sign in spec.targets}
+    if engine not in engines.ENGINES:  # refused also when there is no R to evolve
+        raise ValidationError(f"engine must be one of {tuple(engines.ENGINES)}, got {engine!r}")
+    block, spectrum = scaled_system(alpha)
+    gammas = [kick_rate(r) for r in r_values]
+    t_rad = np.array(t_grid, dtype=float)
+    if t_rad.size > 1 and not np.all(np.diff(t_rad) > 0):
+        raise ValidationError("t_grid must be strictly increasing")
     probabilities = {}
     purities = {}
-    for r in spec.r_values:
-        req = engines.EvolutionRequest(
-            initial=initial_state(), t=spec.t_grid, gamma=kick_rate(r), dt=spec.dt,
-            tail_tol=spec.tail_tol, n_traj=spec.n_traj, seed=spec.seed,
-        )
-        states = engines.evolve(spec.engine, block, spectrum, req)
-        for sign, target in targets.items():
+    for r, gamma in zip(r_values, gammas):
+        req = engines.EvolutionRequest(initial=initial_state(), t=t_rad, gamma=gamma, **controls)
+        states = engines.evolve(engine, block, spectrum, req)
+        for sign, target in observables.GHZ_TARGETS.items():
             probabilities[(r, sign)] = observables.p_ghz(states, target)
         purities[r] = observables.purity(states)
-    return TimeSeries(t_rad=spec.t_grid.copy(), t_deg=np.degrees(spec.t_grid),
-                      probabilities=probabilities, purities=purities)
+    return TimeSeries(t_rad=t_rad, probabilities=probabilities, purities=purities)
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,7 @@ def test_criterion_6_state_invariant_suite(system4, rho0, ode_grid, mc_grid):
 
 def test_criterion_7_peak_structure():
     grid = np.radians(np.arange(0, 1441, dtype=float) * 0.25)
-    spec = experiments.SweepSpec(alpha=4.0, r_values=(0.0, 0.001, 0.005, 0.01, 0.1),
-                                 t_grid=grid, targets=("minus", "plus"), engine="eigen")
-    peaks = find_peaks(experiments.sweep(spec))
+    peaks = find_peaks(experiments.sweep(4.0, (0.0, 0.001, 0.005, 0.01, 0.1), grid, "eigen"))
     expected = {"minus": (45.0, 225.0), "plus": (135.0, 315.0)}
     ok = True
     details = []

@@ -346,6 +346,21 @@ def test_sweep_csv_shape_and_metadata(tmp_path, monkeypatch):
     assert all(line == line.rstrip("\r") for line in lines)  # LF only
 
 
+@pytest.mark.parametrize("target,other", [("minus", "plus"), ("plus", "minus")])
+def test_one_target_is_the_both_body_without_the_other_columns(tmp_path, monkeypatch, target, other):
+    """Below the metadata line, --target minus or plus writes the --target both bytes
+    less the other target's columns."""
+    args = sweep_args("one.csv")
+    args[args.index("both")] = target
+    assert run_cli(tmp_path, monkeypatch, sweep_args("both.csv")) == 0
+    assert run_cli(tmp_path, monkeypatch, args) == 0
+    both = [line.split(",") for line in (tmp_path / "both.csv").read_text().splitlines()[1:]]
+    dropped = [j for j, name in enumerate(both[0]) if name.startswith(f"p_{other}_")]
+    assert len(dropped) == 2
+    want = [",".join(cell for j, cell in enumerate(row) if j not in dropped) for row in both]
+    assert (tmp_path / "one.csv").read_text().splitlines()[1:] == want
+
+
 def test_byte_identical_reruns(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch, sweep_args("a.csv")) == 0
     first = (tmp_path / "a.csv").read_bytes()

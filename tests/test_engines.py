@@ -721,13 +721,13 @@ def test_batched_engines_equal_per_point(engine, alpha):
     r_values = (0.0, 1e-3, 0.1, 0.5) if engine != "poisson" else (1e-3, 0.1, 0.5)
     if engine == "poisson":  # the exact kick average needs finite gamma, R > 0
         with pytest.raises(ValidationError):
-            experiments.sweep(experiments.SweepSpec(alpha, (0.0,), full, engine=engine))
+            experiments.sweep(alpha, (0.0,), full, engine)
     block, spectrum = scaled_system(alpha)
     mixed = random_state(np.random.default_rng(17), spectrum.basis_order)
     targets = {sign: observables.ghz_state(sign) for sign in observables.SIGNS}
     # a full grid, a single-state stack (N = 1) and an empty one (N = 0)
     for grid in (full, np.array([1.3]), np.empty(0)):
-        series = experiments.sweep(experiments.SweepSpec(alpha, r_values, grid, engine=engine))
+        series = experiments.sweep(alpha, r_values, grid, engine)
         for r in r_values:
             gamma = experiments.kick_rate(r)
             assert series.purities[r].shape == grid.shape

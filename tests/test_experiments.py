@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,15 +14,14 @@ COMPUTED_QUARTER = {0.001: 0.988365661, 0.005: 0.944625263, 0.01: 0.895677539, 0
 COMPUTED_THREE_QUARTER = {0.001: 0.965951975, 0.005: 0.852310295, 0.01: 0.748931593, 0.1: 0.414864394}
 
 
-def small_spec(**kwargs):
-    defaults = dict(alpha=4.0, r_values=(0.0,), t_grid=np.linspace(0.0, math.pi, 65),
-                    targets=("minus",), engine="eigen")
-    defaults.update(kwargs)
-    return experiments.SweepSpec(**defaults)
+def small_sweep(**kwargs):
+    args = dict(alpha=4.0, r_values=(0.0,), t_grid=np.linspace(0.0, math.pi, 65), engine="eigen")
+    args.update(kwargs)
+    return experiments.sweep(**args)
 
 
 def test_sweep_decoherence_free_minus():
-    series = experiments.sweep(small_spec())
+    series = small_sweep()
     col = series.probabilities[(0.0, "minus")]
     assert col[0] == pytest.approx(0.5, abs=1e-12)
     # grid point 16 is exactly T = pi/4
@@ -30,7 +30,7 @@ def test_sweep_decoherence_free_minus():
 
 
 def test_sweep_empty_r_values():
-    series = experiments.sweep(small_spec(r_values=()))
+    series = small_sweep(r_values=())
     assert series.probabilities == {}
     assert series.purities == {}
     assert series.t_rad.size == 65
@@ -38,40 +38,43 @@ def test_sweep_empty_r_values():
 
 def test_sweep_engines_agree():
     grid = np.linspace(0.0, math.pi, 9)
-    eig = experiments.sweep(small_spec(r_values=(0.01,), t_grid=grid))
-    ode = experiments.sweep(small_spec(r_values=(0.01,), t_grid=grid, engine="ode"))
+    eig = small_sweep(r_values=(0.01,), t_grid=grid)
+    ode = small_sweep(r_values=(0.01,), t_grid=grid, engine="ode")
     dev = np.abs(eig.probabilities[(0.01, "minus")] - ode.probabilities[(0.01, "minus")]).max()
     assert dev <= 1e-6
 
 
 def test_sweep_deterministic_repeat():
-    spec = small_spec(r_values=(0.01,), engine="mc", t_grid=np.linspace(0.0, 1.0, 4),
-                      n_traj=2000, seed=11)
-    a = experiments.sweep(spec)
-    b = experiments.sweep(spec)
+    args = dict(r_values=(0.01,), engine="mc", t_grid=np.linspace(0.0, 1.0, 4), n_traj=2000, seed=11)
+    a = small_sweep(**args)
+    b = small_sweep(**args)
     assert np.array_equal(a.probabilities[(0.01, "minus")], b.probabilities[(0.01, "minus")])
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValidationError):
-        small_spec(engine="magic")
-    with pytest.raises(ValidationError):
-        small_spec(r_values=(-0.1,))
-    with pytest.raises(ValidationError):
-        small_spec(t_grid=np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValidationError):
-        small_spec(targets=("sideways",))
+def test_sweep_validation(monkeypatch):
+    """Each bad input is refused before the first engine call, the engine's name also with no R."""
+    calls = []
+    monkeypatch.setattr(engines, "evolve_eigenbasis", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match=re.escape(f"engine must be one of {tuple(engines.ENGINES)}, got 'magic'")):
+        small_sweep(engine="magic", r_values=())
+    with pytest.raises(ValidationError, match="alpha must exceed 1"):
+        small_sweep(alpha=1.0)
+    with pytest.raises(ValidationError, match="R must be finite and nonnegative, got -0.1"):
+        small_sweep(r_values=(0.01, -0.1))
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        small_sweep(t_grid=np.array([0.0, 1.0, 0.5]))
+    assert calls == []
     with pytest.raises(ValidationError):
         experiments.scaled_system(1.0)
 
 
-def quarter_degree_series(r_values, targets):
+def quarter_degree_series(r_values):
     grid = np.radians(np.arange(0, 1441, dtype=float) * 0.25)
-    return experiments.sweep(small_spec(r_values=r_values, t_grid=grid, targets=targets))
+    return small_sweep(r_values=r_values, t_grid=grid)
 
 
 def test_find_peaks_decoherence_free():
-    series = quarter_degree_series((0.0,), ("minus", "plus"))
+    series = quarter_degree_series((0.0,))
     peaks = oracles.find_peaks(series)
     tall_minus = [p for p in peaks if p.target == "minus" and p.value > 0.99]
     tall_plus = [p for p in peaks if p.target == "plus" and p.value > 0.99]
@@ -85,7 +88,7 @@ def test_find_peaks_decoherence_free():
 def test_find_peaks_monotone_series_empty():
     grid = np.linspace(0.0, 1.0, 50)
     series = experiments.TimeSeries(
-        t_rad=grid, t_deg=np.degrees(grid),
+        t_rad=grid,
         probabilities={(0.0, "minus"): np.linspace(0.2, 0.9, 50)},
         purities={0.0: np.ones(50)})
     assert oracles.find_peaks(series) == []
@@ -94,7 +97,7 @@ def test_find_peaks_monotone_series_empty():
 def test_find_peaks_too_few_points():
     grid = np.array([0.0, 1.0])
     series = experiments.TimeSeries(
-        t_rad=grid, t_deg=np.degrees(grid),
+        t_rad=grid,
         probabilities={(0.0, "minus"): np.array([0.1, 0.2])},
         purities={0.0: np.ones(2)})
     assert oracles.find_peaks(series) == []
@@ -104,7 +107,7 @@ def test_find_peaks_plateau_resolves_to_smallest_t():
     grid = np.linspace(0.0, 6.0, 7)
     y = np.array([0.1, 0.5, 0.5, 0.5, 0.2, 0.6, 0.1])
     series = experiments.TimeSeries(
-        t_rad=grid, t_deg=np.degrees(grid),
+        t_rad=grid,
         probabilities={(0.0, "minus"): y},
         purities={0.0: np.ones(7)})
     peaks = oracles.find_peaks(series)
@@ -113,12 +116,12 @@ def test_find_peaks_plateau_resolves_to_smallest_t():
 
 
 def test_peak_values_decrease_with_r():
-    series = quarter_degree_series((0.0, 0.001, 0.005, 0.01, 0.1), ("minus",))
+    series = quarter_degree_series((0.0, 0.001, 0.005, 0.01, 0.1))
     peaks = oracles.find_peaks(series)
     near_quarter = {}
     for p in peaks:
         deg = math.degrees(p.t_peak_rad)
-        if 35.0 < deg < 55.0:
+        if p.target == "minus" and 35.0 < deg < 55.0:
             near_quarter[p.r] = p.value
     values = [near_quarter[r] for r in (0.0, 0.001, 0.005, 0.01, 0.1)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -231,11 +234,11 @@ def test_table1_and_audit_equal_their_per_r_loops(alpha):
 
 @pytest.mark.parametrize("bad", [dict(alpha=math.nan), dict(alpha=math.inf),
                                  dict(r_values=(math.nan,)), dict(r_values=(0.01, math.inf))])
-def test_sweep_spec_rejects_non_finite(bad):
-    # the batched sweep evaluates a whole R column at once, so R and alpha are
-    # checked where the spec is built, not per grid point
+def test_sweep_rejects_non_finite(bad):
+    # the batched sweep evaluates a whole R column at once, so sweep checks
+    # alpha and every R before its first engine call, not per grid point
     with pytest.raises(ValidationError):
-        small_spec(**bad)
+        small_sweep(**bad)
 
 
 @pytest.mark.parametrize("alpha", [1.0001, 4.0, 100.0, 5e153])
