@@ -60,11 +60,12 @@ class DensityMatrix:
         return cls(_BASIS_STATES[index], basis_order)
 
     def violations(self, trace_tol: float = 1e-12, psd_floor: float = -1e-10) -> list[str]:
-        """Invariant violations, empty when the state (every state of a stack) is valid;
-        hermiticity is held to 1e-12."""
+        """Invariant violations, empty when the state (every state of a stack) is valid; hermiticity is held
+        to 1e-12.  A Cholesky factorisation of H - psd_floor I, H the Hermitian part, certifies that no eigenvalue
+        lies below the floor, to u |H| as eigvalsh does; only where it fails does eigvalsh decide and report."""
         out = []
         rho = self.entries
-        if not np.isfinite(rho).all():  # no further check, and no eigen solve, is defined on them
+        if not np.isfinite(rho).all():  # no further check, and no factorisation, is defined on them
             return ["non-finite entries"]
         rho_h = np.swapaxes(rho, -1, -2).conj()
         herm = np.abs(rho - rho_h).max(initial=0.0)
@@ -73,9 +74,13 @@ class DensityMatrix:
         tr_err = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
         if tr_err > trace_tol:
             out.append(f"trace deviates from 1 by {tr_err:.3e}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho_h)).min(initial=np.inf))
-        if min_eig < psd_floor:
-            out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
+        hermitian = 0.5 * (rho + rho_h)
+        try:
+            np.linalg.cholesky(hermitian - psd_floor * np.eye(rho.shape[-1]))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(hermitian).min(initial=np.inf))
+            if min_eig < psd_floor:
+                out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
         return out
 
     def require_valid(self) -> "DensityMatrix":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,10 +75,10 @@ def sweep(alpha: float, r_values, t_grid, engine: str, **controls) -> TimeSeries
     """Both GHZ targets' probabilities and the purity over the (R, T) grid.
 
     t_grid holds scaled times in radians, strictly increasing; controls are
-    EvolutionRequest's dt, tail_tol, n_traj and seed.  Every input but the
-    controls is checked before the first engine call.  Each R value is one
-    engine call over the whole T grid; columns follow the given r order and
-    ascending T, so the output layout is deterministic.
+    EvolutionRequest's dt, tail_tol, n_traj and seed.  Every input is checked
+    before the first engine call, also with no R.  Each R is one engine call
+    over the whole T grid; columns follow the given r order and ascending T,
+    so the output layout is deterministic.
     """
     if engine not in engines.ENGINES:  # refused also when there is no R to evolve
         raise ValidationError(f"engine must be one of {tuple(engines.ENGINES)}, got {engine!r}")
@@ -87,11 +87,11 @@ def sweep(alpha: float, r_values, t_grid, engine: str, **controls) -> TimeSeries
     t_rad = np.array(t_grid, dtype=float)
     if t_rad.size > 1 and not np.all(np.diff(t_rad) > 0):
         raise ValidationError("t_grid must be strictly increasing")
+    req = engines.EvolutionRequest(initial_state(), t_rad, math.inf, **controls)  # each R sets its own gamma
     probabilities = {}
     purities = {}
     for r, gamma in zip(r_values, gammas):
-        req = engines.EvolutionRequest(initial=initial_state(), t=t_rad, gamma=gamma, **controls)
-        states = engines.evolve(engine, block, spectrum, req)
+        states = engines.evolve(engine, block, spectrum, replace(req, gamma=gamma))
         for sign, target in observables.GHZ_TARGETS.items():
             probabilities[(r, sign)] = observables.p_ghz(states, target)
         purities[r] = observables.purity(states)

@@ -23,11 +23,16 @@ def rho0():
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """A list that gains one entry per np.linalg.eigvalsh call during the test."""
+def linalg_calls(monkeypatch):
+    """A list that gains the name of each np.linalg.eigvalsh and np.linalg.cholesky call during the test."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs)
+
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
     return calls
 
 

@@ -16,6 +16,9 @@ first_order_gap_bound  the largest gap the first-order engine may show against t
                        exact kick average, from a dense eigvalsh of the block.
 first_order_generator  the 16x16 first-order generator on vec(rho), from the block.
 first_order_expm       exp(t G) vec(rho) by scipy's expm; checks evolve_ode.
+eigvalsh_violations    DensityMatrix.violations as it was before the Cholesky
+                       certificate: every check, with the least eigenvalue of
+                       the Hermitian part always taken by eigvalsh.
 find_peaks             the interior local maxima of each probability column of a
                        sweep, with a 3-point parabolic refinement; reads the
                        peak structure of criterion 7.
@@ -39,6 +42,24 @@ def pure(vector, basis_order) -> DensityMatrix:
     v = np.asarray(vector, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()), basis_order)
+
+
+def eigvalsh_violations(entries: np.ndarray, trace_tol: float = 1e-12, psd_floor: float = -1e-10) -> list[str]:
+    """The invariant violations of a state or stack, positivity decided by eigvalsh alone."""
+    out = []
+    if not np.isfinite(entries).all():
+        return ["non-finite entries"]
+    rho_h = np.swapaxes(entries, -1, -2).conj()
+    herm = np.abs(entries - rho_h).max(initial=0.0)
+    if herm > 1e-12:
+        out.append(f"hermiticity violated by {herm:.3e}")
+    tr_err = np.abs(np.trace(entries, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
+    if tr_err > trace_tol:
+        out.append(f"trace deviates from 1 by {tr_err:.3e}")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (entries + rho_h)).min(initial=np.inf))
+    if min_eig < psd_floor:
+        out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
+    return out
 
 
 def eigenbasis_coherences(rho: DensityMatrix, spectrum: Spectrum) -> np.ndarray:

@@ -266,11 +266,11 @@ def test_missing_config_file_exits_one(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["eigen", "poisson", "unitary"])
-def test_evolve_solves_no_eigen_problem(tmp_path, monkeypatch, eigvalsh_calls, engine):
+def test_evolve_solves_no_eigen_problem(tmp_path, monkeypatch, linalg_calls, engine):
     """The initial state evolve builds is a shared read-only basis state, valid by
-    construction, so no eigvalsh runs to check it again."""
+    construction, so neither a Cholesky factorisation nor an eigvalsh runs to check it again."""
     assert run_cli(tmp_path, monkeypatch, ["evolve", "--engine", engine, "--r", "0.05"]) == 0
-    assert eigvalsh_calls == []
+    assert linalg_calls == []
 
 
 def test_validation_error_exits_two(tmp_path, monkeypatch):
@@ -279,6 +279,15 @@ def test_validation_error_exits_two(tmp_path, monkeypatch):
     # Monte Carlo engine cannot run decoherence-free
     assert run_cli(tmp_path, monkeypatch,
                    ["sweep", "--engine", "mc", "--r", "0", "--t-max-deg", "1", "--t-step-deg", "1"]) == 2
+
+
+def test_sweep_with_no_r_still_checks_its_controls(tmp_path, monkeypatch):
+    """An empty --r list evolves nothing, yet a bad engine control still exits 2 and writes no file."""
+    argv = ["sweep", "--r", ",", "--t-max-deg", "10", "--out", "s.csv"]
+    assert run_cli(tmp_path, monkeypatch, argv + ["--tail-tol", "5", "--n-traj", "0"]) == 2
+    assert run_cli(tmp_path, monkeypatch, argv + ["--n-traj", "0"]) == 2
+    assert not (tmp_path / "s.csv").exists()
+    assert run_cli(tmp_path, monkeypatch, argv) == 0
 
 
 def test_numerical_error_exits_three(tmp_path, monkeypatch):

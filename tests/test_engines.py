@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from iondeco import engines, experiments, model, observables
@@ -147,10 +147,63 @@ def test_density_matrix_validation():
         bad.require_valid()
 
 
+def test_violations_report_the_least_eigenvalue_below_the_floor(system4, rho0):
+    """A state with an eigenvalue below the floor fails the Cholesky certificate, and eigvalsh's
+    least eigenvalue is reported, alone and as one state of a stack on the 91 times of ode_sweep."""
+    bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    message = ["minimum eigenvalue -2.000e-01 below -1e-10"]
+    assert engines.DensityMatrix(bad, observables.GHZ_BASIS).violations() == message
+    block, spectrum = system4
+    grid = np.radians(np.arange(0.0, 181.0, 2.0))
+    stack = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=grid, gamma=100.0))
+    assert stack.entries.shape == (91, 4, 4) and stack.violations() == []
+    stack.entries[45] = bad
+    assert stack.violations() == message
+
+
+def placed_state(rng, least: float) -> np.ndarray:
+    """A seeded Hermitian unit-trace 4x4 state with the eigenvalue least and three above 0.02, in a
+    random unitary basis; least = 0 is kept exact as a zero row and column at a seeded index, the
+    other three in a random 3x3 basis."""
+    w = rng.uniform(0.05, 1.0, 3)
+    eigenvalues = np.concatenate(([least], w * ((1.0 - least) / w.sum()))) if least else w / w.sum()
+    n = eigenvalues.size
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    h = (q * eigenvalues) @ q.conj().T
+    keep = np.arange(4) if least else np.delete(np.arange(4), rng.integers(4))
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_(keep, keep)] = 0.5 * (h + h.conj().T)
+    return rho
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the counter is cleared per example
+@given(floor=st.sampled_from([-1e-10, -1e-7, 0.0]), size=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_positivity_certificate_gives_the_eigvalsh_verdict(linalg_calls, floor, size, seed):
+    """violations() equals the eigvalsh formula it replaced on a seeded state or stack of up to
+    four, each state's least eigenvalue at floor (1 + s) or floor (1 - s), s log-uniform in
+    [s_min, 1].  s_min is 1e-6, or more where |floor| s_min would be below 1e-14, about 45 u |H|:
+    that near the floor both methods are inside their rounding (at 1e-16, -1e-10 (1 +- 1e-6), they
+    differed on 51 of 2,000 such states).  floor = 0 places an exact zero eigenvalue, which the
+    factorisation refuses, so eigvalsh decides, rounding and all; elsewhere it runs only when a
+    state lies below the floor."""
+    linalg_calls.clear()
+    rng = np.random.default_rng(seed)
+    below = rng.random(size) < 0.5
+    s = max(1e-6, 1e-14 / abs(floor) if floor else 1.0) ** rng.random(size)
+    entries = np.array([placed_state(rng, least) for least in (floor * (1.0 + np.where(below, s, -s))).tolist()])
+    entries = entries[0] if size == 1 else entries
+    found = engines.DensityMatrix(entries, observables.GHZ_BASIS).violations(psd_floor=floor)
+    assert linalg_calls == ["cholesky"] + ["eigvalsh"] * (floor == 0.0 or bool(below.any()))
+    if floor:  # at 0 eigvalsh may read a singular state's zero as -1e-17, a verdict the certificate keeps
+        assert bool(found) == bool(below.any())
+    assert found == oracles.eigvalsh_violations(entries, psd_floor=floor)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_initial_state_is_a_validation_error(bad):
-    """A non-finite entry is reported as a violation before any eigen solve, which
-    would raise LinAlgError on it, and before any arithmetic that would warn."""
+    """A non-finite entry is reported as a violation before the Cholesky factorisation or an
+    eigen solve, which would raise LinAlgError on it, and before any arithmetic that would warn."""
     entries = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS).entries.copy()
     entries[1, 3] = bad
     rho = engines.DensityMatrix(entries, observables.GHZ_BASIS)
@@ -161,16 +214,17 @@ def test_non_finite_initial_state_is_a_validation_error(bad):
             engines.EvolutionRequest(rho, t=1.0)
 
 
-def test_request_checks_every_state_but_the_shared_basis_arrays(eigvalsh_calls):
+def test_request_checks_every_state_but_the_shared_basis_arrays(linalg_calls):
     """Only the very read-only arrays of basis_state skip require_valid: a writable copy
-    with the same values is checked with one eigen solve, and bad states keep their messages."""
+    with the same values is checked with one Cholesky factorisation and no eigen solve,
+    and bad states keep their messages."""
     rho = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
     with pytest.raises(ValueError):  # read-only for good: a view of a read-only array
         rho.entries.flags.writeable = True
     engines.EvolutionRequest(rho, t=1.0)
-    assert eigvalsh_calls == []
+    assert linalg_calls == []
     engines.EvolutionRequest(engines.DensityMatrix(rho.entries.copy(), rho.basis_order), t=1.0)
-    assert eigvalsh_calls == [1]
+    assert linalg_calls == ["cholesky"]
     nan = rho.entries.copy()
     nan[0, 0] = math.nan
     for entries, message in ((2.0 * rho.entries, "trace deviates from 1 by 1.000e+00"), (nan, "non-finite entries")):
@@ -444,6 +498,15 @@ def test_ode_diverging_step_reports_numerical_failure(system4, rho0):
     block, spectrum = system4
     with pytest.raises(NumericalError):
         engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=50.0, gamma=1.0, dt=5.0))
+
+
+def test_ode_positivity_breach_is_a_numerical_error(system4, rho0):
+    """Two steps of dt = 0.4 at gamma = 1 lie outside the Runge-Kutta stability region: the output
+    keeps its trace and Hermiticity but not positivity, and the NumericalError names that alone."""
+    block, spectrum = system4
+    with pytest.raises(NumericalError, match=re.escape(
+            "Runge-Kutta output invalid: minimum eigenvalue -6.765e+06 below -1e-07") + "$"):
+        engines.evolve_ode(block, spectrum, engines.EvolutionRequest(rho0, t=0.8, gamma=1.0, dt=0.4))
 
 
 def test_ode_output_state_invariants(system4, rho0):

@@ -68,6 +68,19 @@ def test_sweep_validation(monkeypatch):
         experiments.scaled_system(1.0)
 
 
+def test_sweep_checks_its_controls_with_no_r():
+    """The request is built before the R loop, so its controls are refused also when there is no R,
+    and gamma, which each R sets, is no control."""
+    with pytest.raises(TypeError, match="bogus"):
+        small_sweep(r_values=(), bogus=1)
+    with pytest.raises(ValidationError, match="tail_tol must lie in"):
+        small_sweep(r_values=(), tail_tol=5.0)
+    with pytest.raises(ValidationError, match="n_traj must lie in"):
+        small_sweep(r_values=(), n_traj=0)
+    with pytest.raises(TypeError, match="gamma"):
+        small_sweep(r_values=(0.01,), gamma=3.0)
+
+
 def quarter_degree_series(r_values):
     grid = np.radians(np.arange(0, 1441, dtype=float) * 0.25)
     return small_sweep(r_values=r_values, t_grid=grid)
