@@ -7,7 +7,7 @@ eigenbasis coherence (p,q) by a kick-count factor of D = Ep - Eq and leaves
 eigenbasis populations untouched.
 
 Five engines, each evolve_*(block, spectrum, req) -> DensityMatrix.  Four are one _dephased
-call over a grid of times, each with its kick-count factor, taken once per distinct |D|:
+call over a grid of times, each with its kick-count factor, taken once per closed-form gap |D|:
 * first_order_factor exp(-i D t - D^2 t / (2 gamma)): evolve_eigenbasis, the reference;
   evolve_unitary, it at gamma = inf.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
@@ -23,6 +23,7 @@ closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import HamiltonianBlock, Spectrum
+from .model import _GAP_INDEX, _GAP_SIGN, HamiltonianBlock, Spectrum
 
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
@@ -96,13 +97,26 @@ _BASIS_STACK.flags.writeable = False
 _BASIS_STATES = tuple(_BASIS_STACK)  # views of a read-only array, which no caller can make writable
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number (a bool is one); a float, the common case, skips the slower ABC check."""
+    return type(value) is float or isinstance(value, numbers.Real)
+
+
+def check_times(t) -> np.ndarray:
+    """t as a float array, once it is checked to be a real scalar or 1-D array of finite, nonnegative times."""
+    times = np.asarray(t)
+    if times.dtype.kind not in "iuf" or times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValidationError(f"t must be finite and nonnegative (a real scalar or a 1-D array), got {t}")
+    return times.astype(float, copy=False)
+
+
 def _positive_gamma(gamma: float | np.ndarray, t: np.ndarray) -> float | np.ndarray:
     """gamma as given, or as a float array of one value per time of t; each positive or inf."""
     scalar = isinstance(gamma, (int, float))  # one gamma, checked without numpy
-    gamma = gamma if scalar else np.asarray(gamma, dtype=float)
-    if not (gamma > 0 if scalar else gamma.shape in ((), t.shape) and (gamma > 0).all()):
+    gamma = gamma if scalar else np.asarray(gamma)
+    if not (gamma > 0 if scalar else gamma.dtype.kind in "iuf" and gamma.shape in ((), t.shape) and (gamma > 0).all()):
         raise ValidationError(f"gamma must be positive (or inf), one value or one per time of t, got {gamma}")
-    return gamma
+    return gamma if scalar else gamma.astype(float, copy=False)
 
 
 @dataclass
@@ -111,13 +125,13 @@ class EvolutionRequest:
 
     initial   state at t = 0, one valid 4x4 density matrix; require_valid checks all but the
               very entries of a basis_state, valid by construction (a copy of them is checked)
-    t         evolution duration (s), or a 1-D array of them
+    t         evolution duration (s), real, or a 1-D array of them
     gamma     kick frequency (1/s); math.inf = decoherence-free; or one per time
               of t, kept as a float array (eigen, poisson and unitary only)
     tail_tol  Poisson tail mass the Monte Carlo kick tables may leave out
     dt        fixed step for the Runge-Kutta engine (None: 1e-3 / mu)
-    n_traj    Monte Carlo trajectory count, at most MAX_TRAJECTORIES
-    seed      Monte Carlo seed (required there, ignored elsewhere)
+    n_traj    Monte Carlo trajectory count, an integer, at most MAX_TRAJECTORIES
+    seed      Monte Carlo seed, an integer (required there, ignored elsewhere)
     """
 
     initial: DensityMatrix
@@ -133,14 +147,15 @@ class EvolutionRequest:
             raise ValidationError(f"initial must be one 4x4 density matrix, got shape {np.shape(self.initial.entries)}")
         if not any(self.initial.entries is state for state in _BASIS_STATES):
             self.initial.require_valid()
-        t = np.asarray(self.t, dtype=float)
-        if t.ndim > 1 or not np.all(np.isfinite(t) & (t >= 0)):
-            raise ValidationError(f"t must be finite and nonnegative (a scalar or a 1-D array), got {self.t}")
-        self.gamma = _positive_gamma(self.gamma, t)
-        if not 0.0 < self.tail_tol < 1.0:
+        self.gamma = _positive_gamma(self.gamma, check_times(self.t))
+        if not (is_real(self.tail_tol) and 0.0 < self.tail_tol < 1.0):
             raise ValidationError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
-        if self.dt is not None and not 0.0 < self.dt < math.inf:
+        if self.dt is not None and not (is_real(self.dt) and 0.0 < self.dt < math.inf):
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        for name, value in (("n_traj", self.n_traj), ("seed", self.seed)):
+            if value is not None and type(value) is not int and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_traj is not None and not 1 <= self.n_traj <= MAX_TRAJECTORIES:
             raise ValidationError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {self.n_traj}")
 
@@ -175,12 +190,14 @@ def dephase(spectrum: Spectrum, initial: DensityMatrix, phi: np.ndarray) -> np.n
 
 
 def first_order_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
-    """exp(-i D t - D^2 t / (2 gamma)).  Wherever gamma = inf or t = 0 the damping term
-    is +0.0, so the factor is the bare phase exp(-i D t) bit for bit, also where D^2
-    overflows (|D| ~ 1e154) and D^2 t / inf or inf * 0 would be NaN; at finite gamma
-    and t > 0 that overflow gives the exact factor 0."""
+    """exp(-i D t - D^2 t / (2 gamma)), the damping formed as (D t) ((D / 2) / gamma): D^2 alone
+    overflows from |D| ~ 1.3e154 and 2 gamma from gamma ~ 9e307, where the damping may be small.
+    (D / 2) / gamma is the quotient D / (2 gamma), rounded once, wherever 2 gamma is finite.
+    Wherever gamma = inf or t = 0 the damping term is +0.0, so the factor is the bare phase
+    exp(-i D t) bit for bit, also where inf * 0 would be NaN; at finite gamma and t > 0 a
+    damping past DBL_MAX gives the factor 0."""
     with np.errstate(over="ignore", invalid="ignore"):
-        damping = delta * delta * t / (2.0 * gamma)
+        damping = (delta * t) * (0.5 * delta / gamma)
     return np.exp(-1j * delta * t - np.where((gamma == math.inf) | (t == 0.0), 0.0, damping))
 
 
@@ -188,46 +205,43 @@ def poisson_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) 
     """exp(gamma t (e^{-iD/gamma} - 1)), the Poisson mixture sum_k e^{-gamma t} (gamma t)^k / k!
     U^k rho U^{dag k} in closed form.  Written as e^{-ix} - 1, not expm1, the bracket's real part
     would carry an absolute rounding error of ~1e-16, which gamma t multiplies (4.7e-10 at alpha = 4,
-    gamma = 1e7, t = pi)."""
-    return np.exp(gamma * t * np.expm1(-1j * delta / gamma))
+    gamma = 1e7, t = pi).  Where D / gamma overflows but 2 gamma t < 2^-53 (R = 1e300), the exact
+    factor, within 2 gamma t of 1, is 1; every finite factor is kept."""
+    factor = np.exp(gamma * t * np.expm1(-1j * delta / gamma))
+    return np.where(np.isfinite(factor) | (2.0 * gamma * t >= 2.0**-53), factor, 1.0)
 
 
-def _dephased(spectrum: Spectrum, initial: DensityMatrix, t, gamma, phi) -> DensityMatrix:
-    """dephase with phi(delta, t, gamma) at every time of t (with its gamma, when gamma is an array),
-    evaluated once per distinct |delta| = |Ep - Eq| (5 of the 16 here) and gathered, a negative delta's
-    entries then conjugated, since phi(-D) = conj(phi(D)); entries have shape np.shape(t) + (4, 4).
-    A factor that a phase past DBL_MAX makes non-finite is a ValidationError, with no warning."""
+def _dephased(block: HamiltonianBlock, spectrum: Spectrum, initial: DensityMatrix, t, gamma, phi) -> DensityMatrix:
+    """dephase with phi(D, t, gamma) at every time of t (one gamma per time, when gamma is an array) on the
+    block's five gaps |D|, placed into Ep - Eq by the model's constant pattern and conjugated where D < 0, as
+    phi(-D) = conj(phi(D)); shape np.shape(t) + (4, 4).  A non-finite factor is a ValidationError, no warning."""
     t = np.asarray(t, dtype=float)
     gamma = gamma.reshape(-1, 1) if isinstance(gamma, np.ndarray) else gamma
-    e = spectrum.eigenvalues.tolist()
-    index = {}
-    # Python floats subtract as numpy does, and |fl(p - q)| = fl(q - p); a -0.0 shares +0.0's entry, which
-    # neither factor tells apart.  A negative delta's entry conj(phi(|D|)) has its imaginary part negated.
-    gather = [index.setdefault(abs(p - q), len(index)) for p in e for q in e]
+    gaps = 2.0 * np.array([0.0, block.mu, block.a, block.mu - block.a, block.mu + block.a])
     with np.errstate(all="ignore"):
-        factor = phi(np.array(list(index)), t.reshape(-1, 1), gamma)
+        factor = phi(gaps, t.reshape(-1, 1), gamma)
     if not np.isfinite(factor).all():
-        raise ValidationError(f"the kick-count factor at |D| up to {max(index):.4g} is not finite: a phase |D| t, "
+        raise ValidationError(f"the kick-count factor at |D| up to {gaps.max():.4g} is not finite: a phase |D| t, "
                               "|D| / gamma or |D| k / gamma, or gamma t, exceeds DBL_MAX = 1.798e308")
-    factor = factor.take(gather, axis=1).reshape(-1, 4, 4)
-    factor.imag *= [[1.0 if p >= q else -1.0 for q in e] for p in e]
+    factor = factor.take(_GAP_INDEX, axis=1).reshape(-1, 4, 4)
+    factor.imag *= _GAP_SIGN
     return DensityMatrix(dephase(spectrum, initial, factor).reshape(t.shape + (4, 4)), initial.basis_order)
 
 
 def evolve_eigenbasis(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Reference engine: the first-order factor; any gamma, inf included, one per time or one per call."""
-    return _dephased(spectrum, req.initial, req.t, req.gamma, first_order_factor)
+    return _dephased(block, spectrum, req.initial, req.t, req.gamma, first_order_factor)
 
 
 def evolve_unitary(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Decoherence-free limit: the first-order factor at gamma = inf, whatever req.gamma holds."""
-    return _dephased(spectrum, req.initial, req.t, math.inf, first_order_factor)
+    return _dephased(block, spectrum, req.initial, req.t, math.inf, first_order_factor)
 
 
 def evolve_poisson(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Exact kick average: the Poisson factor; finite gamma, one per time or one per call."""
     gamma = _engine_gamma(req.gamma, finite=True, one=False)
-    return _dephased(spectrum, req.initial, req.t, gamma, poisson_factor)
+    return _dephased(block, spectrum, req.initial, req.t, gamma, poisson_factor)
 
 
 def _first_order_superoperator(h: np.ndarray, gamma: float) -> np.ndarray:
@@ -316,7 +330,7 @@ def _trajectory_uniforms(seed: int, hi: int, lo: int = 0) -> np.ndarray:
     """One uniform in [0,1) per trajectory of index lo..hi-1, a pure function of (seed, index)."""
     z = np.arange(lo + 1, hi + 1, dtype=np.uint64)  # every pass in place on one buffer
     z *= _SM64_GAMMA
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    z += np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)  # int: a numpy seed would not take the mask
     z ^= z >> np.uint64(30)
     z *= _SM64_MIX1
     z ^= z >> np.uint64(27)
@@ -478,7 +492,7 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
         for row, lo, hi in zip(phi, firsts, firsts[1:]):  # take, not [:, rows]: a C-ordered product, summed pairwise
             row[:] = (weights[lo:hi] * phase.take(rows[lo:hi], axis=1)).sum(axis=1)
         return phi
-    return _dephased(spectrum, req.initial, req.t, math.inf, empirical_factor)
+    return _dephased(block, spectrum, req.initial, req.t, math.inf, empirical_factor)
 
 
 # Engine name -> its function's name here; evolve looks it up at each call, so a

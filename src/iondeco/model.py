@@ -24,6 +24,10 @@ from .errors import NumericalError, ValidationError
 
 # Relative threshold for "significant" eigenvector components when fixing signs.
 _SIGN_SIGNIFICANCE = 1e-8
+# In Spectrum's eigenvalue order, Ep - Eq = _GAP_SIGN[p, q] * (2 (0, mu, a, mu - a, mu + a))[_GAP_INDEX[4 p + q]].
+_GAP_INDEX = np.array([0, 1, 2, 3, 1, 0, 4, 2, 2, 4, 0, 1, 3, 2, 1, 0])
+_GAP_SIGN = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, -1.0, -1.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])
+_GAP_INDEX.flags.writeable = _GAP_SIGN.flags.writeable = False
 
 
 @dataclass(frozen=True)

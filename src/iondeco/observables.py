@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import DensityMatrix
+from .engines import DensityMatrix, check_times, is_real
 from .errors import ValidationError
 from .model import ModeIndices
 
@@ -32,14 +32,14 @@ MAX_ALPHA = 9.48e153  # the scaled block's squared eigenvector norms, about 2 al
 def check_alpha(alpha: float) -> None:
     """alpha = mu / a in (1, MAX_ALPHA]: omega = sqrt(alpha^2 - 1) in units of a
     must be positive, and the spectrum's squared norms finite."""
-    if not 1.0 < alpha <= MAX_ALPHA:
+    if not (is_real(alpha) and 1.0 < alpha <= MAX_ALPHA):
         raise ValidationError(f"alpha must exceed 1 and be at most {MAX_ALPHA:g}, got {alpha}")
 
 
 def check_r(r: float) -> None:
     """R = a / gamma, which must be finite and nonnegative; R = 0 is the
     decoherence-free limit gamma = inf."""
-    if not 0.0 <= r < math.inf:
+    if not (is_real(r) and 0.0 <= r < math.inf):
         raise ValidationError(f"R must be finite and nonnegative, got {r}")
 
 
@@ -111,11 +111,11 @@ def closed_form_pghz(t_scaled, alpha: float, r: float, sign: str):
     upper = _check_sign(sign)
     check_r(r)
     check_alpha(alpha)
+    t_scaled = check_times(t_scaled)
     a2 = alpha * alpha
     c_mu = (a2 - 1.0) / a2 / 4.0  # over a2 first: 8.0 * a2 overflows from alpha = 4.74e153
     c_plus = (alpha - 1.0) ** 2 / a2 / 8.0
     c_minus = (alpha + 1.0) ** 2 / a2 / 8.0
-    t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
         (a2 + 1.0) / a2 / 4.0
         + c_mu * _decay(-2.0 * alpha * alpha, t_scaled, r) * np.cos(2.0 * alpha * t_scaled)
@@ -136,11 +136,11 @@ def published_pghz(t_scaled, alpha: float, r: float):
     """
     check_r(r)
     check_alpha(alpha)
+    t_scaled = check_times(t_scaled)
     a2 = alpha * alpha
     lead = (a2 - 1.0) / a2 / 2.0
     c_plus = (alpha - 1.0) ** 2 / a2 / 8.0
     c_minus = (alpha + 1.0) ** 2 / a2 / 8.0
-    t_scaled = np.asarray(t_scaled, dtype=float)
     value = (
         0.5
         + lead * _decay(-2.0 * a2, t_scaled, r) * np.cos(2.0 * alpha * t_scaled)

@@ -10,6 +10,9 @@ spectrum_per_vector    the closed form with each eigenvector built from the swap
 kick_standard_error    the exact standard error of an n-trajectory Monte Carlo
                        mean, from the Poisson pmf of the kick count and a dense
                        eigh of the block; bounds evolve_monte_carlo.
+exact_differences      Ep - Eq in the convention order from the exact eigenvalues
+                       of the block's float mu and a, each difference rounded
+                       once; the gaps the dephasing engines apply.
 eigenbasis_coherences  |rho_pq| for p < q in a given eigenbasis.
 pure                   the density matrix |v><v| / <v|v>.
 first_order_gap_bound  the largest gap the first-order engine may show against the
@@ -24,12 +27,13 @@ find_peaks             the interior local maxima of each probability column of a
                        peak structure of criterion 7.
 
 They take from iondeco only its containers, its error classes and the sign
-significance threshold, and from scipy only expm;
+significance threshold, from scipy only expm, and exact arithmetic from fractions;
 test_oracles_import_no_code_they_check pins that.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,6 +64,14 @@ def eigvalsh_violations(entries: np.ndarray, trace_tol: float = 1e-12, psd_floor
     if min_eig < psd_floor:
         out.append(f"minimum eigenvalue {min_eig:.3e} below {psd_floor:.0e}")
     return out
+
+
+def exact_differences(block) -> np.ndarray:
+    """Ep - Eq for the eigenvalues (mu - a, -(mu + a), mu + a, -(mu - a)) of the block's float
+    mu and a, each difference taken exactly and rounded once."""
+    a, mu = Fraction(block.a), Fraction(block.mu)
+    e = (mu - a, -(mu + a), mu + a, -(mu - a))
+    return np.array([[float(p - q) for q in e] for p in e])
 
 
 def eigenbasis_coherences(rho: DensityMatrix, spectrum: Spectrum) -> np.ndarray:

@@ -615,7 +615,6 @@ def test_non_finite_config_file_value_exits_two(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["evolve", "--alpha", "1e10", "--t-max-deg", "1e300", "--r", "0"],  # D t overflows at gamma = inf
     ["evolve", "--engine", "unitary", "--alpha", "1e10", "--t-max-deg", "1e300", "--r", "0.01"],
-    ["evolve", "--engine", "poisson", "--alpha", "1e10", "--r", "1e300", "--t-max-deg", "1"],  # D / gamma
     ["evolve", "--engine", "mc", "--n-traj", "1000", "--alpha", "1e10", "--r", "1e300", "--t-max-deg", "1e300"],
     ["evolve", "--engine", "poisson", "--r", "1e-308", "--t-max-deg", "1e300"],  # gamma t = inf, inf * 0
 ], ids=lambda argv: " ".join(argv))
@@ -626,6 +625,19 @@ def test_non_finite_kick_count_factor_exits_two_with_no_warning(tmp_path, monkey
     err = capsys.readouterr().err
     assert err.startswith("validation error: the kick-count factor") and "DBL_MAX" in err
     assert not (tmp_path / "x.out").exists()
+
+
+def test_poisson_factor_is_one_where_almost_no_kick_arrives(tmp_path, monkeypatch):
+    """At R = 1e300, |D| / gamma overflows, but 2 gamma t ~ 3e-302 lies far below the rounding
+    unit, and the exact kick average is within 2 gamma t of the initial state: the Poisson
+    factor is 1, and both GHZ probabilities keep their value 1/2 at t = 0, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, monkeypatch, ["evolve", "--engine", "poisson", "--alpha", "1e10", "--r", "1e300",
+                                               "--t-max-deg", "1", "--out", "x.out"]) == 0
+    values = dict(line.split(",") for line in (tmp_path / "x.out").read_text().splitlines()[2:])
+    assert all(math.isfinite(float(v)) for v in values.values())
+    assert float(values["p_ghz_minus"]) == float(values["p_ghz_plus"]) == 0.5
 
 
 def test_overflowing_phase_under_damping_writes_zero_coherences_with_no_warning(tmp_path, monkeypatch):
@@ -664,7 +676,7 @@ def test_largest_alpha_writes_no_nan(tmp_path, monkeypatch, argv):
 def test_audit_gap_near_the_largest_alpha(tmp_path, monkeypatch):
     """From alpha = 6.7e153, 4 alpha^2 overflows; the corrected P(pi/4) keeps its value
     instead of reading 0.0, so the printed gap is the published value less the engine's
-    P(pi/4) with the slow term sin(pi/2) / 4 that its rounded eigenvalues lose."""
+    P(pi/4), slow term included."""
     alpha = 7e153
     assert run_cli(tmp_path, monkeypatch, ["audit", "--alpha", "7e153", "--out", "a.txt"]) == 0
     gap = float(next(line for line in (tmp_path / "a.txt").read_text().splitlines()
@@ -672,7 +684,7 @@ def test_audit_gap_near_the_largest_alpha(tmp_path, monkeypatch):
     block, spectrum = experiments.scaled_system(alpha)
     rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(
         experiments.initial_state(), t=math.pi / 4, gamma=math.inf))
-    corrected = observables.p_ghz(rho, observables.GHZ_TARGETS["minus"]) + 0.25
+    corrected = observables.p_ghz(rho, observables.GHZ_TARGETS["minus"])
     assert math.isfinite(gap)
     assert gap == pytest.approx(observables.published_pghz(math.pi / 4, alpha, 0.0) - corrected, abs=1e-8)
 

@@ -56,6 +56,43 @@ def test_request_validation():
             engines.EvolutionRequest(engines.DensityMatrix(entries, rho.basis_order), t=1.0)
 
 
+WRONG_TYPES = {
+    "n_traj=2.5": lambda rho: engines.EvolutionRequest(rho, 1.0, 10.0, n_traj=2.5, seed=1),  # a trace-0.8 state
+    "n_traj=2.0": lambda rho: engines.EvolutionRequest(rho, 1.0, 10.0, n_traj=2.0, seed=1),
+    "n_traj=True": lambda rho: engines.EvolutionRequest(rho, 1.0, 10.0, n_traj=True, seed=1),  # ran as 1
+    "seed=1.5": lambda rho: engines.EvolutionRequest(rho, 1.0, 10.0, n_traj=10, seed=1.5),
+    "seed=False": lambda rho: engines.EvolutionRequest(rho, 1.0, 10.0, n_traj=10, seed=False),
+    "t=1+1j": lambda rho: engines.EvolutionRequest(rho, 1 + 1j),
+    "t='1'": lambda rho: engines.EvolutionRequest(rho, "1"),  # was accepted as 1.0
+    "t=True": lambda rho: engines.EvolutionRequest(rho, True),
+    "t=10**400": lambda rho: engines.EvolutionRequest(rho, 10**400),
+    "tail_tol='x'": lambda rho: engines.EvolutionRequest(rho, 1.0, tail_tol="x"),
+    "dt='x'": lambda rho: engines.EvolutionRequest(rho, 1.0, dt="x"),
+    "gamma='x'": lambda rho: engines.EvolutionRequest(rho, 1.0, "x"),
+    "gamma=[1j]": lambda rho: engines.EvolutionRequest(rho, np.ones(1), [1j]),
+    "scaled_system('4')": lambda rho: scaled_system("4"),
+    "closed_form_pghz(r='0')": lambda rho: observables.closed_form_pghz(1.0, 4.0, "0", "minus"),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_wrong_types_are_validation_errors(rho0, call):
+    """A value of the wrong type is a ValidationError, not a TypeError, a state off by its
+    trace, or a value read as another type; integers must be integers (not bools or floats)
+    and reals real."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            call(rho0)
+
+
+def test_numpy_integers_and_reals_are_accepted(rho0):
+    req = engines.EvolutionRequest(rho0, np.float64(1.0), np.int64(10), np.float32(1e-9), 1, np.int64(5), np.int64(3))
+    mc = engines.evolve_monte_carlo(*scaled_system(4.0), req)
+    assert mc.violations() == [] and np.array_equal(mc.entries, engines.evolve_monte_carlo(
+        *scaled_system(4.0), engines.EvolutionRequest(rho0, 1.0, 10.0, 1e-9, 1.0, 5, 3)).entries)
+
+
 def test_request_rejects_bad_gamma_arrays():
     rho = engines.DensityMatrix.basis_state(2, observables.GHZ_BASIS)
     t = np.array([0.5, 1.0, 2.0])
@@ -125,7 +162,8 @@ def test_request_and_closed_form_rho_share_the_gamma_check(system4, rho0, bad):
 def test_oracles_import_no_code_they_check():
     """tests/oracles.py, the first-order gap bound and the expm reference among its
     oracles, takes only containers, error classes and a constant from iondeco, and
-    only expm from scipy (and the dataclass decorator of its peak records)."""
+    only expm from scipy (and the dataclass decorator of its peak records, and the
+    exact arithmetic of its eigenvalue differences)."""
     tree = ast.parse(Path(oracles.__file__).read_text())
     assert {"first_order_gap_bound", "first_order_generator", "first_order_expm"} <= {
         node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -133,7 +171,7 @@ def test_oracles_import_no_code_they_check():
                 for alias in node.names}
     assert imported == {("iondeco.engines", "DensityMatrix"), ("iondeco.errors", "NumericalError"),
                         ("iondeco.model", "_SIGN_SIGNIFICANCE"), ("iondeco.model", "Spectrum"),
-                        ("scipy.linalg", "expm"), ("dataclasses", "dataclass")}
+                        ("scipy.linalg", "expm"), ("dataclasses", "dataclass"), ("fractions", "Fraction")}
     assert {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names} == {
         "math", "numpy"}
 
@@ -304,18 +342,19 @@ def test_gamma_inf_matches_unitary(system4, rho0):
 
 def test_gamma_inf_is_the_bare_phase_where_the_damping_would_overflow():
     """At alpha = 5e153 the gap D ~ 1e154 makes D^2 t overflow at t = 6.  At gamma = inf
-    the first-order factor is still the bare phase: eigen and unitary give its bits, and
-    mc (N kicks at t = N / gamma) the per-trajectory mean, with no RuntimeWarning."""
+    the first-order factor is still the bare phase of the exact differences: eigen and
+    unitary give its bits, and mc (N kicks at t = N / gamma) the per-trajectory mean,
+    with no RuntimeWarning."""
     block, spectrum = scaled_system(5e153)
     rho = experiments.initial_state()
     v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    delta = oracles.exact_differences(block)
     assert math.isinf(float(delta.max()) * float(delta.max()) * 6.0)
     bare = v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * 6.0)) @ v.T
     for name in ("eigen", "unitary"):
         assert np.array_equal(engines.evolve(name, block, spectrum, engines.EvolutionRequest(rho, 6.0)).entries, bare)
     mc = engines.evolve_monte_carlo(block, spectrum, engines.EvolutionRequest(rho, 6.0, 2.0, n_traj=200, seed=1))
-    per_trajectory = per_trajectory_monte_carlo(spectrum, rho, trajectory_kicks(6.0, 2.0, 200, 1), 2.0)
+    per_trajectory = per_trajectory_monte_carlo(block, spectrum, rho, trajectory_kicks(6.0, 2.0, 200, 1), 2.0)
     assert np.abs(mc.entries - per_trajectory).max() <= 1e-13
 
 
@@ -362,13 +401,13 @@ def test_unitary_reaches_ghz(system4, rho0, ghz_minus):
 @example(alpha=1.0000000000000002, m=1, n=3, t=1.0, seed=0)  # a rounds to 1 - 1 ulp, omega ~ 2e-8
 def test_unitary_engine_is_the_phase_transform(alpha, m, n, t, seed):
     """The unitary engine, now the reference engine at gamma = inf, applies the
-    bare phases exp(-i Delta T) exactly and agrees with U rho U^dag from a
-    dense eigensolve of the block."""
+    bare phases exp(-i Delta T) of the exact differences bit for bit and agrees with
+    U rho U^dag from a dense eigensolve of the block."""
     block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
     rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
     out = engines.evolve_unitary(block, spectrum, engines.EvolutionRequest(rho, t=t, gamma=10.0)).entries
     v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    delta = oracles.exact_differences(block)
     assert np.array_equal(out, v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * t)) @ v.T)
     w, q = np.linalg.eigh(block.entries)
     u = (q * np.exp(-1j * w * t)) @ q.conj().T
@@ -761,16 +800,16 @@ def test_all_engines_agree_at_reference_point(system4, rho0):
 # ------------------------------------------------------ batched dephasing kernel
 
 
-def per_point_transform(engine, spectrum, rho, t, gamma):
-    """The 2-D per-point transform the engines computed before batching."""
+def per_point_transform(engine, block, spectrum, rho, t, gamma):
+    """The 2-D per-point transform the engines computed before batching, on the exact differences."""
     v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    delta = oracles.exact_differences(block)
     if engine == "poisson":
         factor = np.exp(gamma * t * np.expm1(-1j * delta / gamma))
     elif engine == "unitary" or math.isinf(gamma):
         factor = np.exp(-1j * delta * t)
     else:
-        factor = np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
+        factor = np.exp(-1j * delta * t - (delta * t) * (0.5 * delta / gamma))
     return v @ ((v.T @ rho.entries @ v) * factor) @ v.T
 
 
@@ -800,7 +839,8 @@ def test_batched_engines_equal_per_point(engine, alpha):
                 for j, t in enumerate(grid):
                     one = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, float(t), gamma))
                     assert np.array_equal(batched.entries[j], one.entries)
-                    assert np.array_equal(one.entries, per_point_transform(engine, spectrum, rho0, float(t), gamma))
+                    transform = per_point_transform(engine, block, spectrum, rho0, float(t), gamma)
+                    assert np.array_equal(one.entries, transform)
                     if rho0 is mixed:
                         continue
                     for sign, target in targets.items():
@@ -847,25 +887,23 @@ def test_gamma_grid_call_equals_per_gamma_calls(engine, alpha):
 
 @pytest.mark.parametrize("engine", DEPHASING_ENGINES)
 def test_signed_zero_difference_keeps_the_bits(engine):
-    """At omega = 0 the eigenvalues are (0, -2a, 2a, -0.0), so Ep - Eq holds a -0.0
-    beside +0.0 and the gather reuses the +0.0 factor; the bits, signed zeros
-    included, are those of the factor over all 16 differences."""
+    """At omega = 0 the gap 2 (mu - a) is 0, and its entry (3, 0) of Ep - Eq takes the
+    conjugate of the factor at +0.0; the bits, signed zeros included, are those of the
+    factor over all 16 exact differences."""
     block = model.build_hamiltonian(0.0, 0.05, model.ModeIndices(1, 1))
     spectrum = model.spectrum_analytic(block)
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
-    assert np.signbit(delta[3, 0]) and not np.signbit(delta[0, 3])
     grid = np.linspace(0.0, 30.0, 11)
     for gamma in ((10.0, 1e4) if engine == "poisson" else (math.inf, 10.0)):
         for rho0 in (engines.DensityMatrix.basis_state(2, spectrum.basis_order),
                      random_state(np.random.default_rng(5), spectrum.basis_order)):
             batched = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(rho0, grid, gamma))
             for j, t in enumerate(grid):
-                one = per_point_transform(engine, spectrum, rho0, float(t), gamma)
+                one = per_point_transform(engine, block, spectrum, rho0, float(t), gamma)
                 assert batched.entries[j].view(np.uint64).tolist() == one.view(np.uint64).tolist()
 
 
 def local_first_order_factor(delta, t, gamma):
-    return np.exp(-1j * delta * t - delta * delta * t / (2.0 * gamma))
+    return np.exp(-1j * delta * t - (delta * t) * (0.5 * delta / gamma))
 
 
 def one_finite_gamma(r):
@@ -895,15 +933,16 @@ def per_time_finite_gamma(r):
        r=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
 @example(alpha=1.0000000000000002, m=1, n=3, r=0.01, seed=0)  # omega ~ 2e-8: near-degenerate differences
 def test_factor_from_distinct_differences_equals_full_factor(phi, gamma_of, alpha, m, n, r, seed):
-    """_dephased evaluates phi once per distinct |Ep - Eq|, gathers, and conjugates the
-    entries of a negative one; that has the bits of phi over all 16 differences."""
+    """_dephased evaluates phi once on each of the five gaps of the block, gathers, and
+    conjugates the entries of a negative Ep - Eq; that has the bits of phi over all 16
+    exact differences."""
     block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
     rho = random_state(np.random.default_rng(seed), spectrum.basis_order)
     t = np.linspace(0.0, 7.0, 11)
     gamma = gamma_of(r)
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    delta = oracles.exact_differences(block)
     full = engines.dephase(spectrum, rho, phi(delta, t[:, None, None], np.reshape(gamma, (-1, 1, 1))))
-    gathered = engines._dephased(spectrum, rho, t, gamma, phi)
+    gathered = engines._dephased(block, spectrum, rho, t, gamma, phi)
     assert gathered.entries.view(np.uint64).tolist() == full.view(np.uint64).tolist()
 
 
@@ -917,17 +956,15 @@ def test_factor_from_distinct_differences_equals_full_factor(phi, gamma_of, alph
 @example(factor=engines.poisson_factor, log_excess=3.0, m=5, n=5, t=[0.0, 1.0, 1e5], gamma=1e9, per_time=True)
 def test_factor_of_negated_difference_is_conjugate_bit_for_bit(factor, log_excess, m, n, t, gamma, per_time):
     """phi(-D) = conj(phi(D)) on raw bits for both factors, the identity by which
-    _dephased conjugates the entries of a negative difference; and fl(q - p) =
-    -fl(p - q), by which such a D shares the entry of |D| = fl(q - p).  One zero is
-    left out: where D t is 0 (t = 0, or D t underflows), the first-order factor is
-    (x, +0.0) at D and at -D alike, so its conjugate carries -0.0; the engines'
-    states keep their bits there (test_signed_zero_difference_keeps_the_bits)."""
+    _dephased conjugates the entries of a negative difference.  One zero is left out:
+    where D t is 0 (t = 0, or D t underflows), the first-order factor is (x, +0.0) at
+    D and at -D alike, so its conjugate carries -0.0; the engines' states keep their
+    bits there (test_signed_zero_difference_keeps_the_bits)."""
     if factor is engines.poisson_factor and math.isinf(gamma):
         gamma = 1e9  # the Poisson factor takes finite gamma only
-    _, spectrum = scaled_system(1.0 + 10.0**log_excess, model.ModeIndices(m, n))
-    e = spectrum.eigenvalues.tolist()
-    assert all((q - p).hex() == (-(p - q)).hex() for p in e for q in e if p != q)
-    delta = np.array([p - q for p in e for q in e if p - q > 0])
+    block, _ = scaled_system(1.0 + 10.0**log_excess, model.ModeIndices(m, n))
+    delta = oracles.exact_differences(block)
+    delta = delta[delta > 0]
     t = np.array(t).reshape(-1, 1)
     gamma = np.full(t.shape, gamma) if per_time else gamma
     with np.errstate(over="ignore", under="ignore"):
@@ -969,10 +1006,10 @@ def test_in_place_uniforms_equal_per_pass_formula(seed, n):
     assert np.array_equal(engines._trajectory_uniforms(seed, n), per_pass_uniforms(seed, n))
 
 
-def per_trajectory_monte_carlo(spectrum, rho, kicks, gamma):
-    """Mean over every trajectory, one state per draw."""
+def per_trajectory_monte_carlo(block, spectrum, rho, kicks, gamma):
+    """Mean over every trajectory, one state per draw, on the exact differences."""
     v = spectrum.eigenvectors
-    delta = spectrum.eigenvalues[:, None] - spectrum.eigenvalues[None, :]
+    delta = oracles.exact_differences(block)
     states = v @ ((v.T @ rho.entries @ v) * np.exp(-1j * delta * (kicks[:, None, None] / gamma))) @ v.T
     return states.mean(axis=0)
 
@@ -995,13 +1032,13 @@ def test_grouped_monte_carlo_matches_per_trajectory_mean(system4, rho0):
         req = engines.EvolutionRequest(rho, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
         result = engines.evolve_monte_carlo(block, spectrum, req)
         kicks = trajectory_kicks(t, 1.0 / r, n, seed)
-        assert np.abs(result.entries - per_trajectory_monte_carlo(spectrum, rho, kicks, 1.0 / r)).max() <= 1e-13
+        assert np.abs(result.entries - per_trajectory_monte_carlo(block, spectrum, rho, kicks, 1.0 / r)).max() <= 1e-13
         for stack_kicks in (kicks, kicks[:1], kicks[:0]):  # many distinct counts, one (N = 1), none (N = 0)
             phi = np.exp(-1j * delta * (np.unique(stack_kicks)[:, None, None] / (1.0 / r)))
             assert_stack_equals_per_state(spectrum, rho, phi)
     single = engines.evolve_monte_carlo(
         block, spectrum, engines.EvolutionRequest(rho0, t=1.0, gamma=100.0, n_traj=1, seed=3))
-    one_kick_count = per_trajectory_monte_carlo(spectrum, rho0, trajectory_kicks(1.0, 100.0, 1, 3), 100.0)
+    one_kick_count = per_trajectory_monte_carlo(block, spectrum, rho0, trajectory_kicks(1.0, 100.0, 1, 3), 100.0)
     assert np.abs(single.entries - one_kick_count).max() <= 1e-13
 
 
@@ -1177,7 +1214,8 @@ def test_monte_carlo_equals_per_trajectory_mean(alpha, m, n, state_seed, r, seed
     result = engines.evolve_monte_carlo(
         block, spectrum, engines.EvolutionRequest(rho, t=grid, gamma=1.0 / r, n_traj=n_traj, seed=seed))
     for t, entries in zip(grid.tolist(), result.entries):
-        per_trajectory = per_trajectory_monte_carlo(spectrum, rho, trajectory_kicks(t, 1.0 / r, n_traj, seed), 1.0 / r)
+        per_trajectory = per_trajectory_monte_carlo(block, spectrum, rho, trajectory_kicks(t, 1.0 / r, n_traj, seed),
+                                                    1.0 / r)
         assert np.abs(entries - per_trajectory).max() <= 1e-13
 
 

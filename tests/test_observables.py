@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iondeco import engines, experiments, observables
@@ -143,33 +143,66 @@ def test_closed_form_matches_engine_small_grid(rho0, ghz_minus, ghz_plus):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(alpha=st.floats(1.0, 20.0, exclude_min=True), r=st.floats(0.0, 0.5),
+@given(alpha=st.floats(2.0**-52, math.log(observables.MAX_ALPHA)).map(  # exp(2^-52) rounds to 1 + 2^-52
+           lambda u: min(math.exp(u), observables.MAX_ALPHA)),
+       r=st.one_of(st.floats(0.0, 0.5), st.floats(-308.0, -1.0).map(lambda x: 10.0**x)),
        t=st.floats(0.0, 2.0 * math.pi), sign=st.sampled_from(observables.SIGNS))
+@example(alpha=9e153, r=1e-307, t=0.02, sign="minus")  # the damping's D^2 overflowed here
+@example(alpha=9e153, r=1e-308, t=1.0, sign="plus")  # and 2 gamma here
+@example(alpha=1e16, r=0.0, t=math.pi / 4, sign="minus")  # mu - a and mu + a round to one float
 def test_closed_form_equals_reference_engine(alpha, r, t, sign):
-    """The corrected closed-form P(T) is an identity with the reference engine
-    over the whole parameter domain, not only at the spot-checked alphas."""
+    """The corrected closed-form P(T) is an identity with the reference engine over the whole
+    domain: alpha log-uniform in (1, MAX_ALPHA], R in [0, 0.5] or down to 1e-308.
+
+    Both are a constant, a slow term at frequency 2 and three rapid terms c_k e^{-x_k} trig(f_k T)
+    with c_mu + c_plus + c_minus = 1/2.  The engine's frequencies are the block's gaps 2 mu,
+    2 (mu + a), 2 (mu - a), mu = hypot(1, sqrt(alpha^2 - 1)) rounded, and the closed form's
+    2 alpha, 2 (alpha + 1), 2 (alpha - 1).  Their phases fl(f T) differ by at most
+    T |df| + u (f_e + f_c) T <= 3 T |df|, as u f <= ulp(f) <= |df| where df != 0 (and by 0 where
+    df = 0); sine and cosine are 1-Lipschitz, so the rapid terms differ by at most
+    (3/2) T max|df|.  The decays' exponents x agree to 2 |df| / f plus a few u relative, and
+    x e^{-x} <= 1/e, so the decays differ by a few u; the coefficients, the slow term and the
+    engine's transform differ by rounding alone, all far inside 1e-12."""
     block, spectrum = scaled_system(alpha)
     req = engines.EvolutionRequest(initial_state(), t=t, gamma=experiments.kick_rate(r))
     p = observables.p_ghz(engines.evolve_eigenbasis(block, spectrum, req), observables.ghz_state(sign))
-    assert abs(p - observables.closed_form_pghz(t, alpha, r, sign)) <= 1e-9
+    delta = oracles.exact_differences(block)
+    engine = (delta[0, 1], delta[2, 1], delta[0, 3])  # 2 mu, 2 (mu + a), 2 (mu - a)
+    closed = (2.0 * alpha, 2.0 * (alpha + 1.0), 2.0 * (alpha - 1.0))
+    bound = 1e-12 + 1.5 * t * max(abs(f_e - f_c) for f_e, f_c in zip(engine, closed))
+    assert abs(p - observables.closed_form_pghz(t, alpha, r, sign)) <= bound
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, np.array([0.5, -1e-300]), np.zeros((2, 2)), "1", 1j])
+def test_closed_forms_check_t_as_the_request_does(t):
+    """Both closed forms refuse a T that is negative, not finite, not real or not at most 1-D,
+    with the ValidationError of EvolutionRequest and no warning (T = -1 read 4.52)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^t must be finite and nonnegative") as from_request:
+            engines.EvolutionRequest(initial_state(), t)
+        with pytest.raises(ValidationError) as from_closed_form:
+            observables.closed_form_pghz(t, 4.0, 0.1, "minus")
+        with pytest.raises(ValidationError) as from_published:
+            observables.published_pghz(t, 4.0, 0.1)
+    assert str(from_closed_form.value) == str(from_published.value) == str(from_request.value)
 
 
 @pytest.mark.parametrize("alpha", [7e153, 9e153])
 def test_closed_form_keeps_its_coefficients_near_the_largest_alpha(alpha):
     """8 alpha^2 overflows from alpha = 4.74e153 and 4 alpha^2 from 6.7e153, which read
-    P(T) as 0.0; each coefficient is a ratio over alpha^2 first.  Above about 2^53 the
-    block's eigenvalues mu -/+ a both round to mu, so the engine loses the slow term
-    -/+ e^{-2 T R} sin(2 T) / 4 of the closed form; with it added back they agree.  From
-    T of about 1.1 at 9e153, -2 alpha^2 T alone would overflow, so _decay forms T R first."""
+    P(T) as 0.0; each coefficient is a ratio over alpha^2 first.  The engine keeps the slow
+    term -/+ e^{-2 T R} sin(2 T) / 4 of the closed form, since its gap 2a comes from the
+    closed form, not from eigenvalues mu -/+ a that round to one float.  From T of about
+    1.1 at 9e153, -2 alpha^2 T alone would overflow, so _decay forms T R first."""
     block, spectrum = scaled_system(alpha)
     t = np.linspace(0.0, 2.0 * math.pi, 33)
     for r in (0.0, 0.01, 0.1):
         rho = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(
             initial_state(), t=t, gamma=experiments.kick_rate(r)))
-        for sign, upper in (("minus", 1.0), ("plus", -1.0)):
-            slow = upper * np.exp(-2.0 * t * r) * np.sin(2.0 * t) / 4.0
+        for sign in observables.SIGNS:
             p = observables.p_ghz(rho, observables.GHZ_TARGETS[sign])
-            assert np.abs(p + slow - observables.closed_form_pghz(t, alpha, r, sign)).max() <= 1e-14
+            assert np.abs(p - observables.closed_form_pghz(t, alpha, r, sign)).max() <= 1e-14
         assert np.isfinite(observables.published_pghz(t, alpha, r)).all()
 
 
