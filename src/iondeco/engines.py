@@ -14,8 +14,9 @@ call over a grid of times, each with its kick-count factor, taken once per close
 * sum_k (c_k / n) exp(-i D k / gamma), the empirical characteristic function of n seeded
   Poisson draws of N, c_k of them k: evolve_monte_carlo.
 evolve_ode takes fixed-step 4th-order Runge-Kutta on the first-order generator
-drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma): n steps are the step matrix's powers 2^j,
-each applied at once to all times whose n has bit j set.  evolve(name, ...) runs the engine
+drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma): every time's shortened step is summed from 4
+shared products, then n steps are the step matrix's powers 2^j, applied at level j to each
+time whose n has bit j set.  evolve(name, ...) runs the engine
 an ENGINES name stands for.  closed_form_rho transcribes the published
 closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 """
@@ -36,8 +37,8 @@ from .model import _GAP_INDEX, _GAP_SIGN, HamiltonianBlock, Spectrum
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
 # Largest Runge-Kutta step count t/dt per call.  Binary powering makes the work
-# logarithmic in it (at most 24 levels of step powers, each one batched product over
-# the times whose step count has that bit set, then one batched shortened step), so
+# logarithmic in it (one shortened step from 4 products, then at most 24 levels of step
+# powers, each one product per time whose step count has that bit set), so
 # the budget bounds the rounding, which grows with the step count, not the time.
 MAX_ODE_STEPS = 10_000_000
 # Largest total length of the Poisson CDF tables of one Monte Carlo call.  It builds one
@@ -143,6 +144,8 @@ class EvolutionRequest:
     seed: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.initial, DensityMatrix):
+            raise ValidationError(f"initial must be a DensityMatrix, got {type(self.initial).__name__}")
         if np.shape(self.initial.entries) != (4, 4):
             raise ValidationError(f"initial must be one 4x4 density matrix, got shape {np.shape(self.initial.entries)}")
         if not any(self.initial.entries is state for state in _BASIS_STATES):
@@ -254,14 +257,22 @@ def _first_order_superoperator(h: np.ndarray, gamma: float) -> np.ndarray:
     return gen
 
 
-def _rk4_step(gen: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
-    """The classical Runge-Kutta step of length h applied to x: the identity (for the step
-    matrix), or an (N, 16, 1) stack of vectors with an (N, 1, 1) array of h.  For a linear
-    generator that step is exactly the degree-4 Taylor polynomial of exp(h gen), by Horner's rule."""
-    y = x
-    for k in (4.0, 3.0, 2.0, 1.0):
-        y = x + (h / k) * (gen @ y)
-    return y
+def _rk4_step(gen: np.ndarray, dt: float, x: np.ndarray, s: float | np.ndarray = 1.0) -> np.ndarray:
+    """The classical Runge-Kutta step of length s dt applied to x: the identity (for the step
+    matrix, s = 1), or one vector with an (N, 1) array of s, one row per s.  For a linear generator
+    that step is exactly the degree-4 Taylor polynomial sum_k (s dt gen)^k x / k!: its scaled terms
+    w_k = (dt / k) gen w_(k-1), w_0 = x, take 4 products whatever the number of s, and Horner's rule
+    in s sums them elementwise, on the real and imaginary parts alike.  Scaled, no term overflows
+    where the step itself is finite (gen^4 alone does from |gen| of about 1e77)."""
+    terms = [x]
+    for k in (1.0, 2.0, 3.0, 4.0):
+        terms.append((dt / k) * (gen @ terms[-1]))
+    y = s * terms[4].view(float)
+    for term in terms[3:0:-1]:  # y = (y + w_k) s, in place
+        y += term.view(float)
+        y *= s
+    y += x.view(float)
+    return y.view(complex)
 
 
 def default_ode_step(block: HamiltonianBlock) -> float:
@@ -275,14 +286,15 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
     """Fixed-step classical 4th-order Runge-Kutta on the first-order generator; one
     gamma per call, inf included, and no use of the spectrum.
 
-    n steps of a linear generator are the n-th power of the step matrix.  The call
-    walks the powers step^(2^j) level by level, up to the largest time, squaring
-    between levels: at level j every time whose n = int(t / dt) has bit j set takes
-    one product with step^(2^j), and at the end every time with t - n dt > 1e-15 t
-    takes the shortened step of that length.  Each time gets the same products in the
-    same order as alone, so a grid gives each time the bits of a call at that time alone.
-    States but t = 0 are re-Hermitized; a non-finite entry or a positivity breach
-    below -1e-7 is a NumericalError.
+    n steps of a linear generator are the n-th power of the step matrix, which commutes
+    with the shortened step.  The call takes the shortened step first: every time with
+    t - n dt > 1e-15 t, n = int(t / dt), gets that of length s dt, s = (t - n dt) / dt,
+    the others s = 0, all summed from 4 products on the shared initial vector.  It then
+    walks the powers step^(2^j) level by level, up to the largest time, squaring between
+    levels: at level j every time whose n has bit j set takes one product of its own
+    with step^(2^j).  Each time gets the same operations in the same order as alone, so a
+    grid gives each time the bits of a call at that time alone.  States but t = 0 are
+    re-Hermitized; a non-finite entry or a positivity breach below -1e-7 is a NumericalError.
     """
     _check_basis(block.basis_order, req.initial.basis_order)
     times = np.asarray(req.t, dtype=float).ravel()
@@ -293,16 +305,17 @@ def evolve_ode(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionReques
     gen = _first_order_superoperator(block.entries, _engine_gamma(req.gamma, finite=False, one=True))
     n_full = (times / dt).astype(np.int64)
     remainder = times - n_full * dt
-    vec = np.tile(req.initial.entries.astype(complex).reshape(16, 1), (times.size, 1, 1))
+    levels = int(n_steps).bit_length()
+    bits = n_full >> np.arange(levels)[:, None] & 1  # [j] = bit j of each time's n
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is reported by the invariant check below
+        s = np.where(remainder > 1e-15 * times, remainder / dt, 0.0)[:, None]
+        vec = _rk4_step(gen, dt, req.initial.entries.astype(complex).reshape(16), s)[:, :, None]
         power = _rk4_step(gen, dt, np.eye(16, dtype=complex))
-        for j in range(int(n_steps).bit_length()):
+        for j in range(levels):
             if j:  # step^(2^j), never squared past the last level
                 power = power @ power
-            rows = np.flatnonzero(n_full >> j & 1)
+            rows = bits[j].nonzero()[0]
             vec[rows] = power @ vec[rows]
-        rows = np.flatnonzero(remainder > 1e-15 * times)
-        vec[rows] = _rk4_step(gen, remainder[rows, None, None], vec[rows])
         rho = vec.reshape(-1, 4, 4)
         rho = np.where((times == 0.0)[:, None, None], req.initial.entries,
                        0.5 * (rho + np.swapaxes(rho, -1, -2).conj()))
@@ -543,28 +556,31 @@ def closed_form_rho(
     ket_bra = np.einsum("ip,jq->pqij", v, v.conj())  # ket_bra[p, q] = |p><q|, one product per entry
 
     def damp(freq: float):
-        # decay exponent 2 freq^2 t / gamma of the published expression; none where gamma = inf
+        # decay exponent 2 freq^2 t / gamma of the published expression; none where gamma = inf.
+        # Where 2 freq^2 t overflows (freq near MAX_ALPHA), (freq t) ((2 freq) / gamma) may not.
         with np.errstate(over="ignore", invalid="ignore"):
             exponent = 2.0 * freq * freq * t / gamma
+            exponent = np.where(np.isfinite(exponent), exponent, (freq * t) * (2.0 * freq / gamma))
         return np.where(gamma == math.inf, 0.0, exponent)
 
     apb = 0.5 * (cap_a + cap_b) ** 2
     amb = 0.5 * (cap_a - cap_b) ** 2
     cross = 0.5 * (cap_a**2 - cap_b**2)
 
+    d_minus, d_plus, d_mu, d_a = damp(mu - a), damp(mu + a), damp(mu), damp(a)
     rho = apb * (ket_bra[0, 0] + ket_bra[3, 3]) - apb * (
-        np.exp(-damp(mu - a) - 2j * (mu - a) * t) * ket_bra[0, 3]
-        + np.exp(-damp(mu - a) + 2j * (mu - a) * t) * ket_bra[3, 0]
+        np.exp(-d_minus - 2j * (mu - a) * t) * ket_bra[0, 3]
+        + np.exp(-d_minus + 2j * (mu - a) * t) * ket_bra[3, 0]
     )
     rho += amb * (
-        np.exp(-damp(mu + a) + 2j * (mu + a) * t) * ket_bra[1, 2]
-        + np.exp(-damp(mu + a) - 2j * (mu + a) * t) * ket_bra[2, 1]
+        np.exp(-d_plus + 2j * (mu + a) * t) * ket_bra[1, 2]
+        + np.exp(-d_plus - 2j * (mu + a) * t) * ket_bra[2, 1]
     )
     rho += amb * (ket_bra[1, 1] + ket_bra[2, 2])
     rho += cross * (
-        np.exp(-damp(mu) - 2j * mu * t) * (ket_bra[0, 1] - ket_bra[2, 3])
-        + np.exp(-damp(mu) + 2j * mu * t) * (ket_bra[1, 0] - ket_bra[3, 2])
-        + np.exp(-damp(a) + 2j * a * t) * (ket_bra[0, 2] - ket_bra[1, 3])
-        + np.exp(-damp(a) - 2j * a * t) * (ket_bra[2, 0] - ket_bra[3, 1])
+        np.exp(-d_mu - 2j * mu * t) * (ket_bra[0, 1] - ket_bra[2, 3])
+        + np.exp(-d_mu + 2j * mu * t) * (ket_bra[1, 0] - ket_bra[3, 2])
+        + np.exp(-d_a + 2j * a * t) * (ket_bra[0, 2] - ket_bra[1, 3])
+        + np.exp(-d_a - 2j * a * t) * (ket_bra[2, 0] - ket_bra[3, 1])
     )
     return DensityMatrix(rho, spectrum.basis_order)

@@ -39,12 +39,13 @@ def scaled_system(
     """Block and spectrum of the coupled (m, n) block, m, n >= 1, for sideband coupling a = 1, mu = alpha.
 
     Built once per (alpha, m, n) and their types, then shared read-only; a 0-d array alpha keys as its scalar."""
-    return _scaled_system(alpha[()] if isinstance(alpha, np.ndarray) else alpha, modes.m, modes.n)
+    alpha = alpha[()] if isinstance(alpha, np.ndarray) else alpha
+    observables.check_alpha(alpha)  # before the memo hashes it
+    return _scaled_system(alpha, modes.m, modes.n)
 
 
 @functools.lru_cache(maxsize=MAX_SCALED_SYSTEMS, typed=True)
 def _scaled_system(alpha: float, m: int, n: int) -> tuple[model.HamiltonianBlock, model.Spectrum]:
-    observables.check_alpha(alpha)
     if m < 1 or n < 1:
         raise ValidationError(f"the coupled four-state block requires m >= 1 and n >= 1, got m={m}, n={n}")
     block = model.build_hamiltonian(math.sqrt(alpha * alpha - 1.0), 1.0, model.ModeIndices(m, n))
@@ -111,7 +112,7 @@ def physical_units(omega_rad_s: float, alpha: float, r_values) -> UnitReport:
     """Convert (alpha, R) into the sideband coupling, kick periods, and the
     quarter-cycle interaction time for a given laser coupling."""
     observables.check_alpha(alpha)
-    if not 0.0 < omega_rad_s < math.inf:
+    if not (engines.is_real(omega_rad_s) and 0.0 < omega_rad_s < math.inf):
         raise ValidationError(f"omega must be finite and positive, got {omega_rad_s}")
     for r in r_values:
         kick_rate(r)

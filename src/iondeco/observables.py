@@ -77,6 +77,8 @@ GHZ_TARGETS = {sign: ghz_state(sign) for sign in SIGNS}  # built once at import
 def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:
     """Raw overlap tr(rho * projector), one value per state when rho holds a
     stack of states; clamp with clamp_probability for reporting."""
+    if not isinstance(target, GHZTarget):
+        raise ValidationError(f"target must be a GHZTarget (see ghz_state), got {target!r}")
     if rho.basis_order != target.basis_order:
         raise ValidationError(f"basis mismatch: {rho.basis_order} vs {target.basis_order}")
     return np.einsum("...ij,ji->...", rho.entries, target.projector).real

@@ -310,6 +310,17 @@ def test_overflowing_ode_exits_three_without_traceback(tmp_path, monkeypatch, ca
     assert err.startswith("numerical/io error:") and "non-finite entries" in err and "Traceback" not in err
 
 
+def test_ode_at_a_huge_generator_stays_finite(tmp_path, monkeypatch):
+    # max |G| = 5e79 at alpha = 1e40, R = 0.5: G^4 x overflows, the step's scaled terms (dt G)^k x / k! do not
+    argv = ["evolve", "--engine", "ode", "--alpha", "1e40", "--r", "0.5", "--dt", "1e-80", "--t-max-deg", "5.7e-74"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
+    rows = [row.split(",") for row in (tmp_path / "x.out").read_text().splitlines()[2:]]  # quantity,value
+    assert sum(name.startswith("rho[") for name, _ in rows) == 32
+    assert all(math.isfinite(float(value)) for _, value in rows)
+
+
 def test_io_error_exits_three(tmp_path, monkeypatch):
     code = run_cli(tmp_path, monkeypatch,
                    ["units", "--out", str(tmp_path / "missing_dir" / "units.csv")])
@@ -742,24 +753,25 @@ def test_ode_step_budget_exits_two_without_stepping(tmp_path, monkeypatch, capsy
     ["sweep", "--engine", "ode", "--r", "0.01", "--t-max-deg", "180", "--t-step-deg", "2"],  # 91 times
 ], ids=lambda argv: " ".join(argv))
 def test_ode_steps_a_grid_without_a_per_time_loop(tmp_path, monkeypatch, argv):
-    # one evolve_ode call builds the base step and takes one batched shortened step, whatever its grid size
+    # one evolve_ode call builds the base step on the identity and takes every time's shortened step
+    # from one 16-entry vector, the initial state, so 4 products serve the whole grid
     steps, per_call = [], []
     rk4_step, evolve_ode = engines._rk4_step, engines.evolve_ode
 
-    def counted_step(*args):
-        steps.append(args)
-        return rk4_step(*args)
+    def counted_step(gen, dt, x, *args):
+        steps.append(np.shape(x))
+        return rk4_step(gen, dt, x, *args)
 
     def counted_evolve(*args):
         before = len(steps)
         out = evolve_ode(*args)
-        per_call.append((len(steps) - before, out.entries.size // 16))
+        per_call.append((sorted(steps[before:]), out.entries.size // 16))
         return out
 
     monkeypatch.setattr(engines, "_rk4_step", counted_step)
     monkeypatch.setattr(engines, "evolve_ode", counted_evolve)
     assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 0
-    assert per_call and all(calls <= 2 for calls, _ in per_call)
+    assert per_call and all(shapes == [(16,), (16, 16)] for shapes, _ in per_call)
     assert max(times for _, times in per_call) == (1 if argv[0] == "evolve" else 91)
 
 

@@ -72,6 +72,10 @@ WRONG_TYPES = {
     "gamma=[1j]": lambda rho: engines.EvolutionRequest(rho, np.ones(1), [1j]),
     "scaled_system('4')": lambda rho: scaled_system("4"),
     "closed_form_pghz(r='0')": lambda rho: observables.closed_form_pghz(1.0, 4.0, "0", "minus"),
+    "EvolutionRequest(array)": lambda rho: engines.EvolutionRequest(np.eye(4) / 4, 1.0),  # not a DensityMatrix
+    "p_ghz(rho, 'minus')": lambda rho: observables.p_ghz(rho, "minus"),  # a sign, not a GHZTarget
+    "physical_units('8.95e6')": lambda rho: experiments.physical_units("8.95e6", 4.0, (0.01,)),
+    "scaled_system([4.0])": lambda rho: scaled_system([4.0]),  # unhashable, the memo's key
 }
 
 
@@ -566,7 +570,7 @@ def restart_rk4(block, rho, t, gamma, dt):
     for _ in range(n_full):
         vec = step @ vec
     if remainder > 1e-15 * t:
-        vec = engines._rk4_step(gen, remainder, vec)
+        vec = engines._rk4_step(gen, dt, vec, remainder / dt)
     out = vec.reshape(4, 4)
     return 0.5 * (out + out.conj().T)
 
@@ -575,22 +579,27 @@ def test_ode_grid_march_equals_restarts(system4):
     """An unsorted grid, with repeated times and t = 0, gives each time the bits of a
     call at that time alone, and each of those is within rounding of a stepwise run.
 
-    Both compute the power step^n, n = int(t / dt), then the same shortened step, on
-    vec(rho0) with ||vec(rho0)||_2 = ||rho0||_F <= 1.  Take the matrix-vector rounding
-    bound: a 16-term complex product A x errs by at most c ||x||_2 with c = 16u,
-    u = 2^-53, when ||A||_2 <= 1 (to first order in u).  The step is normal, so
-    ||step||_2 = max |p(z)| over z = dt x eigenvalue of the generator.  On the
-    imaginary axis |p(z)| <= 1 (gamma = inf) and a damping Re z < 0 lowers it, so
-    no power of the step amplifies an error; evaluating |p(z)| can still read 1 ulp
-    above 1, and the bound carries the growth s^n of the computed s = max(1, |p(z)|).
-    * The stepwise run makes n products: at most n c off step^n x.
+    Both take n = int(t / dt) steps and the shortened step of length f dt,
+    f = (t - n dt) / dt in [0, 1], on vec(rho0) with ||vec(rho0)||_2 = ||rho0||_F <= 1:
+    the stepwise run the n steps first, the engine the shortened step first.  Both are
+    polynomials in the generator G, so they commute in exact arithmetic.  Take the
+    matrix-vector rounding bound: a 16-term complex product A x errs by at most
+    c ||A||_2 ||x||_2 with c = 16u, u = 2^-53 (to first order in u).  G is normal and
+    every z = dt x eigenvalue of G lies in the left half-disk |z| <= a = 1/2 (asserted
+    below), where the step polynomial has |p(z)| <= 1 and |p(f z)| <= 1, so neither
+    step amplifies an error; evaluating |p(z)| can still read 1 ulp above 1, and the
+    bound carries the growth s^n of the computed s = max(1, |p(z)|).
+    * The shortened step forms w_k = (dt / k) G w_(k-1), w_0 = x, ||w_k||_2 <= a^k / k!.
+      w_k takes an error of at most c a^k / (k - 1)!, so the 4 products add at most
+      c a e^a < c; the Horner sum in f rounds each entry at most 8 times, adding at
+      most 8 u e^a < c more: under 2 c in each run, within the 4 c allowed for it.
+    * The stepwise run then makes n products: at most n c.
     * The engine's ladder[j] is off step^(2^j) by e_j, where e_0 = 0 and a squaring
       gives e_(j+1) <= 2 e_j + c, so e_j <= (2^j - 1) c.  Applying it adds
       e_j + c = 2^j c, and over the set bits of n that sums to n c.
-    * The shortened step is 4 products in each: at most 4 c more in each.
     Re-Hermitizing does not grow the Frobenius norm, which bounds the largest entry,
-    so the two differ by at most 2 (n + 4) c: 7.1e-12 at n = 2000, against a gap of
-    5.3e-14 there.
+    so the two differ by at most 2 (n + 4) c s^n: 7.1e-12 at n = 2000, against a gap
+    of 5.3e-14 there.
     """
     block, spectrum = system4
     dt, c = 1e-3, 16.0 * 2.0**-53
@@ -598,6 +607,7 @@ def test_ode_grid_march_equals_restarts(system4):
     grid = np.concatenate([np.linspace(0.0, 2.0, 9), [1.3, 0.0, 0.25, 1.3, 2.0 / 3.0]])
     for gamma in (10.0, math.inf):
         zs = dt * np.linalg.eigvals(oracles.first_order_generator(block, gamma))
+        assert np.abs(zs).max() <= 0.5 and zs.real.max() <= 1e-12
         s = max(1.0, np.abs(1 + zs + zs**2 / 2 + zs**3 / 6 + zs**4 / 24).max())
         for rho in (experiments.initial_state(), mixed):
             together = engines.evolve("ode", block, spectrum, engines.EvolutionRequest(rho, grid, gamma, dt=dt))
@@ -771,6 +781,21 @@ def test_closed_form_rho_matches_reference_engine(system4, rho0):
     lit = engines.closed_form_rho(block, spectrum, t=math.pi / 4, gamma=100.0)
     ref = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, t=math.pi / 4, gamma=100.0))
     assert np.abs(lit.entries - ref.entries).max() <= 1e-9
+
+
+def test_closed_form_rho_damps_without_overflow():
+    """At alpha = 9.4e153, R = 1e-308 (gamma = 1e308), 2 freq^2 t overflows from T of about 1
+    while the decay exponent 2 freq^2 t / gamma stays near 3.5 at T = 2: the published rho(t)
+    keeps the moduli of the reference engine's eigenbasis entries there (|rho_01| = 0.0073, not 0)
+    as at T = 0.5.  Their phases, some u |D| t off, are rounding at this alpha."""
+    block, spectrum = scaled_system(9.4e153)
+    v, gamma = spectrum.eigenvectors, experiments.kick_rate(1e-308)
+    t = np.array([0.5, 2.0])
+    lit = v.T @ engines.closed_form_rho(block, spectrum, t, gamma).entries @ v
+    req = engines.EvolutionRequest(experiments.initial_state(), t, gamma)
+    ref = v.T @ engines.evolve_eigenbasis(block, spectrum, req).entries @ v
+    assert np.abs(np.abs(lit) - np.abs(ref)).max() <= 1e-12
+    assert abs(lit[1, 0, 1]) == pytest.approx(0.007294, abs=1e-6)
 
 
 def test_closed_form_rho_rejects_degenerate_couplings(system4):
