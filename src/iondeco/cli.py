@@ -13,7 +13,6 @@ import math
 import os
 import stat
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -179,7 +178,7 @@ def _metadata_line(command: str, config: dict) -> str:
     return "# " + " ".join(parts)
 
 
-def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int:
+def emit_csv(metadata: str, header: list[str], columns: list, dest: str) -> int:
     """Write a deterministic CSV: metadata line, header, then one line per row
     of the given columns, with 9-significant-digit numbers and LF terminators.
     Each row is one %-format: a float array column takes %.9g over tolist(),
@@ -190,7 +189,7 @@ def emit_csv(metadata: str, header: list[str], columns: list, dest: Path) -> int
     return _emit_text(metadata, [",".join(header)] + [row_format % row for row in zip(*cells)], dest)
 
 
-def _emit_text(metadata: str, body: list[str], dest: Path) -> int:
+def _emit_text(metadata: str, body: list[str], dest: str) -> int:
     data = "\n".join([metadata, *body, ""]).encode("utf-8")
     # Overwrite in place and cut only a longer old file: on ext4 an O_TRUNC of an existing file
     # frees its blocks and (auto_da_alloc) flushes it at close, far slower than the write itself.
@@ -233,7 +232,7 @@ def _require_unit_block(config: dict, command: str) -> None:
         raise ValidationError(f"{command} is defined on the m=1, n=1 block; got m={config['m']}, n={config['n']}")
 
 
-def _cmd_sweep(config: dict, out: Path) -> str:
+def _cmd_sweep(config: dict, out: str) -> str:
     _require_unit_block(config, "sweep")
     series = experiments.sweep(config["alpha"], config["r"], _t_grid_rad(config), config["engine"],
                                dt=config["dt"], tail_tol=config["tail_tol"], n_traj=config["n_traj"],
@@ -250,7 +249,7 @@ def _cmd_sweep(config: dict, out: Path) -> str:
     return f"sweep: {series.t_rad.size} grid points x {len(config['r'])} R values -> {out} ({n} bytes)"
 
 
-def _cmd_table1(config: dict, out: Path) -> str:
+def _cmd_table1(config: dict, out: str) -> str:
     _require_unit_block(config, "table1")
     rows = experiments.table1(config["omega_rad_s"], config["alpha"])
     header = ["r", "inv_gamma_ns", "p_quarter", "published_quarter", "dev_quarter",
@@ -264,7 +263,7 @@ def _cmd_table1(config: dict, out: Path) -> str:
     return f"table1: {len(rows)} rows, worst pi/4 deviation {worst:.4f} -> {out} ({n} bytes)"
 
 
-def _cmd_units(config: dict, out: Path) -> str:
+def _cmd_units(config: dict, out: str) -> str:
     report = experiments.physical_units(config["omega_rad_s"], config["alpha"], config["r"])
     header = ["r", "inv_gamma_ns"]
     columns = [config["r"], [report.inv_gamma_ns[r] for r in config["r"]]]
@@ -275,7 +274,7 @@ def _cmd_units(config: dict, out: Path) -> str:
             f" -> {out} ({n} bytes)")
 
 
-def _cmd_audit(config: dict, out: Path) -> str:
+def _cmd_audit(config: dict, out: str) -> str:
     report = experiments.audit(config["alpha"])
     quarter, three_quarter = report.published_formula_quarter, report.published_formula_three_quarter
     body = [
@@ -299,11 +298,19 @@ def _cmd_audit(config: dict, out: Path) -> str:
     return f"audit: transcription max dev {report.transcription_max_dev:.3e} -> {out} ({n} bytes)"
 
 
-# labels of the rho.entries values, row-major with re before im
-_RHO_LABELS = [f"rho[{i}][{j}].{part}" for i in range(4) for j in range(4) for part in ("re", "im")]
+@functools.lru_cache(maxsize=experiments.MAX_SCALED_SYSTEMS)  # as many as the scaled systems kept beside it
+def _evolve_labels(m: int, n: int) -> tuple[str, ...]:
+    """The quantity column of an evolve in the (m, n) block, built once per (m, n); the rho.entries
+    labels come last, row-major with re before im."""
+    labels = ["t_scaled_rad", "r", "purity"]
+    labels += [f"population[{s.replace(',', ':')}]" for s in model.ModeIndices(m, n).basis_order()]
+    if (m, n) == (1, 1):
+        labels += [f"p_ghz_{sign}" for sign in observables.GHZ_TARGETS]
+    labels += [f"rho[{i}][{j}].{part}" for i in range(4) for j in range(4) for part in ("re", "im")]
+    return tuple(labels)
 
 
-def _cmd_evolve(config: dict, out: Path) -> str:
+def _cmd_evolve(config: dict, out: str) -> str:
     modes = model.ModeIndices(config["m"], config["n"])
     # scaled units: sideband coupling 1, so t = T and gamma = 1/R
     block, spectrum = experiments.scaled_system(config["alpha"], modes)
@@ -318,15 +325,13 @@ def _cmd_evolve(config: dict, out: Path) -> str:
     )
     rho = engines.evolve(config["engine"], block, spectrum, req)
 
-    labels = ["t_scaled_rad", "r", "purity"] + [f"population[{s.replace(',', ':')}]" for s in modes.basis_order()]
     values = [[t_scaled, r, observables.purity(rho)], observables.populations(rho)]
     if (modes.m, modes.n) == (1, 1):
-        labels += [f"p_ghz_{sign}" for sign in observables.GHZ_TARGETS]
         values.append([observables.clamp_probability(observables.p_ghz(rho, target))
                        for target in observables.GHZ_TARGETS.values()])
-    values.append(np.stack((rho.entries.real, rho.entries.imag), axis=-1).ravel())
+    values.append(rho.entries.ravel().view(float))  # each entry's (re, im) pair
     n = emit_csv(_metadata_line("evolve", config), ["quantity", "value"],
-                 [labels + _RHO_LABELS, np.concatenate(values)], out)
+                 [_evolve_labels(modes.m, modes.n), np.concatenate(values)], out)
     return f"evolve: engine={config['engine']} T={config['t_max_deg']:g} deg R={_fmt(r)} -> {out} ({n} bytes)"
 
 
@@ -348,7 +353,7 @@ def run(command: str, config: dict) -> str:
                 or isinstance(value, tuple) and not all(map(math.isfinite, value))):
             raise ValidationError(f"{key} must be finite, got {_fmt(value)}")
     function, default_out, _ = COMMANDS[command]
-    return function(config, Path(config["out"] or default_out))
+    return function(config, config["out"] or default_out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -359,8 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         file_text = None
         if args.config is not None:
             try:
-                file_text = Path(args.config).read_text(encoding="utf-8")
-            except OSError as exc:
+                with open(args.config, encoding="utf-8") as file:
+                    file_text = file.read()
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
         config = parse_config(file_text, {key: getattr(args, key) for key in CONFIG_SPEC})
         print(run(args.command, config))

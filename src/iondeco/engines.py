@@ -24,7 +24,6 @@ closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import _GAP_INDEX, _GAP_SIGN, HamiltonianBlock, Spectrum
+from .model import _GAP_INDEX, _GAP_SIGN, HamiltonianBlock, Spectrum, is_integer, is_real
 
 # Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
 MAX_TRAJECTORIES = 10_000_000
@@ -66,7 +65,9 @@ class DensityMatrix:
         to 1e-12.  A Cholesky factorisation of H - psd_floor I, H the Hermitian part, certifies that no eigenvalue
         lies below the floor, to u |H| as eigvalsh does; only where it fails does eigvalsh decide and report."""
         out = []
-        rho = self.entries
+        rho = np.asarray(self.entries)
+        if rho.dtype.kind not in "iufc" or rho.shape[-2:] != (4, 4):  # no further check is defined on them either
+            return [f"entries must be numbers of shape (4, 4) or (N, 4, 4), got {rho.dtype} of shape {rho.shape}"]
         if not np.isfinite(rho).all():  # no further check, and no factorisation, is defined on them
             return ["non-finite entries"]
         rho_h = np.swapaxes(rho, -1, -2).conj()
@@ -98,24 +99,25 @@ _BASIS_STACK.flags.writeable = False
 _BASIS_STATES = tuple(_BASIS_STACK)  # views of a read-only array, which no caller can make writable
 
 
-def is_real(value) -> bool:
-    """Whether value is a real number (a bool is one); a float, the common case, skips the slower ABC check."""
-    return type(value) is float or isinstance(value, numbers.Real)
+def check_times(t) -> float | np.ndarray:
+    """t once it is checked to be a real scalar or 1-D array of finite, nonnegative times: a float as
+    it is, checked without numpy, and any other t as a float array."""
+    if type(t) is float:
+        if 0.0 <= t < math.inf:
+            return t
+    else:
+        times = np.asarray(t)
+        if times.dtype.kind in "iuf" and times.ndim <= 1 and np.all(np.isfinite(times) & (times >= 0)):
+            return times.astype(float, copy=False)
+    raise ValidationError(f"t must be finite and nonnegative (a real scalar or a 1-D array), got {t}")
 
 
-def check_times(t) -> np.ndarray:
-    """t as a float array, once it is checked to be a real scalar or 1-D array of finite, nonnegative times."""
-    times = np.asarray(t)
-    if times.dtype.kind not in "iuf" or times.ndim > 1 or not np.all(np.isfinite(times) & (times >= 0)):
-        raise ValidationError(f"t must be finite and nonnegative (a real scalar or a 1-D array), got {t}")
-    return times.astype(float, copy=False)
-
-
-def _positive_gamma(gamma: float | np.ndarray, t: np.ndarray) -> float | np.ndarray:
+def _positive_gamma(gamma: float | np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
     """gamma as given, or as a float array of one value per time of t; each positive or inf."""
     scalar = isinstance(gamma, (int, float))  # one gamma, checked without numpy
     gamma = gamma if scalar else np.asarray(gamma)
-    if not (gamma > 0 if scalar else gamma.dtype.kind in "iuf" and gamma.shape in ((), t.shape) and (gamma > 0).all()):
+    if not (gamma > 0 if scalar
+            else gamma.dtype.kind in "iuf" and gamma.shape in ((), np.shape(t)) and (gamma > 0).all()):
         raise ValidationError(f"gamma must be positive (or inf), one value or one per time of t, got {gamma}")
     return gamma if scalar else gamma.astype(float, copy=False)
 
@@ -156,8 +158,7 @@ class EvolutionRequest:
         if self.dt is not None and not (is_real(self.dt) and 0.0 < self.dt < math.inf):
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         for name, value in (("n_traj", self.n_traj), ("seed", self.seed)):
-            if value is not None and type(value) is not int and (
-                    isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            if value is not None and not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_traj is not None and not 1 <= self.n_traj <= MAX_TRAJECTORIES:
             raise ValidationError(f"n_traj must lie in [1, {MAX_TRAJECTORIES}], got {self.n_traj}")
@@ -544,7 +545,8 @@ def closed_form_rho(
     a, mu, omega = block.a, block.mu, block.omega
     if not (a > 0 and omega > 0):
         raise ValidationError("transcription requires a > 0 and omega > 0")
-    gamma = _positive_gamma(gamma, np.asarray(t, dtype=float))
+    t = check_times(t)
+    gamma = _positive_gamma(gamma, t)
     cap_a = math.sqrt((mu + omega) / (4.0 * mu))
     cap_b = a / math.sqrt(4.0 * mu * (mu + omega))  # B^2 = (mu - omega) / (4 mu) without the cancellation
 

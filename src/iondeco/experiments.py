@@ -85,7 +85,7 @@ def sweep(alpha: float, r_values, t_grid, engine: str, **controls) -> TimeSeries
         raise ValidationError(f"engine must be one of {tuple(engines.ENGINES)}, got {engine!r}")
     block, spectrum = scaled_system(alpha)
     gammas = [kick_rate(r) for r in r_values]
-    t_rad = np.array(t_grid, dtype=float)
+    t_rad = np.array(engines.check_times(t_grid))  # a copy of its own
     if t_rad.size > 1 and not np.all(np.diff(t_rad) > 0):
         raise ValidationError("t_grid must be strictly increasing")
     req = engines.EvolutionRequest(initial_state(), t_rad, math.inf, **controls)  # each R sets its own gamma

@@ -16,6 +16,7 @@ angular frequencies in rad/s.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ _GAP_SIGN = np.array([[1.0, 1.0, -1.0, 1.0], [-1.0, 1.0, -1.0, -1.0], [1.0, 1.0,
 _GAP_INDEX.flags.writeable = _GAP_SIGN.flags.writeable = False
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number (a bool is one); a float, the common case, skips the slower ABC check."""
+    return type(value) is float or isinstance(value, numbers.Real)
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer and not a bool; an int, the common case, skips the slower ABC check."""
+    return type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 @dataclass(frozen=True)
 class ModeIndices:
     """Vibrational quantum number m and cavity photon number n of the upper pair."""
@@ -38,6 +49,8 @@ class ModeIndices:
     n: int
 
     def __post_init__(self):
+        if not (is_integer(self.m) and is_integer(self.n)):
+            raise ValidationError(f"quantum numbers must be integers, got m={self.m!r}, n={self.n!r}")
         if self.m < 0 or self.n < 0:
             raise ValidationError(f"quantum numbers must be nonnegative, got m={self.m}, n={self.n}")
 
@@ -83,7 +96,7 @@ def build_hamiltonian(omega: float, a: float, modes: ModeIndices) -> Hamiltonian
     error.
     """
     for name, value in (("omega", omega), ("a", a)):
-        if not 0 <= value < math.inf:
+        if not (is_real(value) and 0 <= value < math.inf):
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
     h = np.zeros((4, 4))
     h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = omega

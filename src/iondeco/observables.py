@@ -87,6 +87,8 @@ def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:
 def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
     """Reporting-layer clamp to [0, 1], elementwise on arrays; raw values stay
     available upstream.  Like min(max(value, 0), 1) it keeps -0.0 and NaN."""
+    if not (is_real(value) or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        raise ValidationError(f"a probability must be real, got {value!r}")
     return np.clip(value, 0.0, 1.0)
 
 
@@ -159,5 +161,5 @@ def purity(rho: DensityMatrix) -> float | np.ndarray:
 
 
 def populations(rho: DensityMatrix) -> np.ndarray:
-    """Diagonal occupations in the block basis."""
-    return np.diag(rho.entries).real.copy()
+    """Diagonal occupations in the block basis, one row per state when rho holds a stack of states."""
+    return np.diagonal(rho.entries, axis1=-2, axis2=-1).real.copy()

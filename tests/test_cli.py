@@ -145,7 +145,7 @@ def test_cached_system_carries_nothing_between_calls(tmp_path, monkeypatch):
     for array in (block.entries, spectrum.eigenvalues, spectrum.eigenvectors):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    for m, n in ((2, 3), (1, 1), (1.0, 1.0)):  # equal ModeIndices of another type keep their own labels
+    for m, n in ((2, 3), (1, 1), (np.int64(1), np.int64(1))):  # equal ModeIndices of another type keep their labels
         modes = model.ModeIndices(m, n)
         for _ in range(2):
             assert experiments.scaled_system(4.0, modes)[0].basis_order == modes.basis_order()
@@ -263,6 +263,14 @@ def test_flags_parse_like_the_config_file(tmp_path, monkeypatch):
 
 def test_missing_config_file_exits_one(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch, ["sweep", "--config", "nope.cfg"]) == 1
+
+
+def test_config_file_not_in_utf8_exits_one(tmp_path, monkeypatch, capsys):
+    """A config file that does not decode is a usage error, not a traceback."""
+    (tmp_path / "latin1.cfg").write_bytes("alpha = 4 # \xb5\n".encode("latin-1"))
+    assert run_cli(tmp_path, monkeypatch, ["units", "--config", "latin1.cfg", "--out", "u.csv"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config file latin1.cfg: 'utf-8' codec")
+    assert not (tmp_path / "u.csv").exists()
 
 
 @pytest.mark.parametrize("engine", ["eigen", "poisson", "unitary"])
@@ -405,6 +413,42 @@ def test_rewrite_over_longer_file_leaves_only_new_bytes(tmp_path, monkeypatch):
     assert run_cli(tmp_path, monkeypatch, sweep_args("a.csv")) == 0
     assert (tmp_path / "a.csv").read_bytes() == fresh
     assert (tmp_path / "a.csv").stat().st_ino == inode  # overwritten in place
+
+
+@pytest.mark.parametrize("command", ["evolve", "units"])
+@pytest.mark.parametrize("out,path", [("./x.csv", "x.csv"), ("sub//x.csv", "sub/x.csv")])
+def test_out_is_written_and_echoed_as_typed(tmp_path, monkeypatch, capsys, command, out, path):
+    """The output path goes to os.open as the string given: it writes the file the path names,
+    whose bytes are those of a run naming that file plainly but for the metadata's out=, and the
+    summary echoes the argument as typed."""
+    (tmp_path / "sub").mkdir()
+    argv = [command, "--r", "0.05", "--t-max-deg", "30", "--out"]
+    assert run_cli(tmp_path, monkeypatch, argv + [path]) == 0
+    plain = (tmp_path / path).read_bytes()
+    (tmp_path / path).unlink()
+    capsys.readouterr()
+    assert run_cli(tmp_path, monkeypatch, argv + [out]) == 0
+    data = (tmp_path / path).read_bytes()
+    assert data == plain.replace(f" out={path}".encode(), f" out={out}".encode(), 1) != plain
+    assert capsys.readouterr().out.endswith(f" -> {out} ({len(data)} bytes)\n")
+
+
+def test_evolve_labels_are_kept_per_m_n_within_the_system_bound(tmp_path, monkeypatch):
+    """The label column is built once per (m, n) and kept for at most as many (m, n) as the
+    scaled systems beside it; an evicted (m, n) is built again with the same labels."""
+    argv = ["evolve", "--m", "2", "--n", "3", "--r", "0.05", "--t-max-deg", "30", "--out", "e.csv"]
+    assert run_cli(tmp_path, monkeypatch, argv) == 0
+    column = [line.split(",")[0] for line in (tmp_path / "e.csv").read_text().splitlines()[2:]]
+    assert list(cli._evolve_labels(2, 3)) == column and "population[e:1:2]" in column
+    hits = cli._evolve_labels.cache_info().hits
+    assert run_cli(tmp_path, monkeypatch, argv) == 0
+    assert cli._evolve_labels.cache_info().hits == hits + 1
+    for m in range(1, 13):
+        for n in range(1, 13):  # 144 pairs
+            cli._evolve_labels(m, n)
+            assert cli._evolve_labels.cache_info().currsize <= experiments.MAX_SCALED_SYSTEMS
+    assert cli._evolve_labels.cache_info().maxsize == experiments.MAX_SCALED_SYSTEMS
+    assert list(cli._evolve_labels(2, 3)) == column
 
 
 def test_out_to_devnull_exits_zero(tmp_path, monkeypatch):

@@ -76,6 +76,14 @@ WRONG_TYPES = {
     "p_ghz(rho, 'minus')": lambda rho: observables.p_ghz(rho, "minus"),  # a sign, not a GHZTarget
     "physical_units('8.95e6')": lambda rho: experiments.physical_units("8.95e6", 4.0, (0.01,)),
     "scaled_system([4.0])": lambda rho: scaled_system([4.0]),  # unhashable, the memo's key
+    "ModeIndices(1.5, 1)": lambda rho: model.ModeIndices(1.5, 1),  # built the basis g,1.5,1 ... g,0.5,0
+    "ModeIndices(1.0, 1)": lambda rho: model.ModeIndices(1.0, 1),
+    "ModeIndices(True, 2)": lambda rho: model.ModeIndices(True, 2),  # built g,True,2
+    "ModeIndices('1', 1)": lambda rho: model.ModeIndices("1", 1),
+    "build_hamiltonian('1')": lambda rho: model.build_hamiltonian("1", 1.0, model.ModeIndices(1, 1)),
+    "clamp_probability('1')": lambda rho: observables.clamp_probability("1"),
+    "clamp_probability(1j)": lambda rho: observables.clamp_probability(1j),  # returned 1j
+    "sweep(t_grid=['x'])": lambda rho: experiments.sweep(4.0, (0.1,), ["x"], "eigen"),
 }
 
 
@@ -95,6 +103,45 @@ def test_numpy_integers_and_reals_are_accepted(rho0):
     mc = engines.evolve_monte_carlo(*scaled_system(4.0), req)
     assert mc.violations() == [] and np.array_equal(mc.entries, engines.evolve_monte_carlo(
         *scaled_system(4.0), engines.EvolutionRequest(rho0, 1.0, 10.0, 1e-9, 1.0, 5, 3)).entries)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(t=st.one_of(st.floats(), st.floats(-1e-300, 1e-300)))
+@example(t=-0.0)
+@example(t=-1e-300)
+@example(t=-5e-324)
+@example(t=math.nan)
+@example(t=-math.inf)
+@example(t=math.inf)
+@example(t=1.7976931348623157e308)
+def test_a_float_t_is_refused_where_and_as_the_array_check_refuses_it(rho0, t):
+    """A float t skips numpy; its np.float64, which takes the array check, gets the same
+    outcome: both refused with one message, or both accepted with the same bits."""
+    def outcome(value):
+        try:
+            return engines.check_times(value)
+        except ValidationError as exc:
+            return str(exc)
+
+    fast, checked = outcome(t), outcome(np.float64(t))
+    if isinstance(checked, str):
+        assert fast == checked and checked.startswith("t must be finite and nonnegative")
+        with pytest.raises(ValidationError, match=re.escape(checked)):
+            engines.EvolutionRequest(rho0, t)
+    else:
+        assert type(fast) is float and np.float64(fast).tobytes() == checked.tobytes()
+        assert engines.EvolutionRequest(rho0, t).t is t
+
+
+def test_a_float_t_is_checked_without_numpy(monkeypatch):
+    def no_numpy(*args, **kwargs):
+        raise AssertionError("numpy was called")
+
+    for name in ("asarray", "isfinite", "all"):
+        monkeypatch.setattr(engines.np, name, no_numpy)
+    assert engines.check_times(1.5) == 1.5
+    with pytest.raises(ValidationError, match="got -1e-300$"):
+        engines.check_times(-1e-300)
 
 
 def test_request_rejects_bad_gamma_arrays():

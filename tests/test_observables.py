@@ -175,8 +175,9 @@ def test_closed_form_equals_reference_engine(alpha, r, t, sign):
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, np.array([0.5, -1e-300]), np.zeros((2, 2)), "1", 1j])
 def test_closed_forms_check_t_as_the_request_does(t):
-    """Both closed forms refuse a T that is negative, not finite, not real or not at most 1-D,
-    with the ValidationError of EvolutionRequest and no warning (T = -1 read 4.52)."""
+    """Both closed forms of P(T) and the published rho(t) refuse a T that is negative, not finite,
+    not real or not at most 1-D, with the ValidationError of EvolutionRequest and no warning
+    (T = -1 read 4.52, and rho(-1) had an eigenvalue of -28.8)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="^t must be finite and nonnegative") as from_request:
@@ -185,7 +186,9 @@ def test_closed_forms_check_t_as_the_request_does(t):
             observables.closed_form_pghz(t, 4.0, 0.1, "minus")
         with pytest.raises(ValidationError) as from_published:
             observables.published_pghz(t, 4.0, 0.1)
-    assert str(from_closed_form.value) == str(from_published.value) == str(from_request.value)
+        with pytest.raises(ValidationError) as from_rho:
+            engines.closed_form_rho(*scaled_system(4.0), t, 10.0)
+    assert str(from_closed_form.value) == str(from_published.value) == str(from_rho.value) == str(from_request.value)
 
 
 @pytest.mark.parametrize("alpha", [7e153, 9e153])
@@ -251,6 +254,17 @@ def test_purity_and_populations(system4, rho0):
     assert pops[1] == pytest.approx(0.5, abs=1e-9)
     assert pops[2] == pytest.approx(0.5, abs=1e-9)
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_populations_of_a_stack_are_those_of_each_state(system4, rho0):
+    """One row per state, each with the bits of that state alone; a stack no longer raises."""
+    block, spectrum = system4
+    stack = engines.evolve_eigenbasis(block, spectrum, engines.EvolutionRequest(rho0, np.linspace(0.0, 3.0, 7), 2.0))
+    rows = observables.populations(stack)
+    assert rows.shape == (7, 4) and rows.flags.writeable
+    for row, entries in zip(rows, stack.entries):
+        assert row.tolist() == observables.populations(engines.DensityMatrix(entries, stack.basis_order)).tolist()
+        assert row.tolist() == np.diag(entries).real.tolist()
 
 
 def test_purity_range_under_dephasing(system4, rho0):
