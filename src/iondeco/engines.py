@@ -116,7 +116,7 @@ def _positive_gamma(gamma: float | np.ndarray, t: float | np.ndarray) -> float |
     """gamma as given, or as a float array of one value per time of t; each positive or inf."""
     scalar = isinstance(gamma, (int, float))  # one gamma, checked without numpy
     gamma = gamma if scalar else np.asarray(gamma)
-    if not (gamma > 0 if scalar
+    if not (is_real(gamma) and gamma > 0 if scalar
             else gamma.dtype.kind in "iuf" and gamma.shape in ((), np.shape(t)) and (gamma > 0).all()):
         raise ValidationError(f"gamma must be positive (or inf), one value or one per time of t, got {gamma}")
     return gamma if scalar else gamma.astype(float, copy=False)
@@ -340,18 +340,22 @@ _worker = None  # the two-thread pool that draws the chunks, started by the firs
 _worker_lock = threading.Lock()
 
 
-def _trajectory_uniforms(seed: int, hi: int, lo: int = 0) -> np.ndarray:
-    """One uniform in [0,1) per trajectory of index lo..hi-1, a pure function of (seed, index)."""
+def _trajectory_bits(seed: int, hi: int, lo: int = 0) -> np.ndarray:
+    """The 64-bit mix of each trajectory of index lo..hi-1, a pure function of (seed, index): its top
+    53 bits z make its uniform z 2**-53 in [0,1), and its top 32 bits its sort key."""
     z = np.arange(lo + 1, hi + 1, dtype=np.uint64)  # every pass in place on one buffer
     z *= _SM64_GAMMA
     z += np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)  # int: a numpy seed would not take the mask
-    z ^= z >> np.uint64(30)
-    z *= _SM64_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _SM64_MIX2
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z.astype(np.float64) * 2.0**-53
+    # Each xor-shift takes half of z at a time, so that a worker's blocks, with its keys, stay below
+    # glibc's trim threshold (twice the largest block freed); at z's size they did not, and the
+    # heap's top went back to the system and page-faulted anew on every draw.
+    halves = z[: z.size // 2], z[z.size // 2:]
+    for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2), (31, None)):
+        for half in halves:
+            half ^= half >> np.uint64(shift)
+        if mix is not None:
+            z *= mix
+    return z
 
 
 def _chunk_count(n: int) -> int:
@@ -380,22 +384,45 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _sorted_uniforms(seed: int, lo: int, hi: int) -> np.ndarray:
-    """The uniforms of trajectories lo..hi-1, sorted; numpy releases the interpreter lock to draw and sort them."""
-    uniforms = _trajectory_uniforms(seed, hi, lo)
-    uniforms.sort()
-    return uniforms
+def _sorted_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The keys of trajectories lo..hi-1, sorted as uint32, half the bytes of their float uniforms and
+    faster to sort; numpy releases the interpreter lock to draw and sort them."""
+    z = _trajectory_bits(seed, hi, lo)
+    z >>= np.uint64(32)
+    keys = z.astype(np.uint32)
+    keys.sort()
+    return keys
 
 
 def _sorted_chunks(seed: int, n: int) -> list[np.ndarray]:
-    """The n trajectory uniforms in _chunk_count(n) sorted chunks of consecutive indices, none
+    """The n trajectory keys in _chunk_count(n) sorted chunks of consecutive indices, none
     empty, drawn at once on the worker threads while this thread waits: the fresh arrays of a
     calling thread page-fault on every call where a worker thread's memory arena keeps its pages."""
     chunks = min(_chunk_count(n), n)
     cuts = [n * j // chunks for j in range(chunks + 1)]
     pool = _pool()
-    jobs = [pool.submit(_sorted_uniforms, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    jobs = [pool.submit(_sorted_keys, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     return [job.result() for job in jobs]
+
+
+def _draws_below(seed: int, chunks: list[np.ndarray], table: np.ndarray) -> np.ndarray:
+    """How many trajectory uniforms u lie below each entry c of table, from the chunks of keys that
+    _sorted_chunks(seed, n) returns.  u < c exactly where u's 53 bits z < C = ceil(c 2**53), so a key
+    below C >> 21 counts and one above does not.  Only where a key equals it and C's low 21 bits are
+    not zero, about K n / 2**32 of K entries, is the chunk's z redrawn, once, and counted exactly."""
+    scaled = np.ceil(table * 2.0**53).astype(np.uint64)  # C, exact: scaling by 2**53 rounds nothing
+    key = np.minimum(scaled >> np.uint64(21), np.uint64(0xFFFFFFFF))  # C = 2**53 (c = 1.0): the greatest key, a tie
+    unsettled = scaled != key << np.uint64(21)
+    key = key.astype(np.uint32)  # the dtype of the chunks, which searchsorted would otherwise copy
+    below, lo = 0, 0
+    for keys in chunks:
+        found = np.searchsorted(keys, key, side="left")
+        tied = np.flatnonzero(unsettled & (keys.take(found, mode="clip") == key))  # found = size: all keys below
+        if tied.size:
+            z = np.sort(_trajectory_bits(seed, lo + keys.size, lo) >> np.uint64(11))
+            found[tied] = np.searchsorted(z, scaled[tied], side="left")
+        below, lo = below + found, lo + keys.size
+    return below
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -443,15 +470,17 @@ def _poisson_cdf(lam: float, k_max: int, log_factorial: np.ndarray) -> np.ndarra
     return np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0))
 
 
-def _kick_counts(chunks: list[np.ndarray], lams: list[float], k_maxes: list[int],
+def _kick_counts(seed: int, chunks: list[np.ndarray], lams: list[float], k_maxes: list[int],
                  log_factorial: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Each time's histogram of kick counts: c_k trajectories drew k kicks where c_k uniforms of the
-    sorted chunks lie in [cdf[k-1], cdf[k]) of that time's Poisson CDF on 0..K (K + 1 past it).
+    sorted chunks of keys lie in [cdf[k-1], cdf[k]) of that time's Poisson CDF on 0..K (K + 1 past it).
     Returns every k with c_k > 0, ascending within each time, those c_k, and the offsets at which
     each time's run of them starts, with the end last.  The CDFs of all times lie end to end in one
-    table, which each chunk is searched in once; the counts are integers, so they do not depend on
-    how the uniforms were split."""
-    least, greatest = min(chunk[0] for chunk in chunks), max(chunk[-1] for chunk in chunks)
+    table, which _draws_below searches each chunk in once; the counts are integers, so they do not
+    depend on how the draws were split."""
+    # key k holds the uniforms in [k, k + 1) 2**-32, so all of them lie in [least, greatest)
+    least = min(chunk[0] for chunk in chunks) * 2.0**-32
+    greatest = (max(chunk[-1] for chunk in chunks) + 1.0) * 2.0**-32
     # No uniform lies below a CDF entry up to the least, and all lie below one past the greatest, so
     # time j keeps only its entries k = a..b-1 between, then 1.0 for k = b; c_k = 0 outside a..b.
     # Its slots are table[bounds[j]:bounds[j + 1]], and slot i holds k = i - shifts[j].
@@ -463,7 +492,7 @@ def _kick_counts(chunks: list[np.ndarray], lams: list[float], k_maxes: list[int]
         shifts.append(bounds[-1] - a)
         bounds.append(bounds[-1] + b - a + 1)
     table = np.concatenate(parts or [np.zeros(0)])
-    below = sum(np.searchsorted(chunk, table, side="left") for chunk in chunks)
+    below = _draws_below(seed, chunks, table)
     counts = np.diff(below, prepend=0)
     counts[bounds[1:-1]] = below[bounds[1:-1]]
     slots = np.flatnonzero(counts)
@@ -474,12 +503,13 @@ def _kick_counts(chunks: list[np.ndarray], lams: list[float], k_maxes: list[int]
 def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory; one finite gamma.
 
-    Trajectory i maps one uniform, the splitmix64 mix of (seed, i), through the inverse
-    Poisson CDF, so results are bit-identical for a given seed.  The uniforms are drawn and
-    sorted once per call, in two chunks at once on two worker threads that the first call
-    starts.  _kick_counts then searches each chunk once in the CDFs of all times, laid end to
-    end, and sums the integer counts, so the bytes do not depend on the split or on the CPU
-    count.  The CDFs take log(k!) from a table kept for the process.  The mean is one _dephased
+    Trajectory i maps one uniform, the top 53 bits of the splitmix64 mix of (seed, i), through
+    the inverse Poisson CDF, so results are bit-identical for a given seed.  The mixes are
+    drawn once per call, in two chunks at once on two worker threads that the first call
+    starts, and each chunk's top 32 bits sorted as keys.  _kick_counts then searches each chunk
+    once in the CDFs of all times, laid end to end, and sums the integer counts, exact also
+    where a key ties, so the bytes do not depend on the split or on the CPU count.  The CDFs
+    take log(k!) from a table kept for the process.  The mean is one _dephased
     call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma), its
     phases taken once for each k drawn at any time, summed by numpy pairwise over the ascending
     k of each time and D, no BLAS.  The CDFs of one call hold at most MAX_KICK_TABLE entries.
@@ -496,7 +526,7 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
         raise ValidationError(f"the Poisson kick tables of {len(lams)} times up to gamma*t = {max(lams):.3g} exceed "
                               f"the budget of {MAX_KICK_TABLE} entries; raise R or take fewer, shorter times")
     log_factorial = _log_factorials(max(k_maxes, default=0) + 1)
-    drawn, counts, firsts = _kick_counts(_sorted_chunks(req.seed, n), lams, k_maxes, log_factorial)
+    drawn, counts, firsts = _kick_counts(req.seed, _sorted_chunks(req.seed, n), lams, k_maxes, log_factorial)
     weights = counts / n
     kicks, rows = np.unique(drawn, return_inverse=True)
 

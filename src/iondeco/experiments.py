@@ -41,6 +41,7 @@ def scaled_system(
     Built once per (alpha, m, n) and their types, then shared read-only; a 0-d array alpha keys as its scalar."""
     alpha = alpha[()] if isinstance(alpha, np.ndarray) else alpha
     observables.check_alpha(alpha)  # before the memo hashes it
+    modes = model.check_modes(modes)
     return _scaled_system(alpha, modes.m, modes.n)
 
 
@@ -54,7 +55,7 @@ def _scaled_system(alpha: float, m: int, n: int) -> tuple[model.HamiltonianBlock
 
 def initial_state(modes: model.ModeIndices = model.ModeIndices(1, 1)) -> engines.DensityMatrix:
     """|g,m-1,n-1><g,m-1,n-1| in the (m, n) block: |g,0,0> for m = n = 1."""
-    return engines.DensityMatrix.basis_state(2, modes.basis_order())
+    return engines.DensityMatrix.basis_state(2, model.check_modes(modes).basis_order())
 
 
 def _published_rt_grid(t_grid: np.ndarray) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:

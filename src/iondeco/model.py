@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,10 @@ _GAP_INDEX.flags.writeable = _GAP_SIGN.flags.writeable = False
 
 
 def is_real(value) -> bool:
-    """Whether value is a real number (a bool is one); a float, the common case, skips the slower ABC check."""
-    return type(value) is float or isinstance(value, numbers.Real)
+    """Whether value is a real number that a float holds (a bool is one, an int or a fraction past
+    DBL_MAX is not); a float, the common case, skips the slower ABC checks."""
+    return type(value) is float or isinstance(value, numbers.Real) and not (
+        isinstance(value, numbers.Rational) and abs(value) > sys.float_info.max)
 
 
 def is_integer(value) -> bool:
@@ -51,8 +54,8 @@ class ModeIndices:
     def __post_init__(self):
         if not (is_integer(self.m) and is_integer(self.n)):
             raise ValidationError(f"quantum numbers must be integers, got m={self.m!r}, n={self.n!r}")
-        if self.m < 0 or self.n < 0:
-            raise ValidationError(f"quantum numbers must be nonnegative, got m={self.m}, n={self.n}")
+        if not (0 <= self.m <= sys.float_info.max and 0 <= self.n <= sys.float_info.max):
+            raise ValidationError(f"quantum numbers must be nonnegative and at most DBL_MAX, got m={self.m}, n={self.n}")
 
     def basis_order(self) -> tuple[str, str, str, str]:
         """Labels of the four basis states in the fixed ordering."""
@@ -86,6 +89,13 @@ class HamiltonianBlock:
         return math.hypot(self.a, self.omega)
 
 
+def check_modes(modes: ModeIndices) -> ModeIndices:
+    """modes once it is checked to be a ModeIndices."""
+    if not isinstance(modes, ModeIndices):
+        raise ValidationError(f"modes must be a ModeIndices, got {modes!r}")
+    return modes
+
+
 def build_hamiltonian(omega: float, a: float, modes: ModeIndices) -> HamiltonianBlock:
     """Assemble the interaction block from the laser coupling omega and the
     sideband coupling a, each finite and nonnegative (rad/s).
@@ -98,11 +108,12 @@ def build_hamiltonian(omega: float, a: float, modes: ModeIndices) -> Hamiltonian
     for name, value in (("omega", omega), ("a", a)):
         if not (is_real(value) and 0 <= value < math.inf):
             raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+    basis_order = check_modes(modes).basis_order()
     h = np.zeros((4, 4))
     h[0, 1] = h[1, 0] = h[2, 3] = h[3, 2] = omega
     h[0, 3] = h[3, 0] = 2.0 * a
     h.flags.writeable = False  # experiments.scaled_system hands the same block to every later call with its key
-    return HamiltonianBlock(entries=h, basis_order=modes.basis_order())
+    return HamiltonianBlock(entries=h, basis_order=basis_order)
 
 
 @dataclass(frozen=True)
@@ -163,8 +174,12 @@ def spectrum_analytic(block: HamiltonianBlock) -> Spectrum:
         # (eigenvalues mu-a, -(mu+a)), (mu+a) s1 + omega s2 and omega s1 - (mu+a) s2 of the symmetric block
         # [[+2a, omega], [omega, 0]] (mu+a, -(mu-a)); 0.0 - w keeps the +0.0 of the first sum where omega = 0
         raw = np.array([[w, m, -m, 0.0 - w], [-m, w, -w, m], [m, w, w, m], [w, -m, -m, w]])
+        squares = [v.dot(v) for v in raw]  # each omega^2 + (mu + a)^2, in its own rounding
+        if not min(squares) >= sys.float_info.min:  # a zero or subnormal square would divide by zero or lose digits
+            raise ValidationError(f"omega = {omega} and a = {a} give a squared eigenvector norm omega^2 + (mu + a)^2 "
+                                  f"of {min(squares):.3g}, below the least normal float {sys.float_info.min:.17g}")
         vectors = np.empty((4, 4))  # eigenvectors as columns: each row of raw over its norm, as np.linalg.norm takes it
-        np.divide(raw, [[math.sqrt(v.dot(v))] for v in raw], out=vectors.T)
+        np.divide(raw, [[math.sqrt(square)] for square in squares], out=vectors.T)
         spectrum = Spectrum(eigenvalues, _fix_signs(vectors), block.basis_order)
         spectrum.validate(block)
     # experiments.scaled_system hands the same spectrum to every later call with its key

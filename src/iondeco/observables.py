@@ -88,7 +88,7 @@ def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
     """Reporting-layer clamp to [0, 1], elementwise on arrays; raw values stay
     available upstream.  Like min(max(value, 0), 1) it keeps -0.0 and NaN."""
     if not (is_real(value) or isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
-        raise ValidationError(f"a probability must be real, got {value!r}")
+        raise ValidationError(f"a probability must be real and at most DBL_MAX in size, got {value!r}")
     return np.clip(value, 0.0, 1.0)
 
 

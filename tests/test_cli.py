@@ -768,7 +768,7 @@ def test_grid_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys)
 def test_trajectory_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys):
     # 1e9 trajectories would need about 32 GB; the request refuses them before any is drawn
     assert engines.MAX_TRAJECTORIES >= 100 * 100_000  # the test suite and benchmark draw 1e5
-    monkeypatch.setattr(engines, "_trajectory_uniforms", lambda *args: pytest.fail("trajectories drawn"))
+    monkeypatch.setattr(engines, "_trajectory_bits", lambda *args: pytest.fail("trajectories drawn"))
     argv = ["evolve", "--engine", "mc", "--n-traj", "1000000000", "--out", "big.csv"]
     assert run_cli(tmp_path, monkeypatch, argv) == 2
     assert "n_traj" in capsys.readouterr().err
@@ -894,7 +894,7 @@ def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, cap
             lams = (experiments.kick_rate(r) * grid).tolist()
             assert sum(engines._poisson_cutoff(lam, 1e-12) if lam else 0 for lam in lams) + grid.size <= engines.MAX_KICK_TABLE
     monkeypatch.setattr(engines, "_poisson_cdf", lambda *args: pytest.fail("Poisson table built"))
-    monkeypatch.setattr(engines, "_trajectory_uniforms", lambda *args: pytest.fail("trajectories drawn"))
+    monkeypatch.setattr(engines, "_trajectory_bits", lambda *args: pytest.fail("trajectories drawn"))
     # about 4.6e8 entries on the default grid; the last argv is one time whose mean alone is 6e300
     for argv in (["sweep", "--engine", "mc", "--r", "0.00001"], ["evolve", "--engine", "mc", "--r", "1e-300"]):
         assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2

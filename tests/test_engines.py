@@ -84,6 +84,16 @@ WRONG_TYPES = {
     "clamp_probability('1')": lambda rho: observables.clamp_probability("1"),
     "clamp_probability(1j)": lambda rho: observables.clamp_probability(1j),  # returned 1j
     "sweep(t_grid=['x'])": lambda rho: experiments.sweep(4.0, (0.1,), ["x"], "eigen"),
+    # ints past DBL_MAX raised OverflowError where they became floats
+    "build_hamiltonian(10**400)": lambda rho: model.build_hamiltonian(10**400, 1.0, model.ModeIndices(1, 1)),
+    "kick_rate(10**400)": lambda rho: experiments.kick_rate(10**400),
+    "physical_units(10**400)": lambda rho: experiments.physical_units(10**400, 4.0, (0.01,)),
+    "gamma=10**400": lambda rho: engines.EvolutionRequest(rho, 1.0, 10**400),
+    "dt=10**400": lambda rho: engines.EvolutionRequest(rho, 1.0, 10.0, dt=10**400),
+    # a modes that is not a ModeIndices raised AttributeError
+    "build_hamiltonian(modes='x')": lambda rho: model.build_hamiltonian(1.0, 1.0, "x"),
+    "scaled_system(modes=(1, 1))": lambda rho: scaled_system(4.0, (1, 1)),
+    "initial_state('x')": lambda rho: experiments.initial_state("x"),
 }
 
 
@@ -1048,13 +1058,23 @@ def test_factor_of_negated_difference_is_conjugate_bit_for_bit(factor, log_exces
     assert np.signbit(conj.imag[zero_phase]).all() and not np.signbit(negated.imag[zero_phase]).any()
 
 
+def mix_uniforms(bits):
+    """The uniform in [0,1) of each 64-bit mix: its top 53 bits times 2**-53."""
+    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def trajectory_uniforms(seed, n):
+    """The uniform of each trajectory 0..n-1, as the engine's floats once were."""
+    return mix_uniforms(engines._trajectory_bits(seed, n))
+
+
 def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):
-    """Kick count of each trajectory, each drawn by inverting the Poisson CDF."""
+    """Kick count of each trajectory, each drawn by inverting the Poisson CDF at its float uniform."""
     if gamma * t == 0.0:
         return np.zeros(n, dtype=np.int64)
     k_max = engines._poisson_cutoff(gamma * t, tail_tol)
     cdf = engines._poisson_cdf(gamma * t, k_max, np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)]))
-    return np.searchsorted(cdf, engines._trajectory_uniforms(seed, n), side="right")
+    return np.searchsorted(cdf, trajectory_uniforms(seed, n), side="right")
 
 
 def per_pass_uniforms(seed, n):
@@ -1075,7 +1095,7 @@ def per_pass_uniforms(seed, n):
 @example(seed=-1, n=1)
 @example(seed=2**64 - 1, n=3000)
 def test_in_place_uniforms_equal_per_pass_formula(seed, n):
-    assert np.array_equal(engines._trajectory_uniforms(seed, n), per_pass_uniforms(seed, n))
+    assert np.array_equal(trajectory_uniforms(seed, n), per_pass_uniforms(seed, n))
 
 
 def per_trajectory_monte_carlo(block, spectrum, rho, kicks, gamma):
@@ -1160,10 +1180,10 @@ def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r,
     for chunks in (1, 2, 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engines, "_chunk_count", lambda n: chunks)
-            uniforms = engines._sorted_chunks(seed, n)
+            keys = engines._sorted_chunks(seed, n)
             results.append(engines.evolve_monte_carlo(block, spectrum, req).entries)
-        assert len(uniforms) == min(chunks, n)
-        kicks, counts, firsts = engines._kick_counts(uniforms, lams, k_maxes, log_factorial)
+        assert len(keys) == min(chunks, n)
+        kicks, counts, firsts = engines._kick_counts(seed, keys, lams, k_maxes, log_factorial)
         for (k, c), lo, hi in zip(whole, firsts, firsts[1:]):
             assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (k.tolist(), c.tolist())
     assert all(entries.view(np.uint64).tolist() == results[0].view(np.uint64).tolist() for entries in results[1:])
@@ -1173,18 +1193,58 @@ def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r,
         assert [len(engines._sorted_chunks(seed, k)) for k in (1, 2, 3, 65535, 65536, 65537)] == [1, 2, 2, 2, 2, 2]
 
 
-def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it():
+def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it(monkeypatch):
     """A uniform equal to cdf[k] draws k + 1 kicks, as searchsorted(cdf, u, side="right") gives, also
-    where it is the least or the greatest uniform, which trim each time's CDF; in one chunk or two."""
-    lam = 3.0
+    where it is the least or the greatest uniform, which trim each time's CDF; in one chunk or two.
+    The draws are set through the 64-bit mixes, so each shares its key with a CDF entry; at lam = 0.5
+    every entry lies in [0.5, 1), where each float is a 53-bit uniform.  A least uniform one float
+    below cdf[0], in the lower half of its key, draws none: the trim keeps the entries above it."""
+    lam = 0.5
     k_max = engines._poisson_cutoff(lam, 1e-12)
     log_factorial = engines._log_factorials(k_max + 1)
     cdf = engines._poisson_cdf(lam, k_max, log_factorial)
-    uniforms = np.array([cdf[1], cdf[2], 0.5 * (cdf[2] + cdf[3]), cdf[4]])
-    expected = [[2, 3, 5], [1, 2, 1], [0, 3]]
-    for chunks in ([uniforms], [uniforms[:2], uniforms[2:]], [uniforms[1:3], uniforms[::3]]):
-        kicks, counts, firsts = engines._kick_counts(chunks, [lam], [k_max], log_factorial)
-        assert [kicks.tolist(), counts.tolist(), firsts] == expected
+    assert (cdf[0] * 2.0**32) % 1.0 < 0.5
+    cases = ((np.array([cdf[0], cdf[1], 0.5 * (cdf[1] + cdf[2]), cdf[3]]), [[1, 2, 4], [1, 2, 1], [0, 3]]),
+             (np.array([np.nextafter(cdf[0], 0.0), cdf[1], cdf[0], cdf[3]]), [[0, 1, 2, 4], [1, 1, 1, 1], [0, 4]]))
+    for uniforms, expected in cases:
+        for order, chunks in (((0, 1, 2, 3), 1), ((0, 1, 2, 3), 2), ((1, 2, 0, 3), 2)):
+            bits = (uniforms[list(order)] * 2.0**53).astype(np.uint64) << np.uint64(11)
+            monkeypatch.setattr(engines, "_trajectory_bits", lambda seed, hi, lo=0: bits[lo:hi].copy())
+            monkeypatch.setattr(engines, "_chunk_count", lambda n: chunks)
+            keys = engines._sorted_chunks(0, bits.size)
+            assert len(keys) == chunks
+            kicks, counts, firsts = engines._kick_counts(0, keys, [lam], [k_max], log_factorial)
+            assert [kicks.tolist(), counts.tolist(), firsts] == expected
+
+
+EXTREME_BITS = (0, 1 << 11, (2**21 - 1) << 43, 0xFFFFFFFF << 32, 2**64 - 1)  # the least and greatest z and keys
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, 3, 65535, 65536, 65537]), st.integers(1, 5000)),
+       seed=st.integers(0, 2**64 - 1), chunks=st.integers(1, 3), data=st.data())
+def test_draws_below_table_entries_equal_search_in_sorted_uniforms(n, seed, chunks, data):
+    """Counted from the sorted keys, with a redraw where a key ties, the draws below each table entry
+    are those that searchsorted finds in the sorted float uniforms, with entries at drawn uniforms and
+    next to them (ties), at multiples of 2**-32 (a key's bounds, no tie), and at the ends of [0, 1].
+    Some draws may be set to the extremes of z and of the keys, which a seeded draw almost never meets."""
+    bits = engines._trajectory_bits(seed, n)
+    for i, z in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(EXTREME_BITS)), max_size=3)):
+        bits[i] = z
+    uniforms = np.sort(mix_uniforms(bits))
+    picked = uniforms[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
+    table = np.concatenate([picked, np.nextafter(picked, 0.0), np.nextafter(picked, 1.0),
+                            np.floor(picked * 2.0**32) * 2.0**-32, np.ceil(picked * 2.0**32) * 2.0**-32,
+                            data.draw(st.lists(st.integers(0, 2**32), max_size=4)) * np.array(2.0**-32),
+                            [0.0, 5e-324, 1.0 - 2.0**-53, 1.0]])
+    table = data.draw(st.permutations(table.tolist()).map(np.array))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engines, "_trajectory_bits", lambda seed, hi, lo=0: bits[lo:hi].copy())
+        patch.setattr(engines, "_chunk_count", lambda n: chunks)
+        keys = engines._sorted_chunks(seed, n)
+        assert len(keys) == min(chunks, n)
+        below = engines._draws_below(seed, keys, table)
+    assert below.tolist() == np.searchsorted(uniforms, table, side="left").tolist()
 
 
 def test_monte_carlo_threads_get_serial_bits_from_a_shared_pool_and_table(system4, rho0, monkeypatch):

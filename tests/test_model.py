@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_spectrum_analytic_bits_equal_per_vector_norms(alpha, m, n):
 @pytest.mark.parametrize("omega,a", [(0.0, 1.7), (5e-324, 1.0), (0.3, 0.0), (0.0, 0.0)])
 def test_spectrum_analytic_bits_at_the_degenerate_limits(omega, a):
     assert_spectrum_bits_equal(model.build_hamiltonian(omega, a, model.ModeIndices(1, 1)))
+
+
+@pytest.mark.parametrize("omega,a", [(0.0, 1e-170), (1e-170, 0.0), (5e-324, 5e-324), (1e-155, 1e-155)])
+def test_spectrum_analytic_refuses_couplings_whose_norms_square_below_the_least_normal_float(omega, a):
+    """Such a squared eigenvector norm is 0 or subnormal: it divided by zero with a warning, then failed
+    validation with NumericalError.  A square just above the bound, 1.6e-154 squared, is a spectrum."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="below the least normal float"):
+            model.spectrum_analytic(model.build_hamiltonian(omega, a, model.ModeIndices(1, 1)))
+    assert_spectrum_bits_equal(model.build_hamiltonian(0.0, 1.6e-154, model.ModeIndices(1, 1)))
 
 
 def test_spectrum_analytic_convention_order():

@@ -21,7 +21,7 @@ INITIAL = experiments.initial_state()
 
 # scalar edge values and wrong types
 EDGES = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, -1e-300, 0.0, 1e-300, np.float64(0.75), 2, True, "1",
-                         None, 1j))
+                         None, 1j, 10**400, -10**400))
 TIME_EDGES = st.one_of(EDGES, st.sampled_from((
     np.array([0.0, 0.5, 2.0]), np.array([0.5, -1e-300]), np.zeros((2, 2)), np.zeros(0), np.array(["1"]), ["0.5", "x"])))
 MIXED = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
@@ -39,7 +39,8 @@ GAMMAS = (st.floats(0.5, 100.0), EDGES)  # a smaller gamma makes the default Run
 R_LISTS = (st.lists(st.floats(0.0, 0.5), max_size=3, unique=True).map(tuple),
            st.lists(st.one_of(st.floats(0.0, 0.5), EDGES), min_size=1, max_size=3).map(tuple))
 OMEGAS = (st.floats(1.0, 1e9), EDGES)
-COUPLINGS = st.one_of(st.just(0.0), st.floats(1e-150, 50.0))
+COUPLINGS = st.one_of(st.just(0.0), st.floats(5e-324, 50.0))
+MODES = (st.builds(model.ModeIndices, st.integers(1, 5), st.integers(1, 5)), st.one_of(EDGES, st.just((1, 1))))
 ENGINE_NAMES = (st.sampled_from(tuple(engines.ENGINES)), st.sampled_from(("bogus", None, 1)))
 SIGNS = (st.sampled_from(observables.SIGNS), EDGES)
 CONTROL_VALUES = {"tail_tol": st.floats(1e-15, 0.5), "dt": st.floats(1e-4, 5e-3),
@@ -112,9 +113,8 @@ def assert_clamped(value):
 # name -> (call, one (valid, edges) pair per argument, check of a result); each call may raise ValidationError
 CALLS = {
     "ModeIndices": (model.ModeIndices, ((st.integers(0, 5), EDGES),) * 2, assert_finite),
-    "build_hamiltonian": (lambda omega, a: model.build_hamiltonian(omega, a, model.ModeIndices(2, 3)),
-                          (REALS, REALS), assert_finite),
-    # couplings below about 1e-162 square to zero in the eigenvector norms, which then divide by zero
+    "build_hamiltonian": (model.build_hamiltonian, (REALS, REALS, MODES), assert_finite),
+    # couplings below about 1.5e-154 give eigenvector norms whose squares are not normal floats
     "spectrum_analytic": (lambda omega, a: model.spectrum_analytic(
         model.build_hamiltonian(omega, a, model.ModeIndices(1, 1))), ((COUPLINGS, FIXED),) * 2, assert_finite),
     "DensityMatrix": (lambda entries: engines.DensityMatrix(entries, BASIS).require_valid(), (ENTRIES,), assert_state),
@@ -142,6 +142,9 @@ CALLS = {
     "table1": (experiments.table1, (OMEGAS, ALPHAS), assert_finite),
     "audit": (experiments.audit, (ALPHAS,), assert_finite),
 }
+# the helpers that build every CLI point's system and initial state, fuzzed like the exported callables
+FUZZED = {**CALLS, "scaled_system": (experiments.scaled_system, (ALPHAS, MODES), assert_finite),
+          "initial_state": (experiments.initial_state, (MODES,), assert_state)}
 # classes that hold what they are given and check nothing; the callables above make them
 RECORDS = {"HamiltonianBlock", "Spectrum", "GHZTarget", "TimeSeries", "UnitReport", "Table1Row", "AuditReport",
            "ConfigError", "NumericalError", "ValidationError"}
@@ -153,16 +156,17 @@ def test_every_exported_callable_is_fuzzed_or_a_record():
     assert exported == set(CALLS) | RECORDS
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(FUZZED))
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_public_callables_refuse_bad_input_or_return_a_valid_result(name, data):
     """Every argument is drawn from its valid values but at most one, drawn from edge values and
-    wrong types (nan, +-inf, -0.0, -1e-300, a numpy float, an int, a bool, a str, None, 1j, and
-    arrays of the wrong shape or kind); the call raises ValidationError, with no warning, or its
-    result passes the check beside it.  The one NumericalError allowed is the Runge-Kutta
-    engine's refusal of its own output, where the step is too long for the generator."""
-    call, arguments, check = CALLS[name]
+    wrong types (nan, +-inf, -0.0, -1e-300, a numpy float, an int, a bool, a str, None, 1j, ints
+    past DBL_MAX, a tuple for a ModeIndices, and arrays of the wrong shape or kind); the call
+    raises ValidationError, with no warning, or its result passes the check beside it.  The one
+    NumericalError allowed is the Runge-Kutta engine's refusal of its own output, where the step
+    is too long for the generator."""
+    call, arguments, check = FUZZED[name]
     off = data.draw(st.sampled_from([None] + [i for i, (_, edges) in enumerate(arguments) if edges is not FIXED]))
     args = [data.draw(edges if i == off else valid) for i, (valid, edges) in enumerate(arguments)]
     with warnings.catch_warnings():
