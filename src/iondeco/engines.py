@@ -11,8 +11,8 @@ call over a grid of times, each with its kick-count factor, taken once per close
 * first_order_factor exp(-i D t - D^2 t / (2 gamma)): evolve_eigenbasis, the reference;
   evolve_unitary, it at gamma = inf.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
-* sum_k (c_k / n) exp(-i D k / gamma), the empirical characteristic function of n seeded
-  Poisson draws of N, c_k of them k: evolve_monte_carlo.
+* sum_k (c_k / n) exp(-i D k / gamma), the empirical characteristic function of n seeded,
+  stratified Poisson draws of N, c_k of them k: evolve_monte_carlo.
 evolve_ode takes fixed-step 4th-order Runge-Kutta on the first-order generator
 drho/dt = -i[H,rho] - [H,[H,rho]]/(2 gamma): every time's shortened step is summed from 4
 shared products, then n steps are the step matrix's powers 2^j, applied at level j to each
@@ -24,8 +24,6 @@ closed-form solution for |g,m-1,n-1> so it can be audited against the engines.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +31,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .model import _GAP_INDEX, _GAP_SIGN, HamiltonianBlock, Spectrum, is_integer, is_real
 
-# Largest Monte Carlo trajectory count; at about 32 B each, a peak near 320 MB.
+# Largest Monte Carlo trajectory count.  The draws take one uniform per kept table entry whatever the
+# count, which sets only their resolution: each count below a CDF entry c is within 1 of c n.
 MAX_TRAJECTORIES = 10_000_000
 # Largest Runge-Kutta step count t/dt per call.  Binary powering makes the work
 # logarithmic in it (one shortened step from 4 products, then at most 24 levels of step
@@ -41,9 +40,9 @@ MAX_TRAJECTORIES = 10_000_000
 # the budget bounds the rounding, which grows with the step count, not the time.
 MAX_ODE_STEPS = 10_000_000
 # Largest total length of the Poisson CDF tables of one Monte Carlo call.  It builds one
-# at a time, at about 33 B and 0.3 us per entry, a peak near 330 MB and some 3 s, and keeps
-# of each only the entries between the least and the greatest uniform (12-36% of them on the
-# default grid with 1e5 trajectories).
+# at a time, at about 33 B and 0.1 us per entry, a peak near 330 MB and about 1 s, and keeps
+# of each only the entries whose count lies strictly between 0 and n (13-37% of them on the
+# default grid with 1e5 trajectories), one uniform each.
 MAX_KICK_TABLE = 10_000_000
 
 
@@ -336,93 +335,34 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 # Entries of the process's cached table of log(k!), 512 KB; a call past it extends a copy.
 _LOG_FACTORIAL_CAP = 1 << 16
 _log_factorial = np.zeros(0)  # read-only, replaced by a longer table, never written
-_worker = None  # the two-thread pool that draws the chunks, started by the first Monte Carlo call
-_worker_lock = threading.Lock()
 
 
-def _trajectory_bits(seed: int, hi: int, lo: int = 0) -> np.ndarray:
-    """The 64-bit mix of each trajectory of index lo..hi-1, a pure function of (seed, index): its top
-    53 bits z make its uniform z 2**-53 in [0,1), and its top 32 bits its sort key."""
-    z = np.arange(lo + 1, hi + 1, dtype=np.uint64)  # every pass in place on one buffer
+def _trajectory_uniforms(seed: int, index: np.ndarray) -> np.ndarray:
+    """v_i of each trajectory index i, a pure function of (seed, i): the top 53 bits of the
+    splitmix64 mix of (seed, i) times 2**-53, in [0, 1).  Trajectory i's uniform is (i + v_i) / n."""
+    z = np.asarray(index).astype(np.uint64)  # every pass in place on one buffer
+    z += np.uint64(1)
     z *= _SM64_GAMMA
     z += np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)  # int: a numpy seed would not take the mask
-    # Each xor-shift takes half of z at a time, so that a worker's blocks, with its keys, stay below
-    # glibc's trim threshold (twice the largest block freed); at z's size they did not, and the
-    # heap's top went back to the system and page-faulted anew on every draw.
-    halves = z[: z.size // 2], z[z.size // 2:]
     for shift, mix in ((30, _SM64_MIX1), (27, _SM64_MIX2), (31, None)):
-        for half in halves:
-            half ^= half >> np.uint64(shift)
+        z ^= z >> np.uint64(shift)
         if mix is not None:
             z *= mix
-    return z
+    z >>= np.uint64(11)
+    v = z.astype(np.float64)
+    v *= 2.0**-53
+    return v
 
 
-def _chunk_count(n: int) -> int:
-    """Chunks the n trajectories are drawn in (at most n): two, on any number of CPUs."""
-    return 2
-
-
-def _pool():
-    """The two-thread pool that draws the chunks, started by the first Monte Carlo call."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor  # here, not at import: a process with no draw needs none
-
-            _worker = ThreadPoolExecutor(max_workers=2, thread_name_prefix="iondeco-mc")
-        return _worker
-
-
-def _forget_pool() -> None:
-    """In a forked child, which has none of its parent's threads, let its first draw start a new pool."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _sorted_keys(seed: int, lo: int, hi: int) -> np.ndarray:
-    """The keys of trajectories lo..hi-1, sorted as uint32, half the bytes of their float uniforms and
-    faster to sort; numpy releases the interpreter lock to draw and sort them."""
-    z = _trajectory_bits(seed, hi, lo)
-    z >>= np.uint64(32)
-    keys = z.astype(np.uint32)
-    keys.sort()
-    return keys
-
-
-def _sorted_chunks(seed: int, n: int) -> list[np.ndarray]:
-    """The n trajectory keys in _chunk_count(n) sorted chunks of consecutive indices, none
-    empty, drawn at once on the worker threads while this thread waits: the fresh arrays of a
-    calling thread page-fault on every call where a worker thread's memory arena keeps its pages."""
-    chunks = min(_chunk_count(n), n)
-    cuts = [n * j // chunks for j in range(chunks + 1)]
-    pool = _pool()
-    jobs = [pool.submit(_sorted_keys, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    return [job.result() for job in jobs]
-
-
-def _draws_below(seed: int, chunks: list[np.ndarray], table: np.ndarray) -> np.ndarray:
-    """How many trajectory uniforms u lie below each entry c of table, from the chunks of keys that
-    _sorted_chunks(seed, n) returns.  u < c exactly where u's 53 bits z < C = ceil(c 2**53), so a key
-    below C >> 21 counts and one above does not.  Only where a key equals it and C's low 21 bits are
-    not zero, about K n / 2**32 of K entries, is the chunk's z redrawn, once, and counted exactly."""
-    scaled = np.ceil(table * 2.0**53).astype(np.uint64)  # C, exact: scaling by 2**53 rounds nothing
-    key = np.minimum(scaled >> np.uint64(21), np.uint64(0xFFFFFFFF))  # C = 2**53 (c = 1.0): the greatest key, a tie
-    unsettled = scaled != key << np.uint64(21)
-    key = key.astype(np.uint32)  # the dtype of the chunks, which searchsorted would otherwise copy
-    below, lo = 0, 0
-    for keys in chunks:
-        found = np.searchsorted(keys, key, side="left")
-        tied = np.flatnonzero(unsettled & (keys.take(found, mode="clip") == key))  # found = size: all keys below
-        if tied.size:
-            z = np.sort(_trajectory_bits(seed, lo + keys.size, lo) >> np.uint64(11))
-            found[tied] = np.searchsorted(z, scaled[tied], side="left")
-        below, lo = below + found, lo + keys.size
-    return below
+def _draws_below(seed: int, n: int, table: np.ndarray) -> np.ndarray:
+    """How many of the n trajectory uniforms (i + v_i) / n lie below each entry c of table, "below"
+    decided as v_i < c n - i: every i < m = floor(c n) is below, no i > m, and trajectory m where
+    v_m < c n - m; all n where c n >= n (m is clipped to n - 1, and c n - (n - 1) >= 1 > v).  One
+    uniform per entry, so the count is within 1 of c n."""
+    scaled = table * n
+    m = np.minimum(scaled, n - 1).astype(np.int64)
+    scaled -= m  # c n - m
+    return m + (_trajectory_uniforms(seed, m) < scaled)
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -470,29 +410,29 @@ def _poisson_cdf(lam: float, k_max: int, log_factorial: np.ndarray) -> np.ndarra
     return np.cumsum(np.where(log_pmf > -745.0, np.exp(log_pmf), 0.0))
 
 
-def _kick_counts(seed: int, chunks: list[np.ndarray], lams: list[float], k_maxes: list[int],
+def _kick_counts(seed: int, n: int, lams: list[float], k_maxes: list[int],
                  log_factorial: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Each time's histogram of kick counts: c_k trajectories drew k kicks where c_k uniforms of the
-    sorted chunks of keys lie in [cdf[k-1], cdf[k]) of that time's Poisson CDF on 0..K (K + 1 past it).
+    """Each time's histogram of kick counts: c_k trajectories drew k kicks where c_k uniforms lie in
+    [cdf[k-1], cdf[k]) of that time's Poisson CDF on 0..K (K + 1 past it), as _draws_below counts them.
     Returns every k with c_k > 0, ascending within each time, those c_k, and the offsets at which
     each time's run of them starts, with the end last.  The CDFs of all times lie end to end in one
-    table, which _draws_below searches each chunk in once; the counts are integers, so they do not
-    depend on how the draws were split."""
-    # key k holds the uniforms in [k, k + 1) 2**-32, so all of them lie in [least, greatest)
-    least = min(chunk[0] for chunk in chunks) * 2.0**-32
-    greatest = (max(chunk[-1] for chunk in chunks) + 1.0) * 2.0**-32
-    # No uniform lies below a CDF entry up to the least, and all lie below one past the greatest, so
-    # time j keeps only its entries k = a..b-1 between, then 1.0 for k = b; c_k = 0 outside a..b.
-    # Its slots are table[bounds[j]:bounds[j + 1]], and slot i holds k = i - shifts[j].
+    table, which _draws_below counts in once."""
+    # An entry's count is 0 where v_0 < c n fails and n where v_(n-1) < c n - (n - 1) holds, both
+    # monotone in c, so time j keeps only its entries k = a..b-1 between, then 1.0 for k = b; c_k = 0
+    # outside a..b.  Its slots are table[bounds[j]:bounds[j + 1]], and slot i holds k = i - shifts[j].
+    first, last = _trajectory_uniforms(seed, np.array([0, n - 1])).tolist()
     parts, bounds, shifts = [], [0], []
     for lam, k_max in zip(lams, k_maxes):
         cdf = _poisson_cdf(lam, k_max, log_factorial)
-        a, b = np.searchsorted(cdf, (least, greatest), side="right").tolist()
+        scaled = cdf * n
+        a = int(np.searchsorted(scaled, first, side="right"))
+        scaled -= n - 1
+        b = int(np.searchsorted(scaled, last, side="right"))
         parts += (cdf[a:b].copy(), (1.0,))  # a copy, so that the whole CDF is freed
         shifts.append(bounds[-1] - a)
         bounds.append(bounds[-1] + b - a + 1)
     table = np.concatenate(parts or [np.zeros(0)])
-    below = _draws_below(seed, chunks, table)
+    below = _draws_below(seed, n, table)
     counts = np.diff(below, prepend=0)
     counts[bounds[1:-1]] = below[bounds[1:-1]]
     slots = np.flatnonzero(counts)
@@ -503,15 +443,15 @@ def _kick_counts(seed: int, chunks: list[np.ndarray], lams: list[float], k_maxes
 def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory; one finite gamma.
 
-    Trajectory i maps one uniform, the top 53 bits of the splitmix64 mix of (seed, i), through
-    the inverse Poisson CDF, so results are bit-identical for a given seed.  The mixes are
-    drawn once per call, in two chunks at once on two worker threads that the first call
-    starts, and each chunk's top 32 bits sorted as keys.  _kick_counts then searches each chunk
-    once in the CDFs of all times, laid end to end, and sums the integer counts, exact also
-    where a key ties, so the bytes do not depend on the split or on the CPU count.  The CDFs
-    take log(k!) from a table kept for the process.  The mean is one _dephased
-    call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma), its
-    phases taken once for each k drawn at any time, summed by numpy pairwise over the ascending
+    Trajectory i of n maps the stratified uniform (i + v_i) / n through the inverse Poisson CDF,
+    v_i the top 53 bits of the splitmix64 mix of (seed, i), so results are bit-identical for a
+    given seed and each time of a grid gets the bits of a lone call.  Each trajectory keeps its
+    uniform at every time, so the draws are correlated across times.  _kick_counts counts the
+    trajectories below every entry of the CDFs of all times, laid end to end, from one uniform per
+    entry (_draws_below), in integers; the CDFs take log(k!) from a table kept for the process.
+    Stratified draws are unbiased, with at most the variance of i.i.d. ones.  The mean is one
+    _dephased call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma),
+    its phases taken once for each k drawn at any time, summed by numpy pairwise over the ascending
     k of each time and D, no BLAS.  The CDFs of one call hold at most MAX_KICK_TABLE entries.
     """
     gamma = _engine_gamma(req.gamma, finite=True, one=True)
@@ -526,7 +466,7 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
         raise ValidationError(f"the Poisson kick tables of {len(lams)} times up to gamma*t = {max(lams):.3g} exceed "
                               f"the budget of {MAX_KICK_TABLE} entries; raise R or take fewer, shorter times")
     log_factorial = _log_factorials(max(k_maxes, default=0) + 1)
-    drawn, counts, firsts = _kick_counts(req.seed, _sorted_chunks(req.seed, n), lams, k_maxes, log_factorial)
+    drawn, counts, firsts = _kick_counts(req.seed, n, lams, k_maxes, log_factorial)
     weights = counts / n
     kicks, rows = np.unique(drawn, return_inverse=True)
 

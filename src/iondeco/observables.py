@@ -74,14 +74,24 @@ def ghz_state(sign: str) -> GHZTarget:
 GHZ_TARGETS = {sign: ghz_state(sign) for sign in SIGNS}  # built once at import
 
 
+def _state_entries(rho: DensityMatrix) -> np.ndarray:
+    """rho's entries once rho is checked to be a DensityMatrix of shape (..., 4, 4), by its type and
+    shape alone: nothing is factorised."""
+    if not (isinstance(rho, DensityMatrix) and np.shape(rho.entries)[-2:] == (4, 4)):
+        shape = np.shape(rho.entries) if isinstance(rho, DensityMatrix) else type(rho).__name__
+        raise ValidationError(f"rho must be a DensityMatrix of 4x4 entries or a stack of them, got {shape}")
+    return rho.entries
+
+
 def p_ghz(rho: DensityMatrix, target: GHZTarget) -> float | np.ndarray:
     """Raw overlap tr(rho * projector), one value per state when rho holds a
     stack of states; clamp with clamp_probability for reporting."""
+    entries = _state_entries(rho)
     if not isinstance(target, GHZTarget):
         raise ValidationError(f"target must be a GHZTarget (see ghz_state), got {target!r}")
     if rho.basis_order != target.basis_order:
         raise ValidationError(f"basis mismatch: {rho.basis_order} vs {target.basis_order}")
-    return np.einsum("...ij,ji->...", rho.entries, target.projector).real
+    return np.einsum("...ij,ji->...", entries, target.projector).real
 
 
 def clamp_probability(value: float | np.ndarray) -> float | np.ndarray:
@@ -157,9 +167,10 @@ def published_pghz(t_scaled, alpha: float, r: float):
 
 def purity(rho: DensityMatrix) -> float | np.ndarray:
     """tr(rho^2), one value per state when rho holds a stack of states."""
-    return np.einsum("...ij,...ji->...", rho.entries, rho.entries).real
+    entries = _state_entries(rho)
+    return np.einsum("...ij,...ji->...", entries, entries).real
 
 
 def populations(rho: DensityMatrix) -> np.ndarray:
     """Diagonal occupations in the block basis, one row per state when rho holds a stack of states."""
-    return np.diagonal(rho.entries, axis1=-2, axis2=-1).real.copy()
+    return np.diagonal(_state_entries(rho), axis1=-2, axis2=-1).real.copy()

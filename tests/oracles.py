@@ -17,6 +17,9 @@ eigenbasis_coherences  |rho_pq| for p < q in a given eigenbasis.
 pure                   the density matrix |v><v| / <v|v>.
 first_order_gap_bound  the largest gap the first-order engine may show against the
                        exact kick average, from a dense eigvalsh of the block.
+stratified_kick_bound  the largest gap n stratified Monte Carlo trajectories may show
+                       against the exact kick average, entry by entry, from the
+                       exact differences and the engines' eigenvectors.
 first_order_generator  the 16x16 first-order generator on vec(rho), from the block.
 first_order_expm       exp(t G) vec(rho) by scipy's expm; checks evolve_ode.
 eigvalsh_violations    DensityMatrix.violations as it was before the Cholesky
@@ -211,6 +214,42 @@ def first_order_gap_bound(block, t: float, r: float, floor: float) -> float:
     per_pair = (np.exp(-d * d * t * r / 2.0) * (t * d**3 * r * r / 6.0)
                 * np.exp(t * d**4 * r**3 / 24.0))
     return float(per_pair.max()) + floor
+
+
+def stratified_kick_bound(block, spectrum: Spectrum, rho: DensityMatrix, t: float, gamma: float, k_max: int,
+                          n_traj: int, tail_tol: float) -> np.ndarray:
+    """Entrywise bound on |rho_MC - rho_poisson| at one time t, for n = n_traj trajectories whose
+    kick counts come from the float Poisson CDF C_0..C_K (K = k_max) of mean lam = gamma t, the
+    tail past K in bucket K + 1.
+
+    Per eigenbasis gap D with z = e^{-iD/gamma}, |1 - z| = 2 |sin(D / (2 gamma))|, let F_k be
+    the share of trajectories below C_k and P_k the exact CDF.  Summation by parts gives
+      phi_MC = sum_{k<=K+1} (F_k - F_{k-1}) z^k = z^{K+1} + (1 - z) sum_{k<=K} F_k z^k,
+    and psi = z^{K+1} + (1 - z) sum_{k<=K} P_k z^k = sum_{k<=K} p_k z^k + (1 - P_K) z^{K+1},
+    which lies within 2 (1 - P_K) <= 2 tail_tol of the exact factor sum_k p_k z^k.  So
+      |phi_MC - phi| <= |1 - z| sum_{k<=K} |F_k - P_k| + 2 tail_tol.
+    Stratified, the count below C is within 1 of fl(C n), so |F_k - C_k| < 1/n + u, and
+    |C_k - P_k| <= delta, the CDF's rounding: each log pmf k log lam - lam - log k! is off by at
+    most L = 8u (K |log lam| + lam + log K! + 1), and the cumulative sum adds (K + 2) u, so
+    delta = 1.01 (L + u) + (K + 2) u.  The engines' own rounding adds, per factor, at most
+    u (24 lam |sin| + 4) for the Poisson exponent lam expm1(-iD/gamma) and its exp, and
+    u (2 |D| (K + 1) / gamma + 12 + log2(K + 2)) for the Monte Carlo phases and their weighted sum.
+    With E_pq that bound for D = Ep - Eq and X = V^T rho V in the engines' eigenbasis V,
+      |rho_MC - rho_poisson| <= |V| (|X| o E) |V|^T + 20 u |V| |X| |V|^T,
+    the last term both engines' rounding in the products V (X o Phi) V^T (|Phi| <= 1 + u).
+    """
+    u = 2.0**-53
+    sin = np.abs(np.sin(exact_differences(block) / (2.0 * gamma)))
+    lam = gamma * t
+    size = k_max + 1
+    log_error = 8.0 * u * (k_max * abs(math.log(lam)) + lam + math.lgamma(size) + 1.0) if lam else 0.0
+    delta = 1.01 * (log_error + u) + (k_max + 2) * u
+    rounding = u * (24.0 * lam * sin + 4.0 + 2.0 * np.abs(exact_differences(block)) * size / gamma + 12.0
+                    + math.log2(k_max + 2))
+    factor = 2.0 * sin * size * (1.0 / n_traj + u + delta) + 2.0 * tail_tol + rounding
+    v = np.abs(spectrum.eigenvectors)
+    x = np.abs(spectrum.eigenvectors.T @ rho.entries @ spectrum.eigenvectors)
+    return v @ (x * factor) @ v.T + 20.0 * u * (v @ x @ v.T)
 
 
 def first_order_generator(block, gamma: float) -> np.ndarray:

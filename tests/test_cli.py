@@ -766,9 +766,9 @@ def test_grid_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys)
 
 
 def test_trajectory_budget_exits_two_without_allocating(tmp_path, monkeypatch, capsys):
-    # 1e9 trajectories would need about 32 GB; the request refuses them before any is drawn
+    # the request refuses 1e9 trajectories before any is drawn
     assert engines.MAX_TRAJECTORIES >= 100 * 100_000  # the test suite and benchmark draw 1e5
-    monkeypatch.setattr(engines, "_trajectory_bits", lambda *args: pytest.fail("trajectories drawn"))
+    monkeypatch.setattr(engines, "_trajectory_uniforms", lambda *args: pytest.fail("trajectories drawn"))
     argv = ["evolve", "--engine", "mc", "--n-traj", "1000000000", "--out", "big.csv"]
     assert run_cli(tmp_path, monkeypatch, argv) == 2
     assert "n_traj" in capsys.readouterr().err
@@ -856,25 +856,25 @@ def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_units_starts_no_thread_and_monte_carlo_reruns_byte_identical(tmp_path):
-    # set-up stays single-threaded: the Monte Carlo workers and their module load at the first Monte
-    # Carlo call; a rerun on the started workers and the cached log(k!) table, a run drawn in one
-    # chunk or in two, and a run in a child forked after the workers started (it has none of them,
-    # so its draw starts a pool of its own) all write the same bytes
+    # no command starts a thread or imports concurrent.futures, a Monte Carlo run included; a rerun on
+    # the cached log(k!) table, a run with that table emptied, and a run in a forked child all write
+    # the same bytes
     src = str(Path(iondeco.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
 import os, sys, threading
+import numpy as np
 from iondeco import cli, engines
-assert cli.main(["units", "--out", "units.csv"]) == 0
-assert threading.active_count() == 1 and "concurrent.futures" not in sys.modules, threading.enumerate()
 argv = ["evolve", "--engine", "mc", "--n-traj", "100000", "--seed", "11", "--r", "0.001", "--out", "mc.csv"]
+assert cli.main(["units", "--out", "units.csv"]) == 0
 runs = []
-for chunk_count in (engines._chunk_count, engines._chunk_count, lambda n: 1, lambda n: 2):
-    assert ("concurrent.futures" in sys.modules) == bool(runs)
-    engines._chunk_count = chunk_count
+for emptied in (False, False, True):
+    if emptied:
+        engines._log_factorial = np.zeros(0)
     assert cli.main(argv) == 0
+    assert threading.active_count() == 1 and "concurrent.futures" not in sys.modules, threading.enumerate()
     runs.append(open("mc.csv", "rb").read())
-assert runs.count(runs[0]) == 4
+assert runs.count(runs[0]) == 3
 if hasattr(os, "fork"):
     os.remove("mc.csv")
     pid = os.fork()
@@ -894,7 +894,7 @@ def test_kick_table_budget_exits_two_without_building(tmp_path, monkeypatch, cap
             lams = (experiments.kick_rate(r) * grid).tolist()
             assert sum(engines._poisson_cutoff(lam, 1e-12) if lam else 0 for lam in lams) + grid.size <= engines.MAX_KICK_TABLE
     monkeypatch.setattr(engines, "_poisson_cdf", lambda *args: pytest.fail("Poisson table built"))
-    monkeypatch.setattr(engines, "_trajectory_bits", lambda *args: pytest.fail("trajectories drawn"))
+    monkeypatch.setattr(engines, "_trajectory_uniforms", lambda *args: pytest.fail("trajectories drawn"))
     # about 4.6e8 entries on the default grid; the last argv is one time whose mean alone is 6e300
     for argv in (["sweep", "--engine", "mc", "--r", "0.00001"], ["evolve", "--engine", "mc", "--r", "1e-300"]):
         assert run_cli(tmp_path, monkeypatch, argv + ["--out", "x.out"]) == 2
@@ -963,9 +963,9 @@ GOLDEN_SHA256 = {
     "sweep --engine unitary": "889f5d8938024157e7891548cd444cc2acfc1068b72465abaf2274428560c557",
     "evolve --engine unitary": "6ddddc62807c04e2b256b0ed7136163d51dbb5b949b745027f66afd6dd8b36f6",
     "evolve --engine poisson": "f884985dd64f32bb11a61e6d1e49be08b455d68ef1c7dd9dfcc4c237a1720096",
-    # re-pinned when the engine became one dephase with the empirical characteristic function:
-    # only the 16 rho cells that are zero in exact arithmetic moved, each below 3e-17 in magnitude
-    "evolve --engine mc --n-traj 2000 --seed 7": "7f2fe8825b7ed8fa32278faa0e3851d8cf1c165add212df947d6b8cca49c058d",
+    # re-pinned when trajectory i's uniform became the stratified (i + v_i) / n: the draws changed, and
+    # the largest cell's distance from the poisson engine's fell from 9.3e-3 to 5.3e-5
+    "evolve --engine mc --n-traj 2000 --seed 7": "e25a638e12395686d09d2c7589016116ce5a616f57987bf836a4b631c5c24bbc",
     # outside the m = n = 1 block (no p_ghz rows); hashed before evolve wrote one value column
     "evolve --engine eigen --m 3 --n 2 --r 0.05 --t-max-deg 77":
         "bfa9c74ea4108e787caa776f0e090d2a9883d7cc51017cc23440666e9c102bfc",
@@ -974,9 +974,10 @@ GOLDEN_SHA256 = {
     # re-pinned when closed_form_rho took B without the cancelling mu - omega: only the
     # transcription max dev line moved, 3.336e-16 -> 3.334e-16
     "audit --alpha 12": "c8645824906238addc03d730dadbaded06ceb13886a412568bcf8e75846678df",
-    # over a grid; hashed before the Monte Carlo engine shared the first-order factor
+    # over a grid; re-pinned with the stratified draws, which moved the largest P or purity
+    # cell's distance from the poisson engine's from 1.4e-2 to 3.4e-4
     "sweep --engine mc --n-traj 2000 --seed 7 --r 0.01,0.1 --t-step-deg 15":
-        "2104f6e709a835116b63e263d03dfed7495a799a695a6eb72483b8b2c4198649",
+        "bf796a70e8ce0320e6e2e23189b8b5adf66c8162eac1c33ab7cc4ab6b915c18c",
     "sweep --engine poisson --t-step-deg 15": "7f5ea5f195a42849ef57d96a12dba85f4626e07ac7622e83ab1e74ad90a3ae3e",
 }
 

@@ -1,6 +1,5 @@
 import ast
 import math
-import os
 import re
 import sys
 import threading
@@ -815,6 +814,27 @@ def test_monte_carlo_converges_to_poisson(system4, rho0):
     assert np.all(dev <= 3.0 * oracles.kick_standard_error(block, rho0, math.pi / 4, 100.0, 100_000) + 1e-12)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(alpha=st.floats(1.0, 20.0, exclude_min=True), m=st.integers(1, 5), n=st.integers(1, 5),
+       state_seed=st.integers(0, 2**32 - 1), r=st.floats(1e-3, 0.5),
+       times=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4),
+       n_traj=st.integers(1, 200_000), seed=st.integers(0, 2**64 - 1))
+@example(alpha=4.0, m=1, n=1, state_seed=0, r=0.001, times=[math.pi], n_traj=200_000, seed=0)
+def test_monte_carlo_lies_within_the_stratified_bound_of_poisson(alpha, m, n, state_seed, r, times, n_traj, seed):
+    """At every time of a grid, for any seed, the Monte Carlo state lies within
+    oracles.stratified_kick_bound of the poisson engine's: with stratified trajectories the count
+    below each CDF entry c is within 1 of c n, so no seed is luckier than another."""
+    block, spectrum = scaled_system(alpha, model.ModeIndices(m, n))
+    rho = random_state(np.random.default_rng(state_seed), spectrum.basis_order)
+    req = engines.EvolutionRequest(rho, t=np.array(times), gamma=1.0 / r, n_traj=n_traj, seed=seed)
+    mc = engines.evolve_monte_carlo(block, spectrum, req).entries
+    exact = engines.evolve_poisson(block, spectrum, req).entries
+    for t, mc_t, exact_t in zip(times, mc, exact):
+        k_max = engines._poisson_cutoff(req.gamma * t, req.tail_tol) if t else 0
+        bound = oracles.stratified_kick_bound(block, spectrum, rho, t, 1.0 / r, k_max, n_traj, req.tail_tol)
+        assert np.all(np.abs(mc_t - exact_t) <= bound)
+
+
 # ------------------------------------------------- published rho(t) expression
 
 
@@ -1058,23 +1078,32 @@ def test_factor_of_negated_difference_is_conjugate_bit_for_bit(factor, log_exces
     assert np.signbit(conj.imag[zero_phase]).all() and not np.signbit(negated.imag[zero_phase]).any()
 
 
-def mix_uniforms(bits):
-    """The uniform in [0,1) of each 64-bit mix: its top 53 bits times 2**-53."""
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
 def trajectory_uniforms(seed, n):
-    """The uniform of each trajectory 0..n-1, as the engine's floats once were."""
-    return mix_uniforms(engines._trajectory_bits(seed, n))
+    """v_i of each trajectory i = 0..n-1, whose uniform is (i + v_i) / n."""
+    return engines._trajectory_uniforms(seed, np.arange(n))
+
+
+def brute_force_below(v, table):
+    """How many trajectories of uniforms v lie below each entry c of table: each i with v_i < c n - i."""
+    n, index = v.size, np.arange(v.size)
+    return np.array([np.count_nonzero(v < c * n - index) for c in np.asarray(table, dtype=float).tolist()],
+                    dtype=np.int64)
 
 
 def trajectory_kicks(t, gamma, n, seed, tail_tol=1e-12):
-    """Kick count of each trajectory, each drawn by inverting the Poisson CDF at its float uniform."""
+    """Kick count of each trajectory i: the number of CDF entries c it does not lie below (v_i < c n - i
+    fails), K + 1 where it lies below none.  The test is monotone in c, so a bisection finds it."""
     if gamma * t == 0.0:
         return np.zeros(n, dtype=np.int64)
     k_max = engines._poisson_cutoff(gamma * t, tail_tol)
     cdf = engines._poisson_cdf(gamma * t, k_max, np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)]))
-    return np.searchsorted(cdf, trajectory_uniforms(seed, n), side="right")
+    v, index = trajectory_uniforms(seed, n), np.arange(n)
+    lo, hi = np.zeros(n, dtype=np.int64), np.full(n, cdf.size)  # kicks lie in [lo, hi]
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = v < cdf[np.minimum(mid, cdf.size - 1)] * n - index
+        lo, hi = np.where(open_ & ~below, mid + 1, lo), np.where(open_ & below, mid, hi)
+    return lo
 
 
 def per_pass_uniforms(seed, n):
@@ -1159,107 +1188,69 @@ def test_monte_carlo_grid_equals_per_point(system4, rho0):
             assert np.array_equal(batched.entries[j], one.entries)
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(n=st.one_of(st.integers(0, 1500).map(lambda k: 2 * k + 1), st.integers(-3, 3).map(lambda d: 65536 + d)),
-       seed=st.integers(0, 2**64 - 1), r=st.floats(1e-3, 1.0),
-       times=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=0, max_size=4))
-@example(n=1, seed=0, r=0.01, times=[math.pi])
-@example(n=65537, seed=7, r=0.001, times=[math.pi, 0.5])
-def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r, times):
-    """Drawn in 1, 2 or 3 chunks, a call finds at each time of a grid holding t = 0 the histogram of
-    kick counts of one whole array of per-trajectory draws, and returns the same bits for every split; n
-    lies on both sides of 65,536, below which calls were once drawn whole on the calling thread."""
-    block, spectrum = system4
-    grid = np.array([0.0] + times)
-    lams = (grid / r).tolist()
-    k_maxes = [0 if lam == 0.0 else engines._poisson_cutoff(lam, 1e-12) for lam in lams]
-    log_factorial = engines._log_factorials(max(k_maxes) + 1)
-    req = engines.EvolutionRequest(rho0, t=grid, gamma=1.0 / r, n_traj=n, seed=seed)
-    whole = [np.unique(trajectory_kicks(t, 1.0 / r, n, seed), return_counts=True) for t in grid.tolist()]
-    results = []
-    for chunks in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engines, "_chunk_count", lambda n: chunks)
-            keys = engines._sorted_chunks(seed, n)
-            results.append(engines.evolve_monte_carlo(block, spectrum, req).entries)
-        assert len(keys) == min(chunks, n)
-        kicks, counts, firsts = engines._kick_counts(seed, keys, lams, k_maxes, log_factorial)
-        for (k, c), lo, hi in zip(whole, firsts, firsts[1:]):
-            assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (k.tolist(), c.tolist())
-    assert all(entries.view(np.uint64).tolist() == results[0].view(np.uint64).tolist() for entries in results[1:])
-    with pytest.MonkeyPatch.context() as patch:  # two chunks from 2 trajectories up, whatever the CPU count
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        patch.setattr(os, "cpu_count", lambda: 1)
-        assert [len(engines._sorted_chunks(seed, k)) for k in (1, 2, 3, 65535, 65536, 65537)] == [1, 2, 2, 2, 2, 2]
+def adversarial_hash_and_table(n, seed, data):
+    """The uniforms v of n trajectories with a few set to 0 or 1 - 2**-53, and a table of entries with
+    c n an integer (c = m / n and its neighbours), with c n - m equal to v_m (a tie, not below; at
+    m = 0 and n - 1 too, the trajectories that trim a CDF), 0, 5e-324, 1 - 2**-53, 1.0 and above 1.0."""
+    v = trajectory_uniforms(seed, n)
+    for i, value in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0.0, 1.0 - 2.0**-53])),
+                                       max_size=3)):
+        v[i] = value
+    integral = np.array(data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))) / n
+    table = [integral, np.nextafter(integral, 0.0), np.nextafter(integral, 2.0),
+             [0.0, 5e-324, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52]]
+    for m in data.draw(st.lists(st.sampled_from([0, n - 1]) | st.integers(0, n - 1), min_size=1, max_size=4)):
+        c = (m + data.draw(st.floats(0.0, 1.0, exclude_max=True))) / n
+        m_c = min(int(c * n), n - 1)
+        if 0.0 <= c * n - m_c < 1.0:
+            v[m_c] = c * n - m_c
+        table.append([c])
+    return v, np.sort(np.concatenate(table))
 
 
-def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it(monkeypatch):
-    """A uniform equal to cdf[k] draws k + 1 kicks, as searchsorted(cdf, u, side="right") gives, also
-    where it is the least or the greatest uniform, which trim each time's CDF; in one chunk or two.
-    The draws are set through the 64-bit mixes, so each shares its key with a CDF entry; at lam = 0.5
-    every entry lies in [0.5, 1), where each float is a 53-bit uniform.  A least uniform one float
-    below cdf[0], in the lower half of its key, draws none: the trim keeps the entries above it."""
-    lam = 0.5
-    k_max = engines._poisson_cutoff(lam, 1e-12)
-    log_factorial = engines._log_factorials(k_max + 1)
-    cdf = engines._poisson_cdf(lam, k_max, log_factorial)
-    assert (cdf[0] * 2.0**32) % 1.0 < 0.5
-    cases = ((np.array([cdf[0], cdf[1], 0.5 * (cdf[1] + cdf[2]), cdf[3]]), [[1, 2, 4], [1, 2, 1], [0, 3]]),
-             (np.array([np.nextafter(cdf[0], 0.0), cdf[1], cdf[0], cdf[3]]), [[0, 1, 2, 4], [1, 1, 1, 1], [0, 4]]))
-    for uniforms, expected in cases:
-        for order, chunks in (((0, 1, 2, 3), 1), ((0, 1, 2, 3), 2), ((1, 2, 0, 3), 2)):
-            bits = (uniforms[list(order)] * 2.0**53).astype(np.uint64) << np.uint64(11)
-            monkeypatch.setattr(engines, "_trajectory_bits", lambda seed, hi, lo=0: bits[lo:hi].copy())
-            monkeypatch.setattr(engines, "_chunk_count", lambda n: chunks)
-            keys = engines._sorted_chunks(0, bits.size)
-            assert len(keys) == chunks
-            kicks, counts, firsts = engines._kick_counts(0, keys, [lam], [k_max], log_factorial)
-            assert [kicks.tolist(), counts.tolist(), firsts] == expected
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, 3, 2999, 3000]), st.integers(1, 3000)), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_kick_counts_and_draws_below_equal_the_brute_force_count(n, seed, data):
+    """_draws_below counts, from one uniform per entry, the trajectories that the brute force finds below
+    each entry of an adversarial table, and _kick_counts, trimming each CDF by v_0 and v_(n-1), finds
+    each time's histogram of those counts (the tail bucket K + 1 included) in two CDFs end to end; it
+    counts in exactly the entries whose count lies strictly between 0 and n, and one 1.0 per time."""
+    v, table = adversarial_hash_and_table(n, seed, data)
+    other = np.sort(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).map(np.array)))
+    counted = []
+    draws_below = engines._draws_below
 
+    def counted_draws_below(seed, n, table):
+        counted.append(table)
+        return draws_below(seed, n, table)
 
-EXTREME_BITS = (0, 1 << 11, (2**21 - 1) << 43, 0xFFFFFFFF << 32, 2**64 - 1)  # the least and greatest z and keys
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(n=st.one_of(st.sampled_from([1, 2, 3, 65535, 65536, 65537]), st.integers(1, 5000)),
-       seed=st.integers(0, 2**64 - 1), chunks=st.integers(1, 3), data=st.data())
-def test_draws_below_table_entries_equal_search_in_sorted_uniforms(n, seed, chunks, data):
-    """Counted from the sorted keys, with a redraw where a key ties, the draws below each table entry
-    are those that searchsorted finds in the sorted float uniforms, with entries at drawn uniforms and
-    next to them (ties), at multiples of 2**-32 (a key's bounds, no tie), and at the ends of [0, 1].
-    Some draws may be set to the extremes of z and of the keys, which a seeded draw almost never meets."""
-    bits = engines._trajectory_bits(seed, n)
-    for i, z in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(EXTREME_BITS)), max_size=3)):
-        bits[i] = z
-    uniforms = np.sort(mix_uniforms(bits))
-    picked = uniforms[data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))]
-    table = np.concatenate([picked, np.nextafter(picked, 0.0), np.nextafter(picked, 1.0),
-                            np.floor(picked * 2.0**32) * 2.0**-32, np.ceil(picked * 2.0**32) * 2.0**-32,
-                            data.draw(st.lists(st.integers(0, 2**32), max_size=4)) * np.array(2.0**-32),
-                            [0.0, 5e-324, 1.0 - 2.0**-53, 1.0]])
-    table = data.draw(st.permutations(table.tolist()).map(np.array))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engines, "_trajectory_bits", lambda seed, hi, lo=0: bits[lo:hi].copy())
-        patch.setattr(engines, "_chunk_count", lambda n: chunks)
-        keys = engines._sorted_chunks(seed, n)
-        assert len(keys) == min(chunks, n)
-        below = engines._draws_below(seed, keys, table)
-    assert below.tolist() == np.searchsorted(uniforms, table, side="left").tolist()
+        patch.setattr(engines, "_trajectory_uniforms", lambda seed, index: v[index])
+        cdfs = {1.0: table, 2.0: other}
+        patch.setattr(engines, "_poisson_cdf", lambda lam, k_max, log_factorial: cdfs[lam].copy())
+        shuffled = data.draw(st.permutations(table.tolist()).map(np.array))
+        assert draws_below(seed, n, shuffled).tolist() == brute_force_below(v, shuffled).tolist()
+        patch.setattr(engines, "_draws_below", counted_draws_below)
+        kicks, counts, firsts = engines._kick_counts(seed, n, [1.0, 2.0], [table.size - 1, other.size - 1], np.zeros(0))
+    below = [brute_force_below(v, cdf) for cdf in (table, other)]
+    assert counted[0].size == sum(np.count_nonzero((0 < b) & (b < n)) + 1 for b in below)
+    for b, lo, hi in zip(below, firsts, firsts[1:]):
+        histogram = np.diff(b, prepend=0, append=n)
+        assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (np.flatnonzero(histogram).tolist(),
+                                                                    histogram[histogram > 0].tolist())
 
 
-def test_monte_carlo_threads_get_serial_bits_from_a_shared_pool_and_table(system4, rho0, monkeypatch):
-    """Six threads, more than the cores, at a short switch interval: each starts or shares the worker
-    pool, splits its calls and grows the process's log(k!) table, emptied before each of 10 rounds so
-    that all grow it at once; every call returns the bits it returns alone, and every table handed out,
-    and the one kept, holds math.lgamma's bits."""
+def test_monte_carlo_threads_get_serial_bits_and_a_shared_table(system4, rho0, monkeypatch):
+    """Six threads, more than the cores, at a short switch interval: each grows the process's log(k!)
+    table, emptied before each of 10 rounds so that all grow it at once; every call returns the bits it
+    returns alone, and every table handed out, and the one kept, holds math.lgamma's bits."""
     block, spectrum = system4
-    monkeypatch.setattr(engines, "_chunk_count", lambda n: 2)
     reqs = [engines.EvolutionRequest(rho0, t=np.array([0.0, 0.3 * (j + 1)]), gamma=10.0 ** (j % 3 + 1),
                                      n_traj=3001 + j, seed=j) for j in range(6)]
     serial = [engines.evolve_monte_carlo(block, spectrum, req).entries.tobytes() for req in reqs]
     lgamma = np.array([math.lgamma(k + 1) for k in range(4096)]).view(np.uint64)
     monkeypatch.setattr(engines, "_log_factorial", np.zeros(0))
-    monkeypatch.setattr(engines, "_worker", None)
     failures = []
     rounds = threading.Barrier(6, action=lambda: setattr(engines, "_log_factorial", np.zeros(0)), timeout=60)
 
@@ -1286,8 +1277,6 @@ def test_monte_carlo_threads_get_serial_bits_from_a_shared_pool_and_table(system
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-        if engines._worker is not None:
-            engines._worker.shutdown()
     assert not any(thread.is_alive() for thread in threads) and not failures, failures
     cached = engines._log_factorial
     assert cached.size <= engines._LOG_FACTORIAL_CAP and (cached.view(np.uint64) == lgamma[:cached.size]).all()

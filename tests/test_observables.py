@@ -256,6 +256,21 @@ def test_purity_and_populations(system4, rho0):
     assert pops.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("rho", [
+    engines.DensityMatrix(np.eye(5) / 5, observables.GHZ_BASIS),  # purity once read 0.2
+    engines.DensityMatrix(np.eye(3) / 3, observables.GHZ_BASIS),  # 0.333, and p_ghz raised numpy's ValueError
+    engines.DensityMatrix(np.full(4, 0.25), observables.GHZ_BASIS),  # populations raised numpy's ValueError
+    engines.DensityMatrix(np.zeros((4, 4, 3)), observables.GHZ_BASIS),  # a stack laid out the wrong way
+    np.eye(4) / 4,  # a bare array once raised AttributeError
+    None,
+], ids=["5x5", "3x3", "1-D", "4x4x3", "ndarray", "None"])
+def test_observables_refuse_what_is_not_a_state(rho, ghz_minus):
+    for call in (lambda: observables.p_ghz(rho, ghz_minus), lambda: observables.purity(rho),
+                 lambda: observables.populations(rho)):
+        with pytest.raises(ValidationError, match="rho must be a DensityMatrix"):
+            call()
+
+
 def test_populations_of_a_stack_are_those_of_each_state(system4, rho0):
     """One row per state, each with the bits of that state alone; a stack no longer raises."""
     block, spectrum = system4

@@ -28,6 +28,10 @@ MIXED = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
 MIXED[0, 1], MIXED[1, 0] = 0.1j, -0.1j
 STATES = st.sampled_from((INITIAL, engines.DensityMatrix(MIXED, BASIS), engines.DensityMatrix(np.eye(4) / 4, BASIS),
                           engines.DensityMatrix(np.stack([MIXED, np.eye(4) / 4]), BASIS)))
+# what is not a state: entries of the wrong shape, a bare array, and no matrix at all
+STATE_EDGES = st.one_of(EDGES, st.sampled_from((
+    engines.DensityMatrix(np.eye(3) / 3, BASIS), engines.DensityMatrix(np.eye(5) / 5, BASIS),
+    engines.DensityMatrix(np.full(4, 0.25), BASIS), engines.DensityMatrix(np.zeros((4, 4, 1)), BASIS), np.eye(4) / 4)))
 FIXED = st.nothing()  # the edges of an argument drawn only from its valid values
 
 # one (valid values, edge values and wrong types) pair per kind of argument
@@ -132,10 +136,11 @@ CALLS = {
         assert_clamped),
     "closed_form_pghz": (observables.closed_form_pghz, (TIMES, ALPHAS, REALS, SIGNS), assert_probability),
     "published_pghz": (observables.published_pghz, (TIMES, ALPHAS, REALS), assert_finite),  # not a probability
-    "p_ghz": (observables.p_ghz, ((STATES, FIXED), (st.sampled_from(tuple(observables.GHZ_TARGETS.values())), EDGES)),
+    "p_ghz": (observables.p_ghz, ((STATES, STATE_EDGES),
+                                  (st.sampled_from(tuple(observables.GHZ_TARGETS.values())), EDGES)),
               assert_probability),
-    "purity": (observables.purity, ((STATES, FIXED),), assert_probability),
-    "populations": (observables.populations, ((STATES, FIXED),), assert_probability),
+    "purity": (observables.purity, ((STATES, STATE_EDGES),), assert_probability),
+    "populations": (observables.populations, ((STATES, STATE_EDGES),), assert_probability),
     "sweep": (lambda alpha, r_values, t_grid, engine, controls: experiments.sweep(
         alpha, r_values, t_grid, engine, **controls), (ALPHAS, R_LISTS, TIMES, ENGINE_NAMES, CONTROLS), assert_series),
     "physical_units": (experiments.physical_units, (OMEGAS, ALPHAS, R_LISTS), assert_finite),
