@@ -1,4 +1,5 @@
 import ast
+import bisect
 import math
 import re
 import sys
@@ -1239,6 +1240,83 @@ def test_kick_counts_and_draws_below_equal_the_brute_force_count(n, seed, data):
         histogram = np.diff(b, prepend=0, append=n)
         assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (np.flatnonzero(histogram).tolist(),
                                                                     histogram[histogram > 0].tolist())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, 3, 2999, 3000]), st.integers(1, 3000)), seed=st.integers(0, 2**64 - 1),
+       data=st.data())
+def test_draws_below_table_entries_equal_search_in_sorted_uniforms(n, seed, data):
+    """The draws below each entry c of an adversarial table, and of entries at drawn uniforms and one
+    float to each side, are those that a binary search finds among the uniforms (i + v_i) / n, held
+    exactly as the pairs (i, v_i), which lie sorted by construction, for c n held as the pair
+    (floor(c n), c n - floor(c n))."""
+    v, table = adversarial_hash_and_table(n, seed, data)
+    picked = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=4)), dtype=np.int64)
+    at_uniforms = (picked + v[picked]) / n
+    table = np.concatenate([table, at_uniforms, np.nextafter(at_uniforms, 0.0), np.nextafter(at_uniforms, 1.0)])
+    table = data.draw(st.permutations(table.tolist()).map(np.array))
+    uniforms = list(zip(range(n), v.tolist()))
+    assert uniforms == sorted(uniforms)
+    keys = [(math.floor(c * n), c * n - math.floor(c * n)) for c in table.tolist()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engines, "_trajectory_uniforms", lambda seed, index: v[index])
+        below = engines._draws_below(seed, n, table)
+    assert below.tolist() == [bisect.bisect_left(uniforms, key) for key in keys]
+
+
+def test_uniform_on_a_cdf_entry_draws_the_kick_count_above_it(monkeypatch):
+    """A uniform equal to cdf[k] draws k + 1 kicks, as searchsorted(cdf, u, side="right") gives, and one
+    float below it draws k; also where it is the least or the greatest uniform, which trim each time's
+    CDF.  n is a power of two, so each uniform (i + v_i) / n is set exactly through v_i.  At lam = 0.5
+    every entry lies in [0.5, 1); at lam = 2 the first two lie below 0.5.  A stratum holding no entry
+    takes its midpoint."""
+    for lam in (0.5, 2.0):
+        k_max = engines._poisson_cutoff(lam, 1e-12)
+        log_factorial = engines._log_factorials(k_max + 1)
+        cdf = engines._poisson_cdf(lam, k_max, log_factorial)
+        for n in (1, 2, 4):
+            index = np.arange(n)
+            strata = [cdf[(i <= cdf * n) & (cdf * n < i + 1)] for i in range(n)]
+            for pick in (lambda s: s[0], lambda s: s[-1], lambda s: np.nextafter(s[0], 0.0)):
+                u = np.array([pick(s) if s.size else (i + 0.5) / n for i, s in enumerate(strata)])
+                v = u * n - index
+                assert ((0.0 <= v) & (v < 1.0)).all() and ((index + v) / n == u).all()
+                monkeypatch.setattr(engines, "_trajectory_uniforms", lambda seed, i: v[i])
+                kicks, counts, firsts = engines._kick_counts(0, n, [lam], [k_max], log_factorial)
+                expected, times = np.unique(np.searchsorted(cdf, u, side="right"), return_counts=True)
+                assert [kicks.tolist(), counts.tolist(), firsts] == [expected.tolist(), times.tolist(),
+                                                                     [0, expected.size]]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(n=st.one_of(st.integers(0, 1500).map(lambda k: 2 * k + 1), st.integers(-3, 3).map(lambda d: 65536 + d)),
+       seed=st.integers(0, 2**64 - 1), r=st.floats(1e-3, 1.0),
+       times=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=0, max_size=4), cut=st.integers(1, 4))
+@example(n=1, seed=0, r=0.01, times=[math.pi], cut=1)
+@example(n=65537, seed=7, r=0.001, times=[math.pi, 0.5], cut=2)
+def test_monte_carlo_split_keeps_kick_counts_and_bits(system4, rho0, n, seed, r, times, cut):
+    """A grid holding t = 0 finds at each time the histogram of the kick counts that a bisection finds
+    for each trajectory alone, and returns the same bits split in two at any time or taken one time at
+    a time; n lies on both sides of 65,536."""
+    block, spectrum = system4
+    grid = np.array([0.0] + times)
+    lams = [(1.0 / r) * t for t in grid.tolist()]
+    k_maxes = [0 if lam == 0.0 else engines._poisson_cutoff(lam, 1e-12) for lam in lams]
+    log_factorial = engines._log_factorials(max(k_maxes) + 1)
+    kicks, counts, firsts = engines._kick_counts(seed, n, lams, k_maxes, log_factorial)
+    for t, lo, hi in zip(grid.tolist(), firsts, firsts[1:]):
+        k, c = np.unique(trajectory_kicks(t, 1.0 / r, n, seed), return_counts=True)
+        assert (kicks[lo:hi].tolist(), counts[lo:hi].tolist()) == (k.tolist(), c.tolist())
+
+    def entries(t):
+        req = engines.EvolutionRequest(rho0, t=t, gamma=1.0 / r, n_traj=n, seed=seed)
+        return engines.evolve_monte_carlo(block, spectrum, req).entries.reshape(-1, 4, 4)
+
+    whole = entries(grid).view(np.uint64).tolist()
+    cut = min(cut, grid.size)
+    assert np.concatenate([entries(grid[:cut])] + ([entries(grid[cut:])] if cut < grid.size else [])
+                          ).view(np.uint64).tolist() == whole
+    assert np.concatenate([entries(t) for t in grid.tolist()]).view(np.uint64).tolist() == whole
 
 
 def test_monte_carlo_threads_get_serial_bits_and_a_shared_table(system4, rho0, monkeypatch):
