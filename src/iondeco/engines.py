@@ -6,8 +6,9 @@ as a Poisson process of mean frequency gamma (Milburn, Phys. Rev. A 44, 5401
 eigenbasis coherence (p,q) by a kick-count factor of D = Ep - Eq and leaves
 eigenbasis populations untouched.
 
-Five engines, each evolve_*(block, spectrum, req) -> DensityMatrix.  Four are one _dephased
-call over a grid of times, each with its kick-count factor, taken once per closed-form gap |D|:
+Five engines, each evolve_*(block, spectrum, req) -> DensityMatrix.  Four are one _dephased call on
+gap_factors(name, ...), their kick-count factor over a grid of times on the five closed-form gaps |D|,
+which experiments.sweep sums into P and the purity with no state formed:
 * first_order_factor exp(-i D t - D^2 t / (2 gamma)): evolve_eigenbasis, the reference;
   evolve_unitary, it at gamma = inf.
 * poisson_factor exp(gamma t (e^{-iD/gamma} - 1)), the exact average: evolve_poisson.
@@ -173,7 +174,7 @@ def _engine_gamma(gamma: float | np.ndarray, *, finite: bool, one: bool) -> floa
     if one and np.ndim(gamma):
         raise ValidationError(f"this engine takes one gamma per call, got an array of shape {np.shape(gamma)}")
     if finite and (np.isinf(gamma).any() if isinstance(gamma, np.ndarray) else math.isinf(gamma)):
-        raise ValidationError("this engine requires finite gamma")
+        raise ValidationError("this engine requires finite gamma = 1/R: R must exceed 0, and 1/R must not overflow")
     return gamma
 
 
@@ -214,11 +215,12 @@ def poisson_factor(delta: np.ndarray, t: np.ndarray, gamma: float | np.ndarray) 
     return np.where(np.isfinite(factor) | (2.0 * gamma * t >= 2.0**-53), factor, 1.0)
 
 
-def _dephased(block: HamiltonianBlock, spectrum: Spectrum, initial: DensityMatrix, t, gamma, phi) -> DensityMatrix:
-    """dephase with phi(D, t, gamma) at every time of t (one gamma per time, when gamma is an array) on the
-    block's five gaps |D|, placed into Ep - Eq by the model's constant pattern and conjugated where D < 0, as
-    phi(-D) = conj(phi(D)); shape np.shape(t) + (4, 4).  A non-finite factor is a ValidationError, no warning."""
-    t = np.asarray(t, dtype=float)
+def gap_factors(name: str, block: HamiltonianBlock, req: EvolutionRequest) -> np.ndarray:
+    """The kick-count factor phi(D, t, gamma) of the dephasing engine GAP_FACTORS names, under its gamma rule, at
+    each time of req.t (one gamma per time for a gamma array) on the block's five gaps |D| = 2 (0, mu, a, mu - a,
+    mu + a): shape np.shape(req.t) + (5,).  A non-finite factor is a ValidationError, no warning."""
+    phi, gamma = GAP_FACTORS[name](req)
+    t = np.asarray(req.t, dtype=float)
     gamma = gamma.reshape(-1, 1) if isinstance(gamma, np.ndarray) else gamma
     gaps = 2.0 * np.array([0.0, block.mu, block.a, block.mu - block.a, block.mu + block.a])
     with np.errstate(all="ignore"):
@@ -226,25 +228,30 @@ def _dephased(block: HamiltonianBlock, spectrum: Spectrum, initial: DensityMatri
     if not np.isfinite(factor).all():
         raise ValidationError(f"the kick-count factor at |D| up to {gaps.max():.4g} is not finite: a phase |D| t, "
                               "|D| / gamma or |D| k / gamma, or gamma t, exceeds DBL_MAX = 1.798e308")
-    factor = factor.take(_GAP_INDEX, axis=1).reshape(-1, 4, 4)
-    factor.imag *= _GAP_SIGN
-    return DensityMatrix(dephase(spectrum, initial, factor).reshape(t.shape + (4, 4)), initial.basis_order)
+    return factor.reshape(t.shape + (5,))
+
+
+def _dephased(spectrum: Spectrum, initial: DensityMatrix, factor: np.ndarray) -> DensityMatrix:
+    """dephase with the gap factors, one row per time, placed into Ep - Eq by the model's constant pattern and
+    conjugated where D < 0, as phi(-D) = conj(phi(D)); shape factor.shape[:-1] + (4, 4)."""
+    gathered = factor.take(_GAP_INDEX, axis=-1).reshape(-1, 4, 4)
+    gathered.imag *= _GAP_SIGN
+    return DensityMatrix(dephase(spectrum, initial, gathered).reshape(factor.shape[:-1] + (4, 4)), initial.basis_order)
 
 
 def evolve_eigenbasis(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Reference engine: the first-order factor; any gamma, inf included, one per time or one per call."""
-    return _dephased(block, spectrum, req.initial, req.t, req.gamma, first_order_factor)
+    return _dephased(spectrum, req.initial, gap_factors("eigen", block, req))
 
 
 def evolve_unitary(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Decoherence-free limit: the first-order factor at gamma = inf, whatever req.gamma holds."""
-    return _dephased(block, spectrum, req.initial, req.t, math.inf, first_order_factor)
+    return _dephased(spectrum, req.initial, gap_factors("unitary", block, req))
 
 
 def evolve_poisson(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
     """Exact kick average: the Poisson factor; finite gamma, one per time or one per call."""
-    gamma = _engine_gamma(req.gamma, finite=True, one=False)
-    return _dephased(block, spectrum, req.initial, req.t, gamma, poisson_factor)
+    return _dephased(spectrum, req.initial, gap_factors("poisson", block, req))
 
 
 def _first_order_superoperator(h: np.ndarray, gamma: float) -> np.ndarray:
@@ -441,7 +448,12 @@ def _kick_counts(seed: int, n: int, lams: list[float], k_maxes: list[int],
 
 
 def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: EvolutionRequest) -> DensityMatrix:
-    """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory; one finite gamma.
+    """Average U^N rho U^{dag N} over N ~ Poisson(gamma t), one draw per trajectory; one finite gamma."""
+    return _dephased(spectrum, req.initial, gap_factors("mc", block, req))
+
+
+def _empirical_factor(req: EvolutionRequest):
+    """The empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma) of req's draws, as a factor.
 
     Trajectory i of n maps the stratified uniform (i + v_i) / n through the inverse Poisson CDF,
     v_i the top 53 bits of the splitmix64 mix of (seed, i), so results are bit-identical for a
@@ -449,9 +461,8 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
     uniform at every time, so the draws are correlated across times.  _kick_counts counts the
     trajectories below every entry of the CDFs of all times, laid end to end, from one uniform per
     entry (_draws_below), in integers; the CDFs take log(k!) from a table kept for the process.
-    Stratified draws are unbiased, with at most the variance of i.i.d. ones.  The mean is one
-    _dephased call with the empirical characteristic function sum_k (c_k / n) exp(-i D k / gamma),
-    its phases taken once for each k drawn at any time, summed by numpy pairwise over the ascending
+    Stratified draws are unbiased, with at most the variance of i.i.d. ones.  The factor takes
+    its phases once for each k drawn at any time, summed by numpy pairwise over the ascending
     k of each time and D, no BLAS.  The CDFs of one call hold at most MAX_KICK_TABLE entries.
     """
     gamma = _engine_gamma(req.gamma, finite=True, one=True)
@@ -476,8 +487,14 @@ def evolve_monte_carlo(block: HamiltonianBlock, spectrum: Spectrum, req: Evoluti
         for row, lo, hi in zip(phi, firsts, firsts[1:]):  # take, not [:, rows]: a C-ordered product, summed pairwise
             row[:] = (weights[lo:hi] * phase.take(rows[lo:hi], axis=1)).sum(axis=1)
         return phi
-    return _dephased(block, spectrum, req.initial, req.t, math.inf, empirical_factor)
+    return empirical_factor
 
+
+# Dephasing engine name -> its factor phi(D, t, gamma) and gamma from the request, under the engine's gamma rule
+GAP_FACTORS = {"eigen": lambda req: (first_order_factor, req.gamma),
+               "unitary": lambda req: (first_order_factor, math.inf),
+               "poisson": lambda req: (poisson_factor, _engine_gamma(req.gamma, finite=True, one=False)),
+               "mc": lambda req: (_empirical_factor(req), math.inf)}
 
 # Engine name -> its function's name here; evolve looks it up at each call, so a
 # wrapper set on the module attribute (a tracer, a test's counter) sees every call.

@@ -80,7 +80,7 @@ def sweep(alpha: float, r_values, t_grid, engine: str, **controls) -> TimeSeries
     EvolutionRequest's dt, tail_tol, n_traj and seed.  Every input is checked
     before the first engine call, also with no R.  Each R is one engine call
     over the whole T grid; columns follow the given r order and ascending T,
-    so the output layout is deterministic.
+    so the output layout is deterministic; a dephasing engine's are gap_sums.
     """
     if engine not in engines.ENGINES:  # refused also when there is no R to evolve
         raise ValidationError(f"engine must be one of {tuple(engines.ENGINES)}, got {engine!r}")
@@ -90,13 +90,17 @@ def sweep(alpha: float, r_values, t_grid, engine: str, **controls) -> TimeSeries
     if t_rad.size > 1 and not np.all(np.diff(t_rad) > 0):
         raise ValidationError("t_grid must be strictly increasing")
     req = engines.EvolutionRequest(initial_state(), t_rad, math.inf, **controls)  # each R sets its own gamma
+    coefficients = observables.gap_coefficients(spectrum, req.initial) if engine in engines.GAP_FACTORS else None
     probabilities = {}
     purities = {}
     for r, gamma in zip(r_values, gammas):
-        states = engines.evolve(engine, block, spectrum, replace(req, gamma=gamma))
-        for sign, target in observables.GHZ_TARGETS.items():
-            probabilities[(r, sign)] = observables.p_ghz(states, target)
-        purities[r] = observables.purity(states)
+        if coefficients is not None:
+            columns = observables.gap_sums(coefficients, engines.gap_factors(engine, block, replace(req, gamma=gamma)))
+        else:
+            states = engines.evolve(engine, block, spectrum, replace(req, gamma=gamma))
+            columns = [observables.p_ghz(states, target) for target in observables.GHZ_TARGETS.values()]
+            columns.append(observables.purity(states))
+        probabilities[(r, "minus")], probabilities[(r, "plus")], purities[r] = columns
     return TimeSeries(t_rad=t_rad, probabilities=probabilities, purities=purities)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .engines import DensityMatrix, check_times, is_real
 from .errors import ValidationError
-from .model import ModeIndices
+from .model import _GAP_INDEX, _GAP_SIGN, ModeIndices, Spectrum
 
 GHZ_BASIS = ModeIndices(1, 1).basis_order()
 
@@ -169,6 +169,28 @@ def purity(rho: DensityMatrix) -> float | np.ndarray:
     """tr(rho^2), one value per state when rho holds a stack of states."""
     entries = _state_entries(rho)
     return np.einsum("...ij,...ji->...", entries, entries).real
+
+
+def gap_coefficients(spectrum: Spectrum, initial: DensityMatrix) -> np.ndarray:
+    """Real (20, 3) C of gap_sums.  For X = V^T rho0 V and M = V^T Pi V, each (p, q) of gap g adds Re and -_GAP_SIGN Im
+    of X_pq M_qp to rows 2g, 2g + 1 of target Pi's column, as tr(V Y V^T Pi) = sum Y_pq M_qp, and |X_pq|^2 to rows
+    10 + 2g, 11 + 2g of the purity's, as tr(Y^2) = sum |Y_pq|^2 for V orthogonal and X and the factor Hermitian."""
+    if not spectrum.basis_order == initial.basis_order == GHZ_BASIS:
+        raise ValidationError(f"basis mismatch: {spectrum.basis_order} vs {initial.basis_order} vs {GHZ_BASIS}")
+    v = spectrum.eigenvectors
+    x = (v.T @ _state_entries(initial) @ v).ravel()
+    w = np.stack([x * (v.T @ GHZ_TARGETS[sign].projector @ v).T.ravel() for sign in SIGNS], axis=1)
+    coefficients = np.zeros((20, 3))
+    np.add.at(coefficients, (2 * _GAP_INDEX, slice(0, 2)), w.real)
+    np.add.at(coefficients, (2 * _GAP_INDEX + 1, slice(0, 2)), -_GAP_SIGN.reshape(16, 1) * w.imag)
+    np.add.at(coefficients[:, 2], np.concatenate((10 + 2 * _GAP_INDEX, 11 + 2 * _GAP_INDEX)), np.tile(abs(x) ** 2, 2))
+    return coefficients
+
+
+def gap_sums(coefficients: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Rows P_minus, P_plus, purity: C^T [f, f f] of phi (N, 5) from engines.gap_factors as f (N, 10) floats."""
+    f = phi.view(float)
+    return coefficients.T @ np.hstack((f, f * f)).T
 
 
 def populations(rho: DensityMatrix) -> np.ndarray:

@@ -25,6 +25,9 @@ first_order_expm       exp(t G) vec(rho) by scipy's expm; checks evolve_ode.
 eigvalsh_violations    DensityMatrix.violations as it was before the Cholesky
                        certificate: every check, with the least eigenvalue of
                        the Hermitian part always taken by eigvalsh.
+gap_path_bounds        the largest gap rounding allows between P or the purity summed from
+                       the gap factors and the same value of the dephased state stack,
+                       from absolute values of the eigenvectors and the initial state.
 find_peaks             the interior local maxima of each probability column of a
                        sweep, with a 3-point parabolic refinement; reads the
                        peak structure of criterion 7.
@@ -284,6 +287,40 @@ def _refine(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
     shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
     step = t[i + 1] - t[i]
     return float(t[i] + shift * step), float(y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift)
+
+
+U = 2.0**-53  # unit roundoff of float64
+
+
+def gap_path_bounds(spectrum: Spectrum, rho0: DensityMatrix, projectors) -> tuple[list[float], float]:
+    """The largest |gap path - state path| that rounding allows at any time, for tr(rho Pi) of each projector
+    Pi and for tr(rho^2), rho = V (X o F) V^T the dephased state, X = V^T rho0 V, rho0 exactly Hermitian.
+
+    Both paths take the same float gap factor phi, |phi_g| <= 1, which F places with F_qp = conj(F_pq).  So
+    they approximate one exact value each: P* = Re sum_pq X_pq F_pq M_qp, M = V^T Pi V, by the cyclic trace
+    for any V; and tr(Y^2) = sum_pq |X_pq|^2 |F_pq|^2, Y = X o F, which the state path's tr(Y G Y G),
+    G = V^T V, meets within (2 d + d^2) (sum Xbar)^2, d bounding |G - I| entrywise: the float G's distance
+    from I plus the 4 u of its own 4-term sums, as |V|^T |V| <= 1.  A computed sum of n products is within
+    n u of the sum of its absolute terms (to first order, for real and imaginary parts alike, so sqrt(2) n u
+    on moduli), and each term of either path is at most its absolute analogue, with Xbar = |V|^T |rho0| |V|,
+    Mbar = |V|^T |Pi| |V| and Rbar = |V| Xbar |V|^T:
+    * P, terms Xbar_pq Mbar_qp, S_P their sum.  State path: X in two 4-term products (8), X o F (2), the
+      two dephase products (8), the 16-term trace with Pi of complex products (18): 36.  Gap path: X (8),
+      M (8), X_pq M_qp (2), at most 4 entries of one gap (3), the 10-term gap sum (10): 31.  So
+      sqrt(2) 67 u S_P < 95 u S_P, taken as 100 u S_P.
+    * purity, terms Rbar_ij Rbar_ji, S_rho their sum, at least sum Xbar^2 as diag(|V|^T |V|) is 1 to u.
+      State path: rho (X 8, X o F 2, the products 8: 18, in both factors: 36) and the 16-term trace of
+      complex products (18): 54.  Gap path: X in both factors of |X_pq|^2 (16) and its square (2), at most
+      4 entries of one gap (3), the squares f f (1) and the 10-term gap sum (10): 32.  So sqrt(2) 86 u S_rho
+      < 122 u S_rho, taken as 130 u S_rho, plus 2.01 d (sum Xbar)^2.
+    The margins cover the second-order terms and the rounding of the bounds themselves."""
+    v = np.abs(spectrum.eigenvectors)
+    x_bar = v.T @ np.abs(rho0.entries) @ v
+    r_bar = v @ x_bar @ v.T
+    p_bounds = [100.0 * U * float(np.sum(x_bar * (v.T @ np.abs(pi) @ v).T)) for pi in projectors]
+    gram = spectrum.eigenvectors.T @ spectrum.eigenvectors
+    d = float(np.abs(gram - np.eye(4)).max()) + 4.0 * U
+    return p_bounds, 130.0 * U * float(np.sum(r_bar * r_bar.T)) + 2.01 * d * float(x_bar.sum()) ** 2
 
 
 def find_peaks(series) -> list[PeakRecord]:

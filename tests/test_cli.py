@@ -21,6 +21,8 @@ import iondeco
 from iondeco import cli, engines, experiments, model, observables
 from iondeco.errors import ConfigError, ValidationError
 
+import oracles
+
 
 def run_cli(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -820,25 +822,70 @@ def test_ode_steps_a_grid_without_a_per_time_loop(tmp_path, monkeypatch, argv):
 
 
 def test_monte_carlo_dephases_a_grid_in_one_call(tmp_path, monkeypatch):
-    # every time's empirical characteristic function goes through one dephase, whatever the grid size
-    calls, per_call = [], []
-    dephase, evolve_monte_carlo = engines.dephase, engines.evolve_monte_carlo
+    # sweep draws every time's empirical characteristic function once per R, the whole grid in one
+    # factor build, and forms no state; evolve takes it through one dephase, whatever the grid size
+    builds, dephased, per_call = [], [], []
+    build, dephase, evolve_monte_carlo = engines._empirical_factor, engines.dephase, engines.evolve_monte_carlo
 
-    def counted_dephase(*args):
-        calls.append(args)
-        return dephase(*args)
+    def counted_build(req):
+        phi = build(req)
+        builds.append(np.size(req.t))
+        return phi
 
     def counted_evolve(*args):
-        before = len(calls)
+        before = len(dephased)
         out = evolve_monte_carlo(*args)
-        per_call.append((len(calls) - before, out.entries.size // 16))
+        per_call.append((len(dephased) - before, out.entries.size // 16))
         return out
 
-    monkeypatch.setattr(engines, "dephase", counted_dephase)
+    monkeypatch.setattr(engines, "_empirical_factor", counted_build)
+    monkeypatch.setattr(engines, "dephase", lambda *args: dephased.append(args) or dephase(*args))
     monkeypatch.setattr(engines, "evolve_monte_carlo", counted_evolve)
-    argv = ["sweep", "--engine", "mc", "--r", "0.01", "--t-max-deg", "20", "--t-step-deg", "5", "--out", "x.out"]
+    argv = ["sweep", "--engine", "mc", "--r", "0.01,0.1", "--t-max-deg", "20", "--t-step-deg", "5", "--out", "x.out"]
     assert run_cli(tmp_path, monkeypatch, argv) == 0
-    assert per_call == [(1, 5)]
+    assert builds == [5, 5] and dephased == [] and per_call == []
+    assert run_cli(tmp_path, monkeypatch, ["evolve", "--engine", "mc", "--out", "x.out"]) == 0
+    assert builds == [5, 5, 1] and per_call == [(1, 1)]
+
+
+@pytest.mark.parametrize("argv, engine", [("sweep", "eigen"), ("sweep --engine unitary", "unitary")])
+def test_sweep_cells_lie_within_the_gap_path_bound_of_the_state_path(tmp_path, monkeypatch, argv, engine):
+    """Every P and purity cell of the CSV is the %.9g of a value within oracles.gap_path_bounds of
+    p_ghz or purity of the engine's state stack, P clamped as the CLI clamps it: clamping and
+    rounding to 9 digits are monotone, so the cell lies between those of the bound's two ends."""
+    assert run_cli(tmp_path, monkeypatch, argv.split() + ["--out", "s.csv"]) == 0
+    lines = (tmp_path / "s.csv").read_text().splitlines()
+    header, cells = lines[1].split(","), np.array([[float(x) for x in line.split(",")] for line in lines[2:]])
+    config = {key: default for key, (_, default) in cli.CONFIG_SPEC.items()}
+    t = cli._t_grid_rad(config)
+    block, spectrum = experiments.scaled_system(config["alpha"])
+    initial = experiments.initial_state()
+    p_bounds, purity_bound = oracles.gap_path_bounds(spectrum, initial, [
+        target.projector for target in observables.GHZ_TARGETS.values()])
+    checked = 0
+    for r in config["r"]:
+        states = engines.evolve(engine, block, spectrum, engines.EvolutionRequest(initial, t, experiments.kick_rate(r)))
+        expected = {f"p_{sign}": (observables.p_ghz(states, observables.GHZ_TARGETS[sign]), bound, True)
+                    for sign, bound in zip(observables.SIGNS, p_bounds)}
+        expected["purity"] = (observables.purity(states), purity_bound, False)
+        for name, (value, bound, clamped) in expected.items():
+            ends = [value - bound, value + bound]
+            lo, hi = (np.array([float(f"{x:.9g}") for x in (observables.clamp_probability(end) if clamped else end)])
+                      for end in ends)
+            column = cells[:, header.index(f"{name}_r{cli._fmt(r)}")]
+            assert np.all(lo <= column) and np.all(column <= hi), (name, r)
+            checked += column.size
+    assert checked == 3 * len(config["r"]) * t.size == 17_292
+
+
+@pytest.mark.parametrize("argv", ["sweep --engine poisson --r 0", "sweep --engine mc --r 1e-310",
+                                  "evolve --engine mc --r 1e-310"])
+def test_finite_gamma_error_names_r(tmp_path, monkeypatch, capsys, argv):
+    # R = 0 and an R whose reciprocal overflows both give gamma = inf; the message says what R must be
+    assert run_cli(tmp_path, monkeypatch, argv.split() + ["--out", "x.out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: this engine requires finite gamma = 1/R: R must exceed 0, and 1/R must")
+    assert "overflow" in err and "Traceback" not in err and not (tmp_path / "x.out").exists()
 
 
 def test_monte_carlo_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -956,11 +1003,14 @@ def test_every_command_exits_cleanly_on_edge_values(command, pairs):
 # the rest before the unitary engine became the reference engine at
 # gamma = inf; the current engines and CSV writer must reproduce these bytes.
 GOLDEN_SHA256 = {
-    "sweep": "bff671516b4a4924786e277ae7dac7b2bc18cdd6bde6af2bb593e472cfe5919b",
+    # re-pinned when sweep summed P and the purity from the gap factors: 2 of its 17,292 P and purity
+    # cells moved, each in its 9th digit (8.36563393e-07 -> 8.36563394e-07, 5.64255088e-05 -> ...087e-05)
+    "sweep": "ccdc3a0fc39833d7a8d97ed7a0fe0f48818e61be586b217cf0c7cec031777346",
     "table1": "0165b069159396b21c4d45c81646dffac6f0abeab83a792fe489717d2b229004",
     "audit": "eb5836dee73f1fd645325d9d5cf2d9421f99e5da826f1b4ee570caf96eca0eae",
     "units": "332a36c681400d9758a45b6134245ed17c83a798be0d800d73406aceb658877b",
-    "sweep --engine unitary": "889f5d8938024157e7891548cd444cc2acfc1068b72465abaf2274428560c557",
+    # re-pinned with the gap sums: 228 of 17,292 cells moved, all P cells below 8.3e-7, by at most 1.0e-15
+    "sweep --engine unitary": "fef876cdc12e4c5b8e774077fe1c7edea454eb9d8ba9cdfd387449aa080d61ff",
     "evolve --engine unitary": "6ddddc62807c04e2b256b0ed7136163d51dbb5b949b745027f66afd6dd8b36f6",
     "evolve --engine poisson": "f884985dd64f32bb11a61e6d1e49be08b455d68ef1c7dd9dfcc4c237a1720096",
     # re-pinned when trajectory i's uniform became the stratified (i + v_i) / n: the draws changed, and

@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -930,6 +931,9 @@ def test_batched_engines_equal_per_point(engine, alpha):
     block, spectrum = scaled_system(alpha)
     mixed = random_state(np.random.default_rng(17), spectrum.basis_order)
     targets = {sign: observables.ghz_state(sign) for sign in observables.SIGNS}
+    # sweep sums P and the purity from the gap factors, so it meets the stack's values within the rounding bound
+    p_bounds, purity_bound = oracles.gap_path_bounds(spectrum, experiments.initial_state(),
+                                                     [target.projector for target in targets.values()])
     # a full grid, a single-state stack (N = 1) and an empty one (N = 0)
     for grid in (full, np.array([1.3]), np.empty(0)):
         series = experiments.sweep(alpha, r_values, grid, engine)
@@ -946,9 +950,51 @@ def test_batched_engines_equal_per_point(engine, alpha):
                     assert np.array_equal(one.entries, transform)
                     if rho0 is mixed:
                         continue
-                    for sign, target in targets.items():
-                        assert series.probabilities[(r, sign)][j] == observables.p_ghz(one, target)
-                    assert series.purities[r][j] == observables.purity(one)
+                    for (sign, target), bound in zip(targets.items(), p_bounds):
+                        assert abs(series.probabilities[(r, sign)][j] - observables.p_ghz(one, target)) <= bound
+                    assert abs(series.purities[r][j] - observables.purity(one)) <= purity_bound
+
+
+def hermitian_state(seed, basis):
+    """A seeded full-rank density matrix, exactly Hermitian: (A + A^H) / 2 rounds conjugate pairs alike."""
+    rho = random_state(np.random.default_rng(seed), basis).entries
+    return engines.DensityMatrix(0.5 * (rho + rho.conj().T), basis)
+
+
+GAP_GRIDS = {"holding 0": np.linspace(0.0, 2.0 * math.pi, 9), "one time": np.array([1.3]), "empty": np.empty(0)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(engine=st.sampled_from(sorted(engines.GAP_FACTORS)),
+       alpha=st.one_of(st.floats(1.0, 20.0, exclude_min=True), st.sampled_from([1e6, 1e6 + 0.5, 1.5e6])),
+       r=st.one_of(st.just(0.0), st.floats(1e-3, 0.5)), grid=st.sampled_from(sorted(GAP_GRIDS)),
+       seed=st.integers(0, 2**32 - 1))
+@example(engine="mc", alpha=1e6, r=0.5, grid="holding 0", seed=0)
+def test_gap_sums_equal_the_state_stack_observables(engine, alpha, r, grid, seed):
+    """P_minus, P_plus and the purity summed from the gap factors (sweep's path, and the helpers on a
+    seeded mixed state) lie within oracles.gap_path_bounds of p_ghz and purity of the evolved stack."""
+    if r == 0.0 and engine in ("poisson", "mc"):  # these need finite gamma
+        r = 1e-3
+    block, spectrum = scaled_system(alpha)
+    t = GAP_GRIDS[grid]
+    controls = {"n_traj": 500, "seed": seed} if engine == "mc" else {}
+    series = experiments.sweep(alpha, (r,), t, engine, **controls)
+    projectors = [target.projector for target in observables.GHZ_TARGETS.values()]
+    initial = experiments.initial_state()
+    for rho0 in (initial, hermitian_state(seed, spectrum.basis_order)):
+        req = engines.EvolutionRequest(rho0, t, experiments.kick_rate(r), **controls)
+        factor = engines.gap_factors(engine, block, req)
+        gap = observables.gap_sums(observables.gap_coefficients(spectrum, rho0), factor)
+        states = engines.evolve(engine, block, spectrum, req)
+        expected = [observables.p_ghz(states, target) for target in observables.GHZ_TARGETS.values()]
+        expected.append(observables.purity(states))
+        p_bounds, purity_bound = oracles.gap_path_bounds(spectrum, rho0, projectors)
+        assert gap.shape == (3, t.size)
+        for got, want, bound in zip(gap, expected, p_bounds + [purity_bound]):
+            assert np.abs(got - want).max(initial=0.0) <= bound
+        if rho0 is initial:  # sweep's own columns, bit for bit
+            assert np.array_equal(gap, [series.probabilities[(r, "minus")], series.probabilities[(r, "plus")],
+                                        series.purities[r]])
 
 
 def test_closed_form_rho_vectorised_equals_scalar(system4):
@@ -1045,7 +1091,9 @@ def test_factor_from_distinct_differences_equals_full_factor(phi, gamma_of, alph
     gamma = gamma_of(r)
     delta = oracles.exact_differences(block)
     full = engines.dephase(spectrum, rho, phi(delta, t[:, None, None], np.reshape(gamma, (-1, 1, 1))))
-    gathered = engines._dephased(block, spectrum, rho, t, gamma, phi)
+    with mock.patch.dict(engines.GAP_FACTORS, eigen=lambda req: (phi, req.gamma)):
+        factor = engines.gap_factors("eigen", block, engines.EvolutionRequest(rho, t, gamma))
+    gathered = engines._dephased(spectrum, rho, factor)
     assert gathered.entries.view(np.uint64).tolist() == full.view(np.uint64).tolist()
 
 

@@ -55,6 +55,7 @@ def test_sweep_validation(monkeypatch):
     """Each bad input is refused before the first engine call, the engine's name also with no R."""
     calls = []
     monkeypatch.setattr(engines, "evolve_eigenbasis", lambda *args: calls.append(args))
+    monkeypatch.setattr(engines, "gap_factors", lambda *args: calls.append(args))  # the eigen engine's factor
     with pytest.raises(ValidationError, match=re.escape(f"engine must be one of {tuple(engines.ENGINES)}, got 'magic'")):
         small_sweep(engine="magic", r_values=())
     with pytest.raises(ValidationError, match="alpha must exceed 1"):
